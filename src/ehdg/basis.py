@@ -136,6 +136,10 @@ class TensorBasis:
                               onto the face polynomial space
       face_node_ids[(a,s)]  : volume node indices lying on the face, in face
                               ordering (traces of nodal data can be read off)
+      eval_1d, grad_1d      : (p + 2, p + 1) 1D basis values and derivatives
+                              at the 1D Gauss points
+      end_1d[s]             : (1, p + 1) 1D basis values at xi = -1 (s = 0)
+                              and xi = +1 (s = 1)
     """
 
     dim: int
@@ -158,8 +162,12 @@ class TensorBasis:
         self.n_fq = nq1 ** (d - 1)
 
         E = lagrange_eval(self.nodes_1d, xg)
-        D = differentiation_matrix(self.nodes_1d)
-        Ed = E @ D
+        Ed = E @ differentiation_matrix(self.nodes_1d)
+        self.eval_1d, self.grad_1d = E, Ed
+        self.end_1d = (
+            lagrange_eval(self.nodes_1d, [-1.0]),
+            lagrange_eval(self.nodes_1d, [1.0]),
+        )
 
         self.ref_nodes = _tensor_points([self.nodes_1d] * d)
         self.quad_ref = _tensor_points([xg] * d)
@@ -183,7 +191,7 @@ class TensorBasis:
                 mats, pts = [], []
                 for b in range(d):
                     if b == a:
-                        mats.append(lagrange_eval(self.nodes_1d, [ends[s]]))
+                        mats.append(self.end_1d[s])
                         pts.append(np.array([ends[s]]))
                     else:
                         mats.append(E)
@@ -203,6 +211,67 @@ class TensorBasis:
         Mf = self.face_eval.T @ (self.face_quad_w[:, None] * self.face_eval)
         self.face_proj = np.linalg.solve(Mf, self.face_eval.T * self.face_quad_w[None, :])
         self.face_mass_ref = Mf
+
+        # per-axis factor pairs (L, R) of the sum-factorized products, stored
+        # as L[q, i] R[q, j] with (i, j) flattened; a face term's normal axis
+        # is the single end point
+        def pair(L, R):
+            return (L[:, :, None] * R[:, None, :]).reshape(len(L), -1)
+
+        lo, hi = self.end_1d
+        self._axis_pairs = {
+            "val": pair(E, E),
+            "grad": pair(Ed, E),
+            "lo": pair(lo, lo),
+            "hi": pair(hi, hi),
+        }
+
+    def weighted_products(self, terms):
+        """Sum over terms of the weighted tensor products of 1D factors.
+
+        Each term is (keys, w): keys[b] names the factor pair (L_b, R_b) on
+        reference axis b, one of "val" (L = R = values at the Gauss points),
+        "grad" (L = derivatives, R = values) or "lo"/"hi" (L = R = values at
+        the end point xi_b = -1 / +1, a single point). w has shape
+        (n_el, n_pts) over the tensor grid of those points in the package's
+        flat order, axis 0 fastest: volume quadrature points, or face
+        quadrature points when one key is an end point. Returns
+
+            A[e, i, j] = sum_t sum_q w_t[e, q] prod_b L_b[q_b, i_b] R_b[q_b, j_b]
+
+        of shape (n_el, n_p, n_p), contracting one axis at a time (sum
+        factorization). After each axis, terms whose remaining factors agree
+        are added, and the last axis of all terms is one stacked product.
+        """
+        d, n = self.dim, self.p + 1
+        pairs = self._axis_pairs
+        n_el = len(terms[0][1])
+        # parts[keys] : (n_el, m_{d-1}, ..., m_b, X), X the contracted (i, j)
+        parts = {}
+        for keys, w in terms:
+            keys = tuple(keys)
+            shape = [len(pairs[k]) for k in reversed(keys)]
+            t = np.reshape(w, (n_el, *shape, 1))
+            parts[keys] = parts[keys] + t if keys in parts else t
+        for _ in range(d - 1):
+            merged = {}
+            for keys, t in parts.items():
+                c = np.tensordot(t, pairs[keys[0]], axes=(t.ndim - 2, 0))
+                c = c.reshape(*c.shape[:-2], -1)
+                rest = keys[1:]
+                merged[rest] = merged[rest] + c if rest in merged else c
+            parts = merged
+        last = list(parts)
+        out = np.tensordot(
+            np.concatenate([parts[k] for k in last], axis=1),
+            np.concatenate([pairs[k[0]] for k in last], axis=0),
+            axes=(1, 0),
+        )
+        # (e, i0, j0, ..., i_{d-1}, j_{d-1}) -> (e, i_{d-1}..i0, j_{d-1}..j0)
+        perm = [0] + [1 + 2 * b for b in reversed(range(d))]
+        perm += [2 + 2 * b for b in reversed(range(d))]
+        out = out.reshape(n_el, *[n] * (2 * d)).transpose(perm)
+        return out.reshape(n_el, self.n_p, self.n_p)
 
 
 def project_to_face(basis, values_q):

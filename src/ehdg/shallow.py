@@ -27,7 +27,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .transport import ASSEMBLY_CHUNK, AssemblyError, TraceField
+from .transport import (
+    ASSEMBLY_CHUNK,
+    AssemblyError,
+    TraceField,
+    assemble_inverses,
+)
 
 
 @dataclass
@@ -145,7 +150,8 @@ class ShallowOperators:
                 self.lift_mask[(a, s)] = mask
 
         self.shared = problem.coriolis_beta == 0.0 and not condense_walls
-        self._assemble_inverses()
+        self.a_inv = assemble_inverses(self, 1 if self.shared else mesh.n_el,
+                                       3 * n_p)
 
     # -- assembly -----------------------------------------------------------
 
@@ -157,10 +163,8 @@ class ShallowOperators:
             return np.broadcast_to(M, (len(elements), *M.shape))
         X = mesh.centers[elements][:, None, :] + mesh.half * basis.quad_ref[None]
         f = prob.coriolis_f0 + prob.coriolis_beta * (X[:, :, 1] - prob.y_mid)
-        wf = basis.quad_w * f
-        return mesh.jac * np.matmul(
-            basis.eval_vol.T[None], wf[:, :, None] * basis.eval_vol[None]
-        )
+        w = mesh.jac * basis.quad_w * f
+        return basis.weighted_products([(("val", "val"), w)])
 
     def element_matrix(self, elements):
         els = np.asarray(elements)
@@ -221,21 +225,6 @@ class ShallowOperators:
                     A[:, row, sl[0]] += (w * nsig)[:, None, None] * (PHI * E)[None]
                     A[:, row, vel] += w[:, None, None] * (PHI * rp * E)[None]
         return A
-
-    def _assemble_inverses(self):
-        n_el = 1 if self.shared else self.mesh.n_el
-        n = 3 * self.n_p
-        self.a_inv = np.empty((n_el, n, n))
-        for start in range(0, n_el, ASSEMBLY_CHUNK):
-            els = np.arange(start, min(start + ASSEMBLY_CHUNK, n_el))
-            A = self.element_matrix(els)
-            try:
-                inv = np.linalg.inv(A)
-            except np.linalg.LinAlgError as err:
-                raise AssemblyError(f"singular local operator: {err}") from err
-            if not np.all(np.isfinite(inv)):
-                raise AssemblyError("non-finite local operator inverse")
-            self.a_inv[els] = inv
 
     # -- state helpers --------------------------------------------------------
 

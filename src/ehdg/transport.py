@@ -17,17 +17,15 @@ polynomial space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .basis import TensorBasis
 from .mesh import (
     CHARACTERISTIC,
     INFLOW,
     OUTFLOW,
-    StructuredMesh,
     classify_boundary_face,
 )
 
@@ -36,6 +34,28 @@ ASSEMBLY_CHUNK = 256
 
 class AssemblyError(Exception):
     pass
+
+
+def assemble_inverses(ops, n_el, width):
+    """Explicit inverses of ops.element_matrix for elements 0 .. n_el - 1.
+
+    The matrices are built and inverted one ASSEMBLY_CHUNK of elements at a
+    time, so only a chunk of dense local matrices is held at once. The
+    inverses are kept rather than LU factors because a batched inverse
+    matvec is much cheaper per pass than a batched triangular solve.
+    """
+    a_inv = np.empty((n_el, width, width))
+    for start in range(0, n_el, ASSEMBLY_CHUNK):
+        els = np.arange(start, min(start + ASSEMBLY_CHUNK, n_el))
+        A = ops.element_matrix(els)
+        try:
+            inv = np.linalg.inv(A)
+        except np.linalg.LinAlgError as err:
+            raise AssemblyError(f"singular local operator: {err}") from err
+        if not np.all(np.isfinite(inv)):
+            raise AssemblyError("non-finite local operator inverse")
+        a_inv[els] = inv
+    return a_inv
 
 
 @dataclass
@@ -135,21 +155,12 @@ class TransportOperators:
         # boundary classification
         self.inflow_blocks = []       # (axis, face_ids, elements, side)
         self.outflow_blocks = []      # (axis, face_ids, elements, side)
-        self.boundary_labels = {}
         for a in range(d):
             for side in (0, 1):
                 fid, els, osign = mesh.boundary_faces(a, side)
                 labels = [
                     classify_boundary_face(osign * self.bn[a][f]) for f in fid
                 ]
-                first = labels[0]
-                if any(l != first for l in labels):
-                    by = {}
-                    for f, l in zip(fid, labels):
-                        by.setdefault(l, []).append(f)
-                    self.boundary_labels[(a, side)] = by
-                else:
-                    self.boundary_labels[(a, side)] = {first: list(fid)}
                 inf_ids = [f for f, l in zip(fid, labels) if l == INFLOW]
                 out_ids = [
                     (f, e)
@@ -180,32 +191,32 @@ class TransportOperators:
                 self.lift_w[(a, side)][els] = 0.0
 
         self.shared = bool(problem.constant_velocity) and not condense_outflow
-        self._assemble_inverses()
+        self.a_inv = assemble_inverses(self, 1 if self.shared else mesh.n_el,
+                                       basis.n_p)
         self._load_cache = {}
 
     # -- assembly -----------------------------------------------------------
 
     def element_matrix(self, elements):
-        """Dense local matrices A_K for the given element indices."""
+        """Local matrices A_K for the given element indices.
+
+        Every term is a weighted tensor product of 1D factors and is built
+        by sum factorization (TensorBasis.weighted_products).
+        """
         mesh, basis, prob = self.mesh, self.basis, self.problem
         d = mesh.dim
         els = np.asarray(elements)
         X = mesh.centers[els][:, None, :] + mesh.half * basis.quad_ref[None]
         V = prob.velocity(X.reshape(-1, d)).reshape(len(els), basis.n_q, d)
-        n_p = basis.n_p
-        A = np.zeros((len(els), n_p, n_p))
+        terms = []
         for a in range(d):
-            wb = basis.quad_w * V[:, :, a]
-            tmp = wb[:, :, None] * basis.eval_vol[None]
-            A -= (mesh.jac / mesh.half[a]) * np.matmul(
-                basis.eval_grad[a].T[None], tmp
-            )
+            keys = ["val"] * d
+            keys[a] = "grad"
+            wb = -(mesh.jac / mesh.half[a]) * basis.quad_w * V[:, :, a]
+            terms.append((keys, wb))
         if prob.div_velocity is not None:
             dv = prob.div_velocity(X.reshape(-1, d)).reshape(len(els), basis.n_q)
-            wd = basis.quad_w * dv
-            A -= mesh.jac * np.matmul(
-                basis.eval_vol.T[None], wd[:, :, None] * basis.eval_vol[None]
-            )
+            terms.append((["val"] * d, -mesh.jac * basis.quad_w * dv))
         for a in range(d):
             for s in (0, 1):
                 bn_el = self.bn[a][self.fidx[(a, s)][els]]
@@ -215,11 +226,11 @@ class TransportOperators:
                 if self.condense_outflow:
                     # on outflow boundary faces the trace equals the interior
                     # solution, so the stabilization folds into beta.n u
-                    w = w.copy()
                     self._strip_outflow_weight(a, s, els, bn_el, w)
-                wf = mesh.face_jac[a] * basis.face_quad_w * w
-                R = basis.face_restrict[(a, s)]
-                A += np.matmul(R.T[None], wf[:, :, None] * R[None])
+                keys = ["val"] * d
+                keys[a] = ("lo", "hi")[s]
+                terms.append((keys, mesh.face_jac[a] * basis.face_quad_w * w))
+        A = basis.weighted_products(terms)
         if self.dt is not None:
             A += self.mass_phys[None] / self.dt
         return A
@@ -232,21 +243,6 @@ class TransportOperators:
             sel = np.isin(els, bels)
             if np.any(sel):
                 w[sel] = bn_el[sel]
-
-    def _assemble_inverses(self):
-        n_el = 1 if self.shared else self.mesh.n_el
-        n_p = self.basis.n_p
-        self.a_inv = np.empty((n_el, n_p, n_p))
-        for start in range(0, n_el, ASSEMBLY_CHUNK):
-            els = np.arange(start, min(start + ASSEMBLY_CHUNK, n_el))
-            A = self.element_matrix(els)
-            try:
-                inv = np.linalg.inv(A)
-            except np.linalg.LinAlgError as err:
-                raise AssemblyError(f"singular local operator: {err}") from err
-            if not np.all(np.isfinite(inv)):
-                raise AssemblyError("non-finite local operator inverse")
-            self.a_inv[els] = inv
 
     # -- per-iteration pieces ------------------------------------------------
 
@@ -364,30 +360,3 @@ class TransportOperators:
         X = mesh.centers[:, None, :] + mesh.half * basis.ref_nodes[None]
         vals = self.problem.exact(X.reshape(-1, mesh.dim), t)
         return np.asarray(vals).reshape(mesh.n_el, basis.n_p)
-
-
-# -- single-element views, mainly for tests and the direct-solve oracle ------
-
-
-@dataclass
-class ElementOperatorTransport:
-    element: int
-    matrix: np.ndarray
-    inverse: np.ndarray
-
-    def solve(self, rhs):
-        return self.inverse @ rhs
-
-
-def assemble_local_transport(mesh, basis, problem, element, dt=None,
-                             condense_outflow=False):
-    ops = TransportOperators(
-        mesh, basis, problem, dt=dt, condense_outflow=condense_outflow
-    )
-    return element_operator(ops, element)
-
-
-def element_operator(ops, element):
-    A = ops.element_matrix(np.array([element]))[0]
-    inv = ops.a_inv[0] if ops.shared else ops.a_inv[element]
-    return ElementOperatorTransport(element=element, matrix=A, inverse=inv)

@@ -132,6 +132,17 @@ def test_solve_transient_writes_steps_csv(tmp_path):
     assert abs(float(last[1]) - 3e-3) < 1e-15
 
 
+def test_solve_error_difference_without_exact_exit_1(tmp_path, capsys):
+    # the discontinuous case has no exact solution to stop against
+    rc = main(["solve", "case=transport2d-discontinuous", "nel=4", "p=1",
+               f"outdir={tmp_path}"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and "no exact solution" in err
+    assert "successive-difference" in err and "trace-residual" in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_solve_config_file_flag(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("case=transport2d-smooth\nnel=4\np=2\n")
@@ -211,6 +222,35 @@ def test_verify_shallow_passes(capsys):
     out = capsys.readouterr().out
     assert "PASS  mass-conservation" in out
     assert "FAIL" not in out
+
+
+def test_verify_shallow_zero_mean_state_passes(capsys):
+    # the standing wave's total mass is round-off sized, so a drift divided
+    # by it would read O(1) on a conserving step
+    rc = main([
+        "verify", "case=shallow-standing-wave", "nel=8", "p=4", "dt=1e-4",
+    ])
+    out = capsys.readouterr().out
+    assert "PASS  mass-conservation" in out
+    assert rc == 0 and "FAIL" not in out
+
+
+def test_verify_shallow_detects_mass_drift(monkeypatch, capsys):
+    from ehdg.shallow import ShallowOperators
+
+    exact_mass = ShallowOperators.total_mass
+    calls = []
+
+    def drifting(self, state):
+        calls.append(state)
+        return exact_mass(self, state) + 1e-6 * (len(calls) - 1)
+
+    monkeypatch.setattr(ShallowOperators, "total_mass", drifting)
+    rc = main([
+        "verify", "case=shallow-standing-wave", "nel=4", "p=1", "dt=1e-3",
+    ])
+    assert rc == 3
+    assert "FAIL  mass-conservation" in capsys.readouterr().out
 
 
 def test_verify_detects_flux_defect(monkeypatch, capsys):

@@ -117,6 +117,21 @@ class TestElementMatrix:
         A = ops.element_matrix([el])[0]
         assert np.allclose(A, brute_shallow_matrix(ops, el), atol=1e-12)
 
+    @pytest.mark.parametrize("p", [1, 3, 4])
+    def test_coriolis_mass_matches_dense_product(self, p):
+        mesh = build_mesh(2, 3, [(0, 1), (0, 1)])
+        basis = TensorBasis(2, p)
+        prob = synthetic_problem()
+        ops = ShallowOperators(mesh, basis, prob, dt=0.37)
+        els = np.arange(mesh.n_el)
+        X = mesh.centers[els][:, None, :] + mesh.half * basis.quad_ref[None]
+        f = prob.coriolis_f0 + prob.coriolis_beta * (X[:, :, 1] - prob.y_mid)
+        wf = basis.quad_w * f
+        ref = mesh.jac * np.matmul(
+            basis.eval_vol.T[None], wf[:, :, None] * basis.eval_vol[None])
+        got = ops._coriolis_mass(els)
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
     def test_shared_inverse_used_without_beta_plane(self):
         mesh = build_mesh(2, 3, [(0, 1), (0, 1)])
         flat = ShallowOperators(mesh, TensorBasis(2, 1),

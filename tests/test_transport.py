@@ -2,7 +2,10 @@
 
 The assembly tests rebuild element matrices and lift vectors by plain
 quadrature loops over an unrelated (richer) Gauss rule; both forms are
-exact for polynomial data, so they must agree to roundoff.
+exact for polynomial data, so they must agree to roundoff. The
+sum-factorized element_matrix is also compared with the dense
+(n_p x n_q) . (n_q x n_p) products it replaced, kept here as
+dense_element_matrix.
 """
 
 import math
@@ -80,6 +83,68 @@ def brute_element_matrix(ops, el):
     return A
 
 
+def dense_element_matrix(ops, elements):
+    """Reference assembly from the full tensor matrices on the same rule."""
+    mesh, basis, prob = ops.mesh, ops.basis, ops.problem
+    d = mesh.dim
+    els = np.asarray(elements)
+    X = mesh.centers[els][:, None, :] + mesh.half * basis.quad_ref[None]
+    V = prob.velocity(X.reshape(-1, d)).reshape(len(els), basis.n_q, d)
+    A = np.zeros((len(els), basis.n_p, basis.n_p))
+    for a in range(d):
+        wb = basis.quad_w * V[:, :, a]
+        tmp = wb[:, :, None] * basis.eval_vol[None]
+        A -= (mesh.jac / mesh.half[a]) * np.matmul(
+            basis.eval_grad[a].T[None], tmp
+        )
+    if prob.div_velocity is not None:
+        dv = prob.div_velocity(X.reshape(-1, d)).reshape(len(els), basis.n_q)
+        wd = basis.quad_w * dv
+        A -= mesh.jac * np.matmul(
+            basis.eval_vol.T[None], wd[:, :, None] * basis.eval_vol[None]
+        )
+    for a in range(d):
+        for s in (0, 1):
+            bn_el = ops.bn[a][ops.fidx[(a, s)][els]]
+            if s == 0:
+                bn_el = -bn_el
+            w = bn_el + np.abs(bn_el)
+            if ops.condense_outflow:
+                for ax, _fid, bels, side in ops.outflow_blocks:
+                    if ax == a and side == s:
+                        sel = np.isin(els, bels)
+                        w[sel] = bn_el[sel]
+            wf = mesh.face_jac[a] * basis.face_quad_w * w
+            R = basis.face_restrict[(a, s)]
+            A += np.matmul(R.T[None], wf[:, :, None] * R[None])
+    if ops.dt is not None:
+        A += ops.mass_phys[None] / ops.dt
+    return A
+
+
+def varying_problem(dim):
+    """beta_a = 1 + x_a x_(a+1), positive on the unit box, with its true
+    divergence, so every element sees a different velocity."""
+
+    def beta(pts):
+        return 1.0 + pts * np.roll(pts, -1, axis=1)
+
+    def div_beta(pts):
+        return np.roll(pts, -1, axis=1).sum(axis=1)
+
+    return TransportProblem(dim=dim, velocity=beta, div_velocity=div_beta,
+                            inflow=lambda pts, t=0.0: np.zeros(len(pts)))
+
+
+def assert_matches_dense(ops, elements):
+    # float64 round-off of sums over at most (p + 2)^d products, fixed in
+    # advance; the observed gap is below 1e-15 relative
+    A = ops.element_matrix(elements)
+    ref = dense_element_matrix(ops, elements)
+    assert A.shape == ref.shape
+    assert np.abs(A - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
 def brute_lift(ops, trace, el):
     """Loop-based |beta.n|-weighted trace lift for one 2D element."""
     mesh, basis, prob = ops.mesh, ops.basis, ops.problem
@@ -141,6 +206,22 @@ class TestElementMatrix:
             assert np.allclose(A[el], brute_element_matrix(ops, el),
                                atol=1e-12)
 
+    def test_matches_brute_rotating_3d(self):
+        # rotation about the box axis plus a constant axial drift; beta.n
+        # changes sign along faces, so upwind weights switch mid-face
+        def beta(pts):
+            return np.stack([0.5 - pts[:, 1], pts[:, 0] - 0.5,
+                             np.full(len(pts), 0.3)], axis=1)
+
+        prob = TransportProblem(dim=3, velocity=beta,
+                                inflow=lambda pts, t=0.0: np.zeros(len(pts)))
+        mesh = build_mesh(3, 2, [(0, 1)] * 3)
+        ops = TransportOperators(mesh, TensorBasis(3, 3), prob)
+        A = ops.element_matrix(np.arange(mesh.n_el))
+        for el in range(mesh.n_el):
+            assert np.allclose(A[el], brute_element_matrix(ops, el),
+                               atol=1e-12)
+
     def test_constant_state_is_discretely_exact(self):
         # A_K applied to the constant vector equals the |beta.n| lift of a
         # unit trace when beta is divergence free; this couples volume and
@@ -155,6 +236,36 @@ class TestElementMatrix:
         A = ops.element_matrix(np.arange(mesh.n_el))
         ones = np.ones(basis.n_p)
         assert np.allclose(A @ ones, rhs, atol=1e-12)
+
+
+class TestSumFactorization:
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    @pytest.mark.parametrize("variant", ["steady", "transient", "condensed"])
+    def test_matches_dense_assembly(self, dim, p, variant):
+        mesh = build_mesh(dim, 2 if dim == 3 else 3, [(0, 1)] * dim)
+        ops = TransportOperators(
+            mesh, TensorBasis(dim, p), varying_problem(dim),
+            dt=0.37 if variant == "transient" else None,
+            condense_outflow=variant == "condensed")
+        if variant == "condensed":
+            assert ops.outflow_blocks
+        assert_matches_dense(ops, np.arange(mesh.n_el))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_shared_operator_matches_dense(self, dim):
+        zero = lambda pts, t=0.0: np.zeros(len(pts))
+        prob = constant_problem([1.0, -0.5, 0.25][:dim], dim=dim,
+                                inflow=zero, shared=True)
+        mesh = build_mesh(dim, 2, [(0, 1)] * dim)
+        ops = TransportOperators(mesh, TensorBasis(dim, 3), prob, dt=0.1)
+        assert ops.shared and ops.a_inv.shape[0] == 1
+        assert_matches_dense(ops, [0])
+
+    def test_element_subset_in_any_order(self):
+        mesh = build_mesh(3, 2, [(0, 1)] * 3)
+        ops = TransportOperators(mesh, TensorBasis(3, 2), varying_problem(3))
+        assert_matches_dense(ops, [6, 1, 3])
 
 
 class TestLift:
