@@ -115,7 +115,7 @@ def assemble_global_trace_system(mesh, basis, problem, dt=None,
 
     trace0 = ops.new_trace()
     ops.inflow_trace(trace0, t)
-    u0 = ops.solve_cells(ops.rhs(trace0, t, state_prev))
+    u0 = ops.solve_cells(ops.rhs(trace0, ops.source(t, state_prev)))
     r0 = _transport_residual(ops, u0, trace0)
 
     N = index.n_unknowns
@@ -168,7 +168,7 @@ def direct_solve_transport(mesh, basis, problem, dt=None, state_prev=None,
     trace = ops.new_trace()
     ops.inflow_trace(trace, t)
     index.scatter(uhat, trace)
-    u = ops.solve_cells(ops.rhs(trace, t, state_prev))
+    u = ops.solve_cells(ops.rhs(trace, ops.source(t, state_prev)))
     for a, fid, els, side in ops.outflow_blocks:
         trace.data[a][fid] = u[els][:, ops.basis.face_node_ids[(a, side)]]
     for a in range(mesh.dim):
@@ -247,7 +247,7 @@ def assemble_shallow_trace_system(mesh, basis, problem, dt, state_prev,
     PHI, rp = ops.phi_mean, ops.root_phi
 
     trace0 = ops.new_trace()
-    state0 = ops.solve_cells(ops.rhs(trace0, t, state_prev))
+    state0 = ops.solve_cells(ops.rhs(trace0, ops.source(t, state_prev)))
     r0 = _shallow_residual(ops, state0, trace0)
 
     N = index.n_unknowns
@@ -300,7 +300,7 @@ def direct_solve_shallow(mesh, basis, problem, dt, state_prev, t=0.0):
     phat = np.linalg.solve(system.matrix, system.rhs)
     trace = ops.new_trace()
     index.scatter(phat, trace)
-    state = ops.solve_cells(ops.rhs(trace, t, state_prev))
+    state = ops.solve_cells(ops.rhs(trace, ops.source(t, state_prev)))
     phi, u, v = ops.split(state)
     for a in range(2):
         vel = u if a == 0 else v

@@ -261,13 +261,14 @@ class ShallowOperators:
         )
         return tau[:, :, 0] @ self.load_vec.T, tau[:, :, 1] @ self.load_vec.T
 
-    def rhs(self, trace, t=0.0, state_prev=None):
+    def source(self, t=0.0, state_prev=None):
+        """Trace-independent part of every local right-hand side: the
+        previous state's mass terms and the wind load. It is fixed for a
+        whole solve at one time level."""
         if state_prev is None:
             raise ValueError("shallow water rhs needs the previous state")
-        mesh, basis = self.mesh, self.basis
-        n_p = self.n_p
-        PHI, rp, dt = self.phi_mean, self.root_phi, self.dt
-        out = np.zeros((mesh.n_el, 3 * n_p))
+        PHI, dt = self.phi_mean, self.dt
+        out = self.zero_state()
         r0, r1, r2 = self.split(out)
         p_prev, u_prev, v_prev = self.split(state_prev)
         r0 += (p_prev @ self.mass_phys.T) / dt
@@ -277,6 +278,15 @@ class ShallowOperators:
         if wind is not None:
             r1 += wind[0]
             r2 += wind[1]
+        return out
+
+    def rhs(self, trace, source):
+        """Right-hand sides of every local solve: source (see source())
+        plus the lift of the given trace field."""
+        mesh, basis = self.mesh, self.basis
+        PHI, rp = self.phi_mean, self.root_phi
+        out = source.copy()
+        r0, r1, r2 = self.split(out)
         for a in range(2):
             mom = r1 if a == 0 else r2
             for s in (0, 1):

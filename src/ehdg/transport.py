@@ -184,7 +184,11 @@ class TransportOperators:
         if problem.inflow is None and self.inflow_blocks:
             raise AssemblyError("problem has inflow faces but no inflow data")
 
+        # |beta.n| face weights of the skeleton norm: the lift weights,
+        # unless outflow condensation zeroes some of those
+        self.skeleton_w = self.lift_w
         if condense_outflow:
+            self.skeleton_w = {k: w.copy() for k, w in self.lift_w.items()}
             # the outflow trace is the interior solution itself; its
             # stabilization lives in the matrix, not in the lift
             for a, fid, els, side in self.outflow_blocks:
@@ -194,6 +198,7 @@ class TransportOperators:
         self.a_inv = assemble_inverses(self, 1 if self.shared else mesh.n_el,
                                        basis.n_p)
         self._load_cache = {}
+        self._inflow_cache = {}
 
     # -- assembly -----------------------------------------------------------
 
@@ -262,18 +267,29 @@ class TransportOperators:
         return load
 
     def inflow_trace(self, trace, t=0.0):
-        """Write the L2 projection of the inflow data onto inflow faces."""
-        basis = self.basis
-        for a, fid, _els, _side in self.inflow_blocks:
-            pts = self.face_pts[a][fid]
-            g = self.problem.inflow(pts.reshape(-1, self.mesh.dim), t)
-            g = np.asarray(g).reshape(len(fid), basis.n_fq)
-            trace.data[a][fid] = g @ basis.face_proj.T
+        """Write the L2 projection of the inflow data onto inflow faces.
 
-    def rhs(self, trace, t=0.0, state_prev=None):
-        """Right-hand sides of every local solve for a given trace field."""
-        basis = self.basis
-        out = np.zeros((self.mesh.n_el, basis.n_p))
+        The projections are cached per time value: every pass of a solve
+        rebuilds the trace at the same t.
+        """
+        proj = self._inflow_cache.get(t)
+        if proj is None:
+            basis = self.basis
+            proj = []
+            for a, fid, _els, _side in self.inflow_blocks:
+                pts = self.face_pts[a][fid]
+                g = self.problem.inflow(pts.reshape(-1, self.mesh.dim), t)
+                g = np.asarray(g).reshape(len(fid), basis.n_fq)
+                proj.append(g @ basis.face_proj.T)
+            self._inflow_cache = {t: proj}
+        for (a, fid, _els, _side), g in zip(self.inflow_blocks, proj):
+            trace.data[a][fid] = g
+
+    def source(self, t=0.0, state_prev=None):
+        """Trace-independent part of every local right-hand side: the load
+        plus, for a transient step, mass . state_prev / dt. It is fixed for
+        a whole solve at one time level."""
+        out = np.zeros((self.mesh.n_el, self.basis.n_p))
         load = self.load_vector(t)
         if load is not None:
             out += load
@@ -281,6 +297,13 @@ class TransportOperators:
             if state_prev is None:
                 raise ValueError("transient rhs needs the previous state")
             out += (state_prev @ self.mass_phys.T) / self.dt
+        return out
+
+    def rhs(self, trace, source):
+        """Right-hand sides of every local solve: source (see source())
+        plus the lift of the given trace field."""
+        basis = self.basis
+        out = source.copy()
         for a in range(self.mesh.dim):
             for s in (0, 1):
                 uh_q = trace.data[a][self.fidx[(a, s)]] @ basis.face_eval.T
@@ -319,15 +342,19 @@ class TransportOperators:
         """Rebuild the skeleton trace from element solutions.
 
         Interior faces take the upwind average, formed pointwise at the face
-        quadrature points and projected onto the face space. Inflow faces
-        take the boundary data projection; outflow and characteristic faces
-        copy the interior trace.
+        quadrature points and projected onto the face space. Each side's
+        face values are read from its face nodes alone: the other GLL basis
+        functions vanish on the face. Inflow faces take the boundary data
+        projection; outflow and characteristic faces copy the interior
+        trace.
         """
         mesh, basis = self.mesh, self.basis
         for a in range(mesh.dim):
             fid, minus, plus = self._int_faces[a]
-            um = u[minus] @ basis.face_restrict[(a, 1)].T
-            up = u[plus] @ basis.face_restrict[(a, 0)].T
+            nid_hi = basis.face_node_ids[(a, 1)]
+            nid_lo = basis.face_node_ids[(a, 0)]
+            um = u[minus[:, None], nid_hi] @ basis.face_eval.T
+            up = u[plus[:, None], nid_lo] @ basis.face_eval.T
             s = self.sgn[a][fid]
             uh = 0.5 * ((um + up) + s * (um - up))
             trace_out.data[a][fid] = uh @ basis.face_proj.T

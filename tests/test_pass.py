@@ -1,0 +1,345 @@
+"""One fixed-point pass: step-constant work hoisted, norms fused.
+
+The pass takes its right-hand sides as source(t, state_prev) plus a trace
+lift, rebuilds the trace from face-node reads, and logs the transport norms
+from quadrature-point values it keeps between passes. Each piece is checked
+here against the direct form it replaced, kept in this file as a
+reference.
+"""
+
+import dataclasses
+import json
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+from ehdg.basis import TensorBasis
+from ehdg.cli import main
+from ehdg.driver import (
+    ConvergenceFailure,
+    IterationConfig,
+    iterate_to_fixed_point,
+    transport_error_eval,
+    volume_l2,
+)
+from ehdg.mesh import build_mesh
+from ehdg.problems import catalog
+from ehdg.shallow import ShallowOperators
+from ehdg.transport import TransportOperators
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+CASES = {2: "transport2d-smooth", 3: "transport3d-steady"}
+
+
+def transport_ops(dim, p, nel, dt=None, case=None):
+    case = catalog(case or CASES[dim])
+    mesh = build_mesh(dim, nel, case.bounds)
+    return TransportOperators(mesh, TensorBasis(dim, p), case.problem, dt=dt)
+
+
+def random_trace(ops, rng):
+    trace = ops.new_trace()
+    for a in range(ops.mesh.dim):
+        trace.data[a][:] = rng.standard_normal(trace.data[a].shape)
+    return trace
+
+
+# -- references: the direct forms the pass used before --------------------------
+
+
+def reference_skeleton_norm(ops, u):
+    mesh, basis = ops.mesh, ops.basis
+    total = 0.0
+    for a in range(mesh.dim):
+        for s in (0, 1):
+            vals = u @ basis.face_restrict[(a, s)].T
+            w = ops.abs_bn[a][ops.fidx[(a, s)]]
+            total += mesh.face_jac[a] * np.sum(
+                basis.face_quad_w * w * vals * vals
+            )
+    return float(np.sqrt(total))
+
+
+def reference_update_trace(ops, u, trace_out, t=0.0):
+    mesh, basis = ops.mesh, ops.basis
+    for a in range(mesh.dim):
+        fid, minus, plus = ops._int_faces[a]
+        um = u[minus] @ basis.face_restrict[(a, 1)].T
+        up = u[plus] @ basis.face_restrict[(a, 0)].T
+        s = ops.sgn[a][fid]
+        uh = 0.5 * ((um + up) + s * (um - up))
+        trace_out.data[a][fid] = uh @ basis.face_proj.T
+    ops.inflow_trace(trace_out, t)
+    for a, fid, els, side in ops.outflow_blocks:
+        nid = basis.face_node_ids[(a, side)]
+        trace_out.data[a][fid] = u[els][:, nid]
+
+
+def reference_transport_rhs(ops, trace, t=0.0, state_prev=None):
+    basis = ops.basis
+    out = np.zeros((ops.mesh.n_el, basis.n_p))
+    load = ops.load_vector(t)
+    if load is not None:
+        out += load
+    if ops.dt is not None:
+        out += (state_prev @ ops.mass_phys.T) / ops.dt
+    for a in range(ops.mesh.dim):
+        for s in (0, 1):
+            uh_q = trace.data[a][ops.fidx[(a, s)]] @ basis.face_eval.T
+            out += (ops.lift_w[(a, s)] * uh_q) @ basis.face_restrict[(a, s)]
+    return out
+
+
+def reference_shallow_rhs(ops, trace, t, state_prev):
+    mesh, basis = ops.mesh, ops.basis
+    PHI, rp, dt = ops.phi_mean, ops.root_phi, ops.dt
+    out = np.zeros((mesh.n_el, 3 * ops.n_p))
+    r0, r1, r2 = ops.split(out)
+    p_prev, u_prev, v_prev = ops.split(state_prev)
+    r0 += (p_prev @ ops.mass_phys.T) / dt
+    r1 += PHI * (u_prev @ ops.mass_phys.T) / dt
+    r2 += PHI * (v_prev @ ops.mass_phys.T) / dt
+    wind = ops.load_wind(t)
+    if wind is not None:
+        r1 += wind[0]
+        r2 += wind[1]
+    for a in range(2):
+        mom = r1 if a == 0 else r2
+        for s in (0, 1):
+            ph_q = trace.data[a][ops.fidx[(a, s)]] @ basis.face_eval.T
+            w = (ops.lift_mask[(a, s)][:, None]
+                 * (mesh.face_jac[a] * basis.face_quad_w)[None])
+            lifted = (w * ph_q) @ basis.face_restrict[(a, s)]
+            nsig = -1.0 if s == 0 else 1.0
+            r0 += rp * lifted
+            mom -= PHI * nsig * lifted
+    return out
+
+
+# -- fused norms ----------------------------------------------------------------------
+
+
+def record_iterates(ops):
+    """Make ops.solve_cells keep a copy of every iterate it returns."""
+    seen = []
+    solve = ops.solve_cells
+
+    def recording(rhs, out=None, workers=1):
+        result = solve(rhs, out=out, workers=workers)
+        seen.append(result.copy())
+        return result
+
+    ops.solve_cells = recording
+    return seen
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+@pytest.mark.parametrize("transient", [False, True])
+def test_fused_norms_match_direct_norms(dim, p, transient):
+    ops = transport_ops(dim, p, 3 if dim == 2 else 2,
+                        dt=0.05 if transient else None)
+    mesh, basis = ops.mesh, ops.basis
+    t, u0, prev = 0.0, None, None
+    if transient:
+        prev = ops.interpolate_exact(0.0)
+        t, u0 = 0.05, prev
+    seen = record_iterates(ops)
+    _u, _tr, log = iterate_to_fixed_point(
+        ops, IterationConfig(max_iters=5), u0=u0, t=t, state_prev=prev)
+    assert log.iterations == 5
+    err = transport_error_eval(ops, t)
+    previous = [np.zeros_like(seen[0]) if u0 is None else u0] + seen[:-1]
+    for k, (u, u_prev) in enumerate(zip(seen, previous)):
+        # tolerance fixed beforehand: 1e-12 of the iterate's own L2 norm
+        tol = 1e-12 * volume_l2(mesh, basis, u)
+        assert log.errors[k] == err(u)
+        assert abs(log.successive[k]
+                   - volume_l2(mesh, basis, u - u_prev)) <= tol
+        assert abs(log.skeleton[k] - reference_skeleton_norm(ops, u)) <= tol
+
+
+def test_condensed_skeleton_weights_keep_outflow_faces():
+    case = catalog("transport2d-smooth")
+    mesh = build_mesh(2, 4, case.bounds)
+    ops = TransportOperators(mesh, TensorBasis(2, 2), case.problem,
+                             condense_outflow=True)
+    assert ops.outflow_blocks
+    assert ops.skeleton_w is not ops.lift_w
+    for a, fid, els, side in ops.outflow_blocks:
+        assert not np.any(ops.lift_w[(a, side)][els])
+        assert np.all(ops.skeleton_w[(a, side)][els] > 0)
+
+
+# -- face-node trace rebuild -------------------------------------------------------
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_face_node_update_trace_is_bit_identical(dim, p, rng):
+    case = "transport2d-smooth" if dim == 2 else "transport3d-gaussian"
+    ops = transport_ops(dim, p, 8, case=case)
+    u = rng.standard_normal((ops.mesh.n_el, ops.basis.n_p))
+    got, want = ops.new_trace(), ops.new_trace()
+    ops.update_trace(u, got, 0.3)
+    reference_update_trace(ops, u, want, 0.3)
+    for a in range(dim):
+        assert np.array_equal(got.data[a], want.data[a])
+
+
+@pytest.mark.parametrize("nel", [2, 4])
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_face_node_update_trace_small_3d_meshes(nel, p, rng):
+    # the two face products differ in their inner dimension (n_face against
+    # n_p, the extra terms being exact zeros); OpenBLAS's small-matrix
+    # kernel may sum them in another order, so on these few faces the
+    # rebuild is equal to round-off rather than bit for bit
+    ops = transport_ops(3, p, nel, case="transport3d-gaussian")
+    u = rng.standard_normal((ops.mesh.n_el, ops.basis.n_p))
+    got, want = ops.new_trace(), ops.new_trace()
+    ops.update_trace(u, got, 0.3)
+    reference_update_trace(ops, u, want, 0.3)
+    scale = np.abs(u).max()
+    for a in range(3):
+        assert np.abs(got.data[a] - want.data[a]).max() <= 1e-14 * scale
+
+
+# -- source / rhs split ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("transient", [False, True])
+def test_transport_rhs_of_source_is_bit_identical(dim, transient, rng):
+    dt = 0.05 if transient else None
+    ops = transport_ops(dim, 3, 3 if dim == 2 else 2, dt=dt)
+    prev = rng.standard_normal((ops.mesh.n_el, ops.basis.n_p))
+    prev = prev if transient else None
+    trace = random_trace(ops, rng)
+    got = ops.rhs(trace, ops.source(0.4, prev))
+    assert np.array_equal(got, reference_transport_rhs(ops, trace, 0.4, prev))
+
+
+def test_shallow_rhs_of_source_is_bit_identical(rng):
+    from test_shallow import synthetic_problem
+
+    mesh = build_mesh(2, 3, [(0, 1), (0, 1)])
+    ops = ShallowOperators(mesh, TensorBasis(2, 3), synthetic_problem(),
+                           dt=0.37)
+    prev = rng.standard_normal((mesh.n_el, 3 * ops.n_p))
+    trace = random_trace(ops, rng)
+    got = ops.rhs(trace, ops.source(0.2, prev))
+    assert np.array_equal(got, reference_shallow_rhs(ops, trace, 0.2, prev))
+
+
+def test_source_is_reused_not_modified(rng):
+    ops = transport_ops(2, 2, 3, dt=0.05)
+    source = ops.source(0.1, rng.standard_normal((ops.mesh.n_el,
+                                                  ops.basis.n_p)))
+    kept = source.copy()
+    ops.rhs(random_trace(ops, rng), source)
+    assert np.array_equal(source, kept)
+
+
+# -- once per time level ----------------------------------------------------------------
+
+
+def test_callables_once_per_time_level(tmp_path, monkeypatch):
+    problem = catalog("transport3d-gaussian").problem
+    calls = {"exact": [], "inflow": []}
+    for name in calls:
+        fn = getattr(problem, name)
+
+        def counted(pts, t=0.0, _fn=fn, _seen=calls[name]):
+            _seen.append(t)
+            return _fn(pts, t)
+
+        monkeypatch.setattr(problem, name, counted)
+    steps = 3
+    rc = main(["solve", "case=transport3d-gaussian", "nel=2", "p=2",
+               "dt=0.001", f"steps={steps}", "workers=1",
+               f"outdir={tmp_path}"])
+    assert rc == 0
+    levels = [m * 0.001 + 0.001 for m in range(steps)]
+    # the t=0 interpolant of the initial state, then one call per step
+    assert calls["exact"] == [0.0] + levels
+    # one call per inflow block (the three low faces of the cube) per level
+    assert calls["inflow"] == [t for t in levels for _block in range(3)]
+
+
+def test_steps_csv_error_is_the_last_logged_error(tmp_path):
+    rc = main(["solve", "case=transport2d-smooth", "nel=4", "p=2",
+               "dt=0.01", "steps=2", "workers=1", f"outdir={tmp_path}"])
+    assert rc == 0
+    rows = (tmp_path / "transport2d-smooth-p2-nel4-steps.csv").read_text()
+    last_step = float(rows.splitlines()[-1].split(",")[3])
+    conv = (tmp_path / "transport2d-smooth-p2-nel4-convergence.csv")
+    last_pass = float(conv.read_text().splitlines()[-1].split(",")[1])
+    assert last_step == last_pass
+
+
+# -- fail fast on non-finite passes ---------------------------------------------
+
+
+def nan_cells(self, rhs, out=None, workers=1):
+    out = np.empty_like(rhs) if out is None else out
+    out.fill(np.nan)
+    return out
+
+
+@pytest.mark.parametrize("stopping", ["error-difference",
+                                      "successive-difference"])
+def test_non_finite_pass_raises_at_once(stopping):
+    ops = transport_ops(2, 1, 3)
+    ops.solve_cells = nan_cells.__get__(ops)
+    with pytest.raises(ConvergenceFailure, match=r"pass 1: successive"):
+        iterate_to_fixed_point(ops, IterationConfig(stopping=stopping))
+
+
+def test_non_finite_error_is_named():
+    # finite iterates against a non-finite exact solution: only the error
+    # quantity is bad
+    case = catalog("transport2d-smooth")
+    problem = dataclasses.replace(
+        case.problem, exact=lambda pts, t=0.0: np.full(len(pts), np.inf))
+    ops = TransportOperators(build_mesh(2, 3, case.bounds), TensorBasis(2, 1),
+                             problem)
+    with pytest.raises(ConvergenceFailure, match=r"pass 1: error vs exact"):
+        iterate_to_fixed_point(ops, IterationConfig())
+
+
+def test_solve_exits_2_on_non_finite_pass(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(TransportOperators, "solve_cells", nan_cells)
+    rc = main(["solve", "case=transport2d-smooth", "nel=4", "p=1",
+               f"outdir={tmp_path}"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("non-convergence: pass 1: successive difference")
+
+
+# -- the benchmark tracer still finds every entry point ------------------------------
+
+
+def test_benchmark_tracer_hooks(tmp_path):
+    record = tmp_path / "record.json"
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "perfbench", "child.py"),
+         "traced", str(record), "solve", "case=transport3d-gaussian",
+         "nel=2", "p=2", "dt=0.001", "steps=2", f"outdir={tmp_path}"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    try:
+        from tracer import layer_metrics
+    finally:
+        sys.path.pop(0)
+    metrics, checks = layer_metrics(json.loads(record.read_text()))
+    assert metrics["driver.steps"] == 2
+    for name in ("rhs_calls == passes",
+                 "update_trace_calls == passes + solves",
+                 "spans nest: no negative self time"):
+        assert checks[name], name

@@ -165,7 +165,7 @@ class TestRightHandSide:
         for a in range(2):
             trace.data[a][:] = rng.standard_normal(trace.data[a].shape)
         prev = rng.standard_normal((mesh.n_el, 3 * basis.n_p))
-        got = ops.rhs(trace, t=0.0, state_prev=prev)
+        got = ops.rhs(trace, ops.source(0.0, prev))
 
         nq = basis.p + 4
         pts, wts = tensor_rule(2, nq)
@@ -206,7 +206,7 @@ class TestRightHandSide:
         ops = ShallowOperators(mesh, TensorBasis(2, 1),
                                ShallowProblem(phi_mean=1.0), dt=0.1)
         with pytest.raises(ValueError):
-            ops.rhs(ops.new_trace(), 0.0, None)
+            ops.source(0.0, None)
 
 
 class TestTraceRule:

@@ -232,7 +232,7 @@ class TestElementMatrix:
             inflow=lambda pts, t=0.0: np.zeros(len(pts))))
         trace = ops.new_trace()
         trace.fill(1.0)
-        rhs = ops.rhs(trace)
+        rhs = ops.rhs(trace, ops.source())
         A = ops.element_matrix(np.arange(mesh.n_el))
         ones = np.ones(basis.n_p)
         assert np.allclose(A @ ones, rhs, atol=1e-12)
@@ -281,7 +281,7 @@ class TestLift:
         trace = ops.new_trace()
         for a in range(2):
             trace.data[a][:] = rng.standard_normal(trace.data[a].shape)
-        rhs = ops.rhs(trace)
+        rhs = ops.rhs(trace, ops.source())
         for el in (0, 4, 8):
             assert np.allclose(rhs[el], brute_lift(ops, trace, el),
                                atol=1e-12)
@@ -499,7 +499,7 @@ class TestCondensedOutflow:
         t2 = t1.copy()
         for a, fid, _els, _side in ops.outflow_blocks:
             t2.data[a][fid] += 100.0
-        assert np.allclose(ops.rhs(t1), ops.rhs(t2), atol=1e-13)
+        assert np.allclose(ops.rhs(t1, ops.source()), ops.rhs(t2, ops.source()), atol=1e-13)
 
     def test_interior_elements_unchanged(self):
         from ehdg.problems import catalog
