@@ -30,7 +30,13 @@ from .oracle import (
     flux_jump_residual,
     shallow_flux_jump_residual,
 )
-from .problems import ProblemCase, case_identifiers, catalog, convergence_study
+from .problems import (
+    ProblemCase,
+    build_case,
+    case_identifiers,
+    catalog,
+    convergence_study,
+)
 from .shallow import (
     ContractionReport,
     ShallowOperators,
@@ -39,6 +45,7 @@ from .shallow import (
 )
 from .transport import (
     AssemblyError,
+    LocalOperators,
     TraceField,
     TransportOperators,
     TransportProblem,
@@ -52,6 +59,7 @@ __all__ = [
     "ERROR_DIFFERENCE",
     "GlobalTraceSystem",
     "IterationConfig",
+    "LocalOperators",
     "MeshError",
     "OracleSizeError",
     "ProblemCase",
@@ -68,6 +76,7 @@ __all__ = [
     "TransportProblem",
     "assemble_global_trace_system",
     "assemble_shallow_trace_system",
+    "build_case",
     "build_mesh",
     "case_identifiers",
     "catalog",

@@ -19,27 +19,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import TensorBasis
 from .driver import (
     ERROR_DIFFERENCE,
     STOPPING_MODES,
     SUCCESSIVE_DIFFERENCE,
     ConvergenceFailure,
     IterationConfig,
-    ehdg_step_transient,
     iterate_to_fixed_point,
+    run_transient,
     volume_l2,
 )
-from .mesh import build_mesh
+from .mesh import MeshError
 from .oracle import (
+    OracleSizeError,
+    check_dense_size,
     direct_solve_shallow,
     direct_solve_transport,
     flux_jump_residual,
     shallow_flux_jump_residual,
 )
-from .problems import catalog, case_identifiers, convergence_study
-from .shallow import ShallowOperators
-from .transport import TransportOperators
+from .problems import build_case, catalog, case_identifiers, convergence_study
+# perfbench/child.py hooks the operator constructors through these names
+from .shallow import ShallowOperators  # noqa: F401
+from .transport import TransportOperators  # noqa: F401
 
 FMT = "%.17g"
 
@@ -195,11 +197,8 @@ def iteration_config(cfg):
 # -- solve ----------------------------------------------------------------------
 
 
-def _setup(cfg, case):
-    nel = cfg.nel if len(cfg.nel) > 1 else cfg.nel[0]
-    mesh = build_mesh(case.dim, nel, case.bounds)
-    basis = TensorBasis(case.dim, cfg.p)
-    return mesh, basis
+def _nel(cfg):
+    return cfg.nel if len(cfg.nel) > 1 else cfg.nel[0]
 
 
 def _out(cfg, suffix):
@@ -243,34 +242,36 @@ def cmd_solve(cfg):
             f"case {cfg.case} has no exact solution, so stopping="
             f"{ERROR_DIFFERENCE} cannot be used (valid: {', '.join(valid)})"
         )
-    mesh, basis = _setup(cfg, case)
-    iters_cfg = iteration_config(cfg)
     dt = cfg.dt if cfg.dt is not None else case.dt_default
     steps = cfg.steps if cfg.steps is not None else case.n_steps_default
+    if case.kind == "shallow" and (dt is None or steps is None):
+        raise UsageError("shallow cases need dt= and steps=")
+    if dt is not None and steps is None:
+        raise UsageError("transient transport needs steps=")
+    ops, state0 = build_case(case, _nel(cfg), cfg.p, dt)
+    iters_cfg = iteration_config(cfg)
+    if dt is None:
+        return _solve_steady(cfg, case, ops, iters_cfg)
+    return _solve_transient(cfg, case, ops, state0, iters_cfg, steps)
 
+
+def _write_field(cfg, case, ops, state):
     if case.kind == "shallow":
-        if dt is None or steps is None:
-            raise UsageError("shallow cases need dt= and steps=")
-        return _solve_transient_shallow(cfg, case, mesh, basis, iters_cfg,
-                                        dt, steps)
-    if dt is not None:
-        if steps is None:
-            raise UsageError("transient transport needs steps=")
-        return _solve_transient_transport(cfg, case, mesh, basis, iters_cfg,
-                                          dt, steps)
-    return _solve_steady(cfg, case, mesh, basis, iters_cfg)
+        fields = list(zip(("phi", "u", "v"), ops.split(state)))
+    else:
+        fields = [("u", state)]
+    write_field_dump(_out(cfg, "field.txt"), cfg, ops.mesh, ops.basis, fields)
 
 
-def _solve_steady(cfg, case, mesh, basis, iters_cfg):
-    ops = TransportOperators(mesh, basis, case.problem)
+def _solve_steady(cfg, case, ops, iters_cfg):
     u, _trace, log = iterate_to_fixed_point(ops, iters_cfg)
     with open(_out(cfg, "convergence.csv"), "w") as fh:
         log.write_csv(fh)
-    write_field_dump(_out(cfg, "field.txt"), cfg, mesh, basis, [("u", u)])
+    _write_field(cfg, case, ops, u)
     last_err = log.errors[-1]
     err_txt = "" if math.isnan(last_err) else f", error {last_err:.3e}"
     print(
-        f"{cfg.case}: nel={mesh.nel} p={basis.p} -> "
+        f"{cfg.case}: nel={ops.mesh.nel} p={ops.basis.p} -> "
         f"{log.iterations} iterations{err_txt}"
     )
     if not log.converged:
@@ -279,71 +280,24 @@ def _solve_steady(cfg, case, mesh, basis, iters_cfg):
     return 0
 
 
-def _march(ops, iters_cfg, state, dt, steps):
-    counts, errors, last_log = [], [], None
-    failed = False
-    for m in range(steps):
-        state, _trace, log = ehdg_step_transient(ops, iters_cfg, state, m * dt)
-        counts.append(log.iterations)
-        # the error of the returned state, as the solve's norms took it
-        errors.append(log.errors[-1])
-        last_log = log
-        if not log.converged:
-            failed = True
-            break
-    return state, counts, errors, last_log, failed
-
-
-def _solve_transient_transport(cfg, case, mesh, basis, iters_cfg, dt, steps):
-    ops = TransportOperators(mesh, basis, case.problem, dt=dt)
-    state = (
-        ops.interpolate_exact(0.0)
-        if case.problem.exact is not None
-        else np.zeros((mesh.n_el, basis.n_p))
+def _solve_transient(cfg, case, ops, state, iters_cfg, steps):
+    state, counts, logs = run_transient(
+        ops, iters_cfg, state, steps, raise_on_fail=False
     )
-    state, counts, errors, last_log, failed = _march(
-        ops, iters_cfg, state, dt, steps
-    )
-    _write_steps_csv(_out(cfg, "steps.csv"), dt, counts, errors)
-    if last_log is not None:
-        with open(_out(cfg, "convergence.csv"), "w") as fh:
-            last_log.write_csv(fh)
-    write_field_dump(_out(cfg, "field.txt"), cfg, mesh, basis, [("u", state)])
-    _print_march(cfg, mesh, basis, counts, errors)
-    return 2 if failed else 0
-
-
-def _solve_transient_shallow(cfg, case, mesh, basis, iters_cfg, dt, steps):
-    ops = ShallowOperators(mesh, basis, case.problem, dt)
-    state = (
-        ops.interpolate(case.problem.exact, 0.0)
-        if case.problem.exact is not None
-        else ops.zero_state()
-    )
-    state, counts, errors, last_log, failed = _march(
-        ops, iters_cfg, state, dt, steps
-    )
-    _write_steps_csv(_out(cfg, "steps.csv"), dt, counts, errors)
-    if last_log is not None:
-        with open(_out(cfg, "convergence.csv"), "w") as fh:
-            last_log.write_csv(fh)
-    phi, u, v = ops.split(state)
-    write_field_dump(
-        _out(cfg, "field.txt"), cfg, mesh, basis,
-        [("phi", phi), ("u", u), ("v", v)],
-    )
-    _print_march(cfg, mesh, basis, counts, errors)
-    return 2 if failed else 0
-
-
-def _print_march(cfg, mesh, basis, counts, errors):
+    # the error of each returned state, as the solve's norms took it
+    errors = [log.errors[-1] for log in logs]
+    _write_steps_csv(_out(cfg, "steps.csv"), ops.dt, counts, errors)
+    with open(_out(cfg, "convergence.csv"), "w") as fh:
+        logs[-1].write_csv(fh)
+    _write_field(cfg, case, ops, state)
     err_txt = ""
-    if errors and not math.isnan(errors[-1]):
+    if not math.isnan(errors[-1]):
         err_txt = f", final error {errors[-1]:.3e}"
     print(
-        f"{cfg.case}: nel={mesh.nel} p={basis.p} -> {len(counts)} steps, "
-        f"iterations/step {min(counts)}..{max(counts)}{err_txt}"
+        f"{cfg.case}: nel={ops.mesh.nel} p={ops.basis.p} -> {len(counts)} "
+        f"steps, iterations/step {min(counts)}..{max(counts)}{err_txt}"
     )
+    return 0 if logs[-1].converged else 2
 
 
 # -- study ----------------------------------------------------------------------
@@ -359,7 +313,7 @@ _STUDY_DEFAULTS = {
 
 def cmd_study(cfg):
     case = catalog(cfg.case)
-    if getattr(case.problem, "exact", None) is None:
+    if case.problem.exact is None:
         raise UsageError(f"case {cfg.case} has no exact solution to study")
     defaults = _STUDY_DEFAULTS.get(cfg.case, ((4, 8, 16), (1, 2)))
     nels = cfg.nels if cfg.nels is not None else defaults[0]
@@ -405,15 +359,13 @@ TABLE2_STEPS = 10
 
 def _steady_counts(identifier, nel_axis, p, workers):
     case = catalog(identifier)
-    mesh = build_mesh(case.dim, nel_axis, case.bounds)
-    basis = TensorBasis(case.dim, p)
     stopping = (
         SUCCESSIVE_DIFFERENCE
         if case.problem.exact is None
         else ERROR_DIFFERENCE
     )
     config = IterationConfig(stopping=stopping, workers=workers)
-    ops = TransportOperators(mesh, basis, case.problem)
+    ops, _state0 = build_case(case, nel_axis, p)
     _u, _trace, log = iterate_to_fixed_point(ops, config)
     if not log.converged:
         raise ConvergenceFailure(
@@ -457,24 +409,15 @@ def _run_table1(cfg):
 
 
 def _transient_counts(identifier, nel_axis, p, dt, steps, workers):
-    case = catalog(identifier)
-    mesh = build_mesh(case.dim, nel_axis, case.bounds)
-    basis = TensorBasis(case.dim, p)
+    ops, state0 = build_case(catalog(identifier), nel_axis, p, dt)
     config = IterationConfig(workers=workers)
-    if case.kind == "shallow":
-        ops = ShallowOperators(mesh, basis, case.problem, dt)
-        state = ops.interpolate(case.problem.exact, 0.0)
-    else:
-        ops = TransportOperators(mesh, basis, case.problem, dt=dt)
-        state = ops.interpolate_exact(0.0)
-    counts = []
-    for m in range(steps):
-        state, _trace, log = ehdg_step_transient(ops, config, state, m * dt)
-        if not log.converged:
-            raise ConvergenceFailure(
-                f"{identifier} dt={dt} p={p} step {m + 1} hit the cap"
-            )
-        counts.append(log.iterations)
+    _state, counts, logs = run_transient(
+        ops, config, state0, steps, raise_on_fail=False
+    )
+    if not logs[-1].converged:
+        raise ConvergenceFailure(
+            f"{identifier} dt={dt} p={p} step {len(logs)} hit the cap"
+        )
     return counts
 
 
@@ -518,21 +461,9 @@ def _check(name, ok, detail, lines):
 
 def cmd_verify(cfg):
     case = catalog(cfg.case)
-    mesh, basis = _setup(cfg, case)
-    lines, all_ok = [], True
-    if case.kind == "shallow":
-        all_ok = _verify_shallow(cfg, case, mesh, basis, lines)
-    else:
-        all_ok = _verify_transport(cfg, case, mesh, basis, lines)
-    for line in lines:
-        print(line)
-    if not all_ok:
-        return 3
-    return 0
-
-
-def _verify_transport(cfg, case, mesh, basis, lines):
-    dt = cfg.dt if cfg.dt is not None else case.dt_default
+    ops, state0 = build_case(case, _nel(cfg), cfg.p, cfg.dt)
+    # before the iteration, which can take far longer than the refusal
+    check_dense_size(ops.mesh, ops.basis)
     # successive-difference bounds the distance to the fixed point, which
     # is what the comparison against the direct solve needs
     config = IterationConfig(
@@ -540,13 +471,22 @@ def _verify_transport(cfg, case, mesh, basis, lines):
         stopping=SUCCESSIVE_DIFFERENCE,
         workers=cfg.workers,
     )
+    lines = []
+    if case.kind == "shallow":
+        ok = _verify_shallow(case, ops, state0, config, lines)
+    else:
+        ok = _verify_transport(case, ops, state0, config, lines)
+    for line in lines:
+        print(line)
+    return 0 if ok else 3
+
+
+def _verify_transport(case, ops, state0, config, lines):
+    mesh, basis, dt = ops.mesh, ops.basis, ops.dt
     if dt is None:
-        ops = TransportOperators(mesh, basis, case.problem)
         u_it, tr_it, log = iterate_to_fixed_point(ops, config)
         u_dir, tr_dir, _sys = direct_solve_transport(mesh, basis, case.problem)
     else:
-        ops = TransportOperators(mesh, basis, case.problem, dt=dt)
-        state0 = ops.interpolate_exact(0.0)
         u_it, tr_it, log = iterate_to_fixed_point(
             ops, config, u0=state0, t=dt, state_prev=state0
         )
@@ -569,15 +509,8 @@ def _verify_transport(cfg, case, mesh, basis, lines):
     return ok
 
 
-def _verify_shallow(cfg, case, mesh, basis, lines):
-    dt = cfg.dt if cfg.dt is not None else (case.dt_default or 1e-3)
-    config = IterationConfig(
-        tol=min(cfg.tol, 1e-12),
-        stopping=SUCCESSIVE_DIFFERENCE,
-        workers=cfg.workers,
-    )
-    ops = ShallowOperators(mesh, basis, case.problem, dt)
-    state0 = ops.interpolate(case.problem.exact, 0.0)
+def _verify_shallow(case, ops, state0, config, lines):
+    mesh, basis, dt = ops.mesh, ops.basis, ops.dt
     st_it, tr_it, log = iterate_to_fixed_point(
         ops, config, u0=state0, t=dt, state_prev=state0
     )
@@ -653,7 +586,9 @@ def main(argv=None):
         args = parser.parse_args(argv)
         cfg = parse_config(args.command, args.config, args.overrides)
         return _COMMANDS[cfg.command](cfg)
-    except UsageError as err:
+    except (UsageError, MeshError, OracleSizeError) as err:
+        # a mesh that cannot be built or a verify cell too large for the
+        # dense oracle is an input the command refuses, not a crash
         print(f"usage error: {err}", file=sys.stderr)
         return 1
     except ConvergenceFailure as err:

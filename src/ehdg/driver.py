@@ -80,23 +80,11 @@ def trace_diff_norm(mesh, basis, t1, t2):
     return float(np.sqrt(total))
 
 
-def _exact_at_quad(ops, t):
-    """Exact transport solution at every element's volume quadrature
-    points, shape (n_el, n_q); None when the problem has none."""
+def transport_error_eval(ops, t):
     if ops.problem.exact is None:
         return None
     mesh, basis = ops.mesh, ops.basis
-    X = mesh.centers[:, None, :] + mesh.half * basis.quad_ref[None]
-    return np.asarray(ops.problem.exact(X.reshape(-1, mesh.dim), t)).reshape(
-        mesh.n_el, basis.n_q
-    )
-
-
-def transport_error_eval(ops, t):
-    ue = _exact_at_quad(ops, t)
-    if ue is None:
-        return None
-    mesh, basis = ops.mesh, ops.basis
+    ue = ops.sample(ops.problem.exact, t)
 
     def err(u):
         dv = u @ basis.eval_vol.T - ue
@@ -120,8 +108,9 @@ def transport_skeleton_norm(ops, u):
     return float(np.sqrt(total))
 
 
-class _TransportNorms:
-    """The per-pass norms of a transport solve at one time level.
+class TransportNorms:
+    """The per-pass norms of a transport solve at one time level
+    (TransportOperators.pass_norms).
 
     The exact solution is evaluated at the volume quadrature points once.
     Each pass maps the new iterate to quadrature-point values once; the
@@ -132,8 +121,8 @@ class _TransportNorms:
 
     def __init__(self, ops, t, u):
         self.ops = ops
-        self.ue = _exact_at_quad(ops, t)
-        self.exact_known = self.ue is not None
+        exact = ops.problem.exact
+        self.ue = None if exact is None else ops.sample(exact, t)
         self.vals = u @ ops.basis.eval_vol.T
         self.work = np.empty_like(self.vals)
 
@@ -145,41 +134,13 @@ class _TransportNorms:
         np.multiply(dv, dv, out=dv)
         succ = float(np.sqrt(mesh.jac * np.sum(dv @ basis.quad_w)))
         err = float("nan")
-        if self.exact_known:
+        if self.ue is not None:
             # the expression of transport_error_eval, so the error (and the
             # error-difference stopping test) is bit-identical to it
             np.subtract(v, self.ue, out=dv)
             err = float(np.sqrt(mesh.jac * np.sum(basis.quad_w * dv * dv)))
         self.vals, self.work = v, dv
         return err, succ, transport_skeleton_norm(self.ops, u_new)
-
-
-class _OperatorNorms:
-    """The per-pass norms of operators that carry their own (shallow
-    water): error_eval, diff_norm and skeleton_norm."""
-
-    def __init__(self, ops, t):
-        self.ops = ops
-        self.err = ops.error_eval(t)
-        self.exact_known = self.err is not None
-
-    def __call__(self, u_new, u_old):
-        err = self.err(u_new) if self.exact_known else float("nan")
-        return (err, self.ops.diff_norm(u_new, u_old),
-                self.ops.skeleton_norm(u_new))
-
-
-def _pass_norms(ops, t, u):
-    # shallow water operators carry their own energy norms; the transport
-    # norms live in this module, where perfbench/tracer.py wraps
-    # transport_skeleton_norm and its siblings by name
-    if hasattr(ops, "diff_norm"):
-        return _OperatorNorms(ops, t)
-    return _TransportNorms(ops, t, u)
-
-
-def _state_width(ops):
-    return 3 * ops.n_p if hasattr(ops, "split") else ops.basis.n_p
 
 
 def _check_finite(k, err, succ, exact_known):
@@ -212,14 +173,14 @@ def iterate_to_fixed_point(ops, config, u0=None, t=0.0, state_prev=None):
     ConvergenceFailure at once.
     """
     mesh = ops.mesh
-    n_dof = _state_width(ops)
-    u = np.zeros((mesh.n_el, n_dof)) if u0 is None else np.array(u0)
+    u = ops.zero_state() if u0 is None else np.array(u0)
     trace = ops.initial_trace(u, t)
     trace_next = ops.new_trace()
     u_next = np.empty_like(u)
 
-    norms = _pass_norms(ops, t, u)
-    if config.stopping == ERROR_DIFFERENCE and not norms.exact_known:
+    norms = ops.pass_norms(t, u)
+    exact_known = ops.problem.exact is not None
+    if config.stopping == ERROR_DIFFERENCE and not exact_known:
         raise ValueError(
             "error-difference stopping needs an exact solution; "
             "use successive-difference or trace-residual"
@@ -235,7 +196,7 @@ def iterate_to_fixed_point(ops, config, u0=None, t=0.0, state_prev=None):
         ops.update_trace(u_next, trace_next, t)
 
         e_k, succ, skel = norms(u_next, u)
-        _check_finite(k, e_k, succ, norms.exact_known)
+        _check_finite(k, e_k, succ, exact_known)
         log.errors.append(e_k)
         log.successive.append(succ)
         log.skeleton.append(skel)
@@ -277,7 +238,12 @@ def ehdg_step_transient(ops, config, state, t_old):
 
 
 def run_transient(ops, config, state0, n_steps, t0=0.0, raise_on_fail=True):
-    """March n_steps; returns (state, per-step iteration counts, logs)."""
+    """March n_steps; returns (state, per-step iteration counts, logs).
+
+    A step that does not converge raises ConvergenceFailure, or with
+    raise_on_fail=False ends the march: the returned state, counts and logs
+    are those of the steps that ran, the failed one last.
+    """
     state = state0
     counts, logs = [], []
     for m in range(n_steps):
@@ -285,8 +251,10 @@ def run_transient(ops, config, state0, n_steps, t0=0.0, raise_on_fail=True):
         state, _trace, log = ehdg_step_transient(ops, config, state, t_old)
         counts.append(log.iterations)
         logs.append(log)
-        if raise_on_fail and not log.converged:
-            raise ConvergenceFailure(f"step {m + 1} did not converge")
+        if not log.converged:
+            if raise_on_fail:
+                raise ConvergenceFailure(f"step {m + 1} did not converge")
+            break
     return state, counts, logs
 
 

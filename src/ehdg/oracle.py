@@ -63,6 +63,47 @@ class _TraceIndex:
             )
 
 
+def check_dense_size(mesh, basis):
+    """The unknown numbering of the dense trace system of this mesh and
+    basis; raises OracleSizeError when it exceeds MAX_DENSE_UNKNOWNS."""
+    index = _TraceIndex(mesh, basis)
+    if index.n_unknowns > MAX_DENSE_UNKNOWNS:
+        raise OracleSizeError(
+            f"{index.n_unknowns} trace unknowns exceed the dense-solve guard"
+        )
+    return index
+
+
+def _jump_moments(ops, jump_of, state, trace):
+    """Conservation residual moments <jump, mu>_e on every interior face,
+    from jump_of(ops, state, trace, axis) at the face quadrature points."""
+    mesh, basis = ops.mesh, ops.basis
+    parts = []
+    for a in range(mesh.dim):
+        jump = jump_of(ops, state, trace, a)
+        parts.append(
+            mesh.face_jac[a] * ((basis.face_quad_w * jump) @ basis.face_eval)
+        )
+    return np.concatenate([p.ravel() for p in parts])
+
+
+def _jump_norm(ops, jump_of, state, trace, per_face):
+    """Skeleton L2 norm of jump_of over interior faces, or with
+    per_face=True the array of face L2 norms."""
+    mesh, basis = ops.mesh, ops.basis
+    total, per = 0.0, []
+    for a in range(mesh.dim):
+        jump = jump_of(ops, state, trace, a)
+        face_sq = mesh.face_jac[a] * np.sum(
+            basis.face_quad_w * jump * jump, axis=1
+        )
+        total += float(np.sum(face_sq))
+        per.append(np.sqrt(face_sq))
+    if per_face:
+        return np.concatenate(per) if per else np.zeros(0)
+    return float(np.sqrt(total))
+
+
 @dataclass
 class GlobalTraceSystem:
     ops: object
@@ -78,21 +119,16 @@ class GlobalTraceSystem:
 # -- transport ----------------------------------------------------------------
 
 
-def _transport_residual(ops, u, trace):
-    """Conservation residual moments on every interior face."""
-    mesh, basis = ops.mesh, ops.basis
-    parts = []
-    for a in range(mesh.dim):
-        fid, minus, plus = ops._int_faces[a]
-        um = u[minus] @ basis.face_restrict[(a, 1)].T
-        up = u[plus] @ basis.face_restrict[(a, 0)].T
-        uh = trace.data[a][fid] @ basis.face_eval.T
-        bn, ab = ops.bn[a][fid], ops.abs_bn[a][fid]
-        jump = bn * (um - up) + ab * (um + up - 2.0 * uh)
-        parts.append(
-            mesh.face_jac[a] * ((basis.face_quad_w * jump) @ basis.face_eval)
-        )
-    return np.concatenate([p.ravel() for p in parts])
+def _transport_jump(ops, u, trace, axis):
+    """Upwind numerical-flux jump at the quadrature points of every
+    interior face of one axis."""
+    basis = ops.basis
+    fid, minus, plus = ops._int_faces[axis]
+    um = u[minus] @ basis.face_restrict[(axis, 1)].T
+    up = u[plus] @ basis.face_restrict[(axis, 0)].T
+    uh = trace.data[axis][fid] @ basis.face_eval.T
+    bn, ab = ops.bn[axis][fid], ops.abs_bn[axis][fid]
+    return bn * (um - up) + ab * (um + up - 2.0 * uh)
 
 
 def _element_faces(mesh):
@@ -105,18 +141,14 @@ def assemble_global_trace_system(mesh, basis, problem, dt=None,
     ops = TransportOperators(
         mesh, basis, problem, dt=dt, condense_outflow=True
     )
-    index = _TraceIndex(mesh, basis)
-    if index.n_unknowns > MAX_DENSE_UNKNOWNS:
-        raise OracleSizeError(
-            f"{index.n_unknowns} trace unknowns exceed the dense-solve guard"
-        )
+    index = check_dense_size(mesh, basis)
     nf, w = basis.n_face, basis.face_quad_w
     F = basis.face_eval
 
     trace0 = ops.new_trace()
     ops.inflow_trace(trace0, t)
     u0 = ops.solve_cells(ops.rhs(trace0, ops.source(t, state_prev)))
-    r0 = _transport_residual(ops, u0, trace0)
+    r0 = _jump_moments(ops, _transport_jump, u0, trace0)
 
     N = index.n_unknowns
     T = np.zeros((N, N))
@@ -186,23 +218,7 @@ def flux_jump_residual(ops, u, trace, per_face=False):
 
     With per_face=True returns the array of face L2 norms instead.
     """
-    mesh, basis = ops.mesh, ops.basis
-    total, per = 0.0, []
-    for a in range(mesh.dim):
-        fid, minus, plus = ops._int_faces[a]
-        um = u[minus] @ basis.face_restrict[(a, 1)].T
-        up = u[plus] @ basis.face_restrict[(a, 0)].T
-        uh = trace.data[a][fid] @ basis.face_eval.T
-        bn, ab = ops.bn[a][fid], ops.abs_bn[a][fid]
-        jump = bn * (um - up) + ab * (um + up - 2.0 * uh)
-        face_sq = mesh.face_jac[a] * np.sum(
-            basis.face_quad_w * jump * jump, axis=1
-        )
-        total += float(np.sum(face_sq))
-        per.append(np.sqrt(face_sq))
-    if per_face:
-        return np.concatenate(per) if per else np.zeros(0)
-    return float(np.sqrt(total))
+    return _jump_norm(ops, _transport_jump, u, trace, per_face)
 
 
 # -- shallow water --------------------------------------------------------------
@@ -223,32 +239,17 @@ def _shallow_jump(ops, state, trace, axis):
     return ops.phi_mean * (vm - vp) + ops.root_phi * (pm + pp - 2.0 * ph)
 
 
-def _shallow_residual(ops, state, trace):
-    parts = []
-    for a in range(2):
-        jump = _shallow_jump(ops, state, trace, a)
-        parts.append(
-            ops.mesh.face_jac[a]
-            * ((ops.basis.face_quad_w * jump) @ ops.basis.face_eval)
-        )
-    return np.concatenate([p.ravel() for p in parts])
-
-
 def assemble_shallow_trace_system(mesh, basis, problem, dt, state_prev,
                                   t=0.0):
     ops = ShallowOperators(mesh, basis, problem, dt, condense_walls=True)
-    index = _TraceIndex(mesh, basis)
-    if index.n_unknowns > MAX_DENSE_UNKNOWNS:
-        raise OracleSizeError(
-            f"{index.n_unknowns} trace unknowns exceed the dense-solve guard"
-        )
+    index = check_dense_size(mesh, basis)
     n_p, nf = ops.n_p, basis.n_face
     w, F = basis.face_quad_w, basis.face_eval
     PHI, rp = ops.phi_mean, ops.root_phi
 
     trace0 = ops.new_trace()
     state0 = ops.solve_cells(ops.rhs(trace0, ops.source(t, state_prev)))
-    r0 = _shallow_residual(ops, state0, trace0)
+    r0 = _jump_moments(ops, _shallow_jump, state0, trace0)
 
     N = index.n_unknowns
     T = np.zeros((N, N))
@@ -315,14 +316,4 @@ def direct_solve_shallow(mesh, basis, problem, dt, state_prev, t=0.0):
 
 def shallow_flux_jump_residual(ops, state, trace, per_face=False):
     """Continuity-flux jump over interior faces, as a skeleton L2 norm."""
-    total, per = 0.0, []
-    for a in range(2):
-        jump = _shallow_jump(ops, state, trace, a)
-        face_sq = ops.mesh.face_jac[a] * np.sum(
-            ops.basis.face_quad_w * jump * jump, axis=1
-        )
-        total += float(np.sum(face_sq))
-        per.append(np.sqrt(face_sq))
-    if per_face:
-        return np.concatenate(per) if per else np.zeros(0)
-    return float(np.sqrt(total))
+    return _jump_norm(ops, _shallow_jump, state, trace, per_face)

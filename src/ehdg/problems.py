@@ -16,14 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import mesh as meshes
 from .basis import TensorBasis
-from .driver import (
-    IterationConfig,
-    ehdg_solve_steady,
-    run_transient,
-    transport_error_eval,
-)
-from .mesh import build_mesh
+from .driver import IterationConfig, ehdg_solve_steady, run_transient
 from .shallow import ShallowOperators, ShallowProblem
 from .transport import TransportOperators, TransportProblem
 
@@ -202,7 +197,7 @@ def convergence_study(case, nel_list, p_list, config=None, dt=None,
     Steady cases solve once per mesh; transient cases march n_steps of dt
     and report the final-time error with the summed iteration count.
     """
-    if getattr(case.problem, "exact", None) is None:
+    if case.problem.exact is None:
         raise ValueError(f"case {case.identifier} has no exact solution")
     config = config or IterationConfig()
     rows = []
@@ -219,26 +214,42 @@ def convergence_study(case, nel_list, p_list, config=None, dt=None,
     return rows
 
 
-def _study_point(case, nel, p, config, dt, n_steps):
-    mesh = build_mesh(case.dim, nel, case.bounds)
+def build_case(case, nel, p, dt=None):
+    """The operators of one catalog case and its initial state.
+
+    nel is an int or a per-axis tuple. dt falls back to the case's default
+    step; shallow water always steps, transport steps when a dt is known
+    and is steady otherwise. Returns (ops, state0): state0 is the initial
+    state of a time-stepping case, the nodal interpolant of the exact
+    solution at t=0 where the case has one and zero otherwise, and None
+    for a steady case (its solve starts from zero).
+    """
+    # through the module attribute, so a wrapped build_mesh is seen
+    mesh = meshes.build_mesh(case.dim, nel, case.bounds)
     basis = TensorBasis(case.dim, p)
+    dt = dt if dt is not None else case.dt_default
+    exact = case.problem.exact
     if case.kind == "shallow":
-        dt = dt if dt is not None else case.dt_default
-        n_steps = n_steps if n_steps is not None else case.n_steps_default
         ops = ShallowOperators(mesh, basis, case.problem, dt)
-        state = ops.interpolate(case.problem.exact, 0.0)
-        state, counts, _ = run_transient(ops, config, state, n_steps)
-        err = ops.error_eval(n_steps * dt)(state)
-        return err, int(sum(counts)), mesh.h_max
-    if dt is not None or case.dt_default is not None:
-        dt = dt if dt is not None else case.dt_default
-        n_steps = n_steps if n_steps is not None else case.n_steps_default
+        state0 = (ops.zero_state() if exact is None
+                  else ops.interpolate(exact, 0.0))
+    else:
         ops = TransportOperators(mesh, basis, case.problem, dt=dt)
-        state = ops.interpolate_exact(0.0)
-        state, counts, _ = run_transient(ops, config, state, n_steps)
-        err = transport_error_eval(ops, n_steps * dt)(state)
-        return err, int(sum(counts)), mesh.h_max
-    ops = TransportOperators(mesh, basis, case.problem)
-    u, trace, log = ehdg_solve_steady(ops, config)
-    err = transport_error_eval(ops, 0.0)(u)
-    return err, log.iterations, mesh.h_max
+        if dt is None:
+            return ops, None
+        state0 = (ops.zero_state() if exact is None
+                  else ops.interpolate_exact(0.0))
+    return ops, state0
+
+
+def _study_point(case, nel, p, config, dt, n_steps):
+    ops, state = build_case(case, nel, p, dt)
+    if ops.dt is None:
+        state, _trace, log = ehdg_solve_steady(ops, config)
+        counts, t = [log.iterations], 0.0
+    else:
+        n_steps = n_steps if n_steps is not None else case.n_steps_default
+        state, counts, _logs = run_transient(ops, config, state, n_steps)
+        t = n_steps * ops.dt
+    err = ops.error_eval(t)(state)
+    return err, int(sum(counts)), ops.mesh.h_max

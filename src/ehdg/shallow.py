@@ -27,12 +27,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .transport import (
-    ASSEMBLY_CHUNK,
-    AssemblyError,
-    TraceField,
-    assemble_inverses,
-)
+from .transport import AssemblyError, LocalOperators, assemble_inverses
 
 
 @dataclass
@@ -94,7 +89,7 @@ def contraction_constants(h, dt, p, phi_mean, friction=0.0):
     )
 
 
-class ShallowOperators:
+class ShallowOperators(LocalOperators):
     """Assembled 3 n_p x 3 n_p local solvers plus trace machinery.
 
     With condense_walls=True the wall trace rule is substituted into the
@@ -107,18 +102,12 @@ class ShallowOperators:
             raise AssemblyError("shallow water operators are 2D")
         if dt is None or dt <= 0:
             raise AssemblyError("shallow water needs a positive time step")
-        self.mesh = mesh
-        self.basis = basis
-        self.problem = problem
-        self.dt = float(dt)
+        n_p = basis.n_p
+        super().__init__(mesh, basis, problem, float(dt), 3 * n_p)
+        self.n_p = n_p
         self.condense_walls = condense_walls
         self.phi_mean = float(problem.phi_mean)
         self.root_phi = float(np.sqrt(self.phi_mean))
-
-        n_p = basis.n_p
-        self.n_p = n_p
-        self.mass_phys = mesh.jac * basis.mass_ref
-        self.load_vec = mesh.jac * (basis.eval_vol.T * basis.quad_w)
 
         # grad-against-test matrices S_a[i, j] = (phi_j, d phi_i / d x_a)_K
         self.S = []
@@ -150,8 +139,7 @@ class ShallowOperators:
                 self.lift_mask[(a, s)] = mask
 
         self.shared = problem.coriolis_beta == 0.0 and not condense_walls
-        self.a_inv = assemble_inverses(self, 1 if self.shared else mesh.n_el,
-                                       3 * n_p)
+        self.a_inv = assemble_inverses(self, 1 if self.shared else mesh.n_el)
 
     # -- assembly -----------------------------------------------------------
 
@@ -161,8 +149,8 @@ class ShallowOperators:
         if prob.coriolis_beta == 0.0:
             M = prob.coriolis_f0 * self.mass_phys
             return np.broadcast_to(M, (len(elements), *M.shape))
-        X = mesh.centers[elements][:, None, :] + mesh.half * basis.quad_ref[None]
-        f = prob.coriolis_f0 + prob.coriolis_beta * (X[:, :, 1] - prob.y_mid)
+        y = self.sample(lambda pts: pts[:, 1], elements=elements)
+        f = prob.coriolis_f0 + prob.coriolis_beta * (y - prob.y_mid)
         w = mesh.jac * basis.quad_w * f
         return basis.weighted_products([(("val", "val"), w)])
 
@@ -228,20 +216,13 @@ class ShallowOperators:
 
     # -- state helpers --------------------------------------------------------
 
-    def zero_state(self):
-        return np.zeros((self.mesh.n_el, 3 * self.n_p))
-
     def split(self, state):
         n_p = self.n_p
         return state[:, :n_p], state[:, n_p : 2 * n_p], state[:, 2 * n_p :]
 
     def interpolate(self, fields, t=0.0):
         """Nodal interpolation of (pts, t) -> (N, 3) exact-style callables."""
-        mesh, basis = self.mesh, self.basis
-        X = mesh.centers[:, None, :] + mesh.half * basis.ref_nodes[None]
-        vals = np.asarray(fields(X.reshape(-1, 2), t)).reshape(
-            mesh.n_el, basis.n_p, 3
-        )
+        vals = self.sample(fields, t, nodes=True)
         state = self.zero_state()
         phi, u, v = self.split(state)
         phi[:] = vals[:, :, 0]
@@ -254,11 +235,7 @@ class ShallowOperators:
     def load_wind(self, t=0.0):
         if self.problem.wind is None:
             return None
-        mesh, basis = self.mesh, self.basis
-        X = mesh.centers[:, None, :] + mesh.half * basis.quad_ref[None]
-        tau = np.asarray(self.problem.wind(X.reshape(-1, 2), t)).reshape(
-            mesh.n_el, basis.n_q, 2
-        )
+        tau = self.sample(self.problem.wind, t)
         return tau[:, :, 0] @ self.load_vec.T, tau[:, :, 1] @ self.load_vec.T
 
     def source(self, t=0.0, state_prev=None):
@@ -301,17 +278,6 @@ class ShallowOperators:
                 mom -= PHI * nsig * lifted
         return out
 
-    def solve_cells(self, rhs, out=None, workers=1):
-        if out is None:
-            out = np.empty_like(rhs)
-        if self.shared:
-            np.matmul(rhs, self.a_inv[0].T, out=out)
-            return out
-        for s in range(0, self.mesh.n_el, ASSEMBLY_CHUNK):
-            e = min(s + ASSEMBLY_CHUNK, self.mesh.n_el)
-            np.matmul(self.a_inv[s:e], rhs[s:e, :, None], out=out[s:e, :, None])
-        return out
-
     def update_trace(self, state, trace_out, t=0.0):
         """phihat = {phi} + sqrt(PHI){theta.n} inside, one-sided on walls.
 
@@ -338,32 +304,24 @@ class ShallowOperators:
                     phi[els][:, nid] + rp * osign * vel[els][:, nid]
                 )
 
-    @property
-    def _int_faces(self):
-        cached = getattr(self, "_int_faces_cache", None)
-        if cached is None:
-            cached = [self.mesh.interior_faces(a) for a in range(2)]
-            self._int_faces_cache = cached
-        return cached
-
-    def new_trace(self):
-        return TraceField.zeros(self.mesh, self.basis)
-
-    def initial_trace(self, state, t=0.0):
-        tr = self.new_trace()
-        self.update_trace(state, tr, t)
-        return tr
-
     # -- norms ----------------------------------------------------------------
+
+    def pass_norms(self, t, state):
+        """The per-pass (error, successive difference, skeleton norm) of a
+        solve at time t, from error_eval, diff_norm and skeleton_norm."""
+        err = self.error_eval(t)
+
+        def norms(s_new, s_old):
+            e = float("nan") if err is None else err(s_new)
+            return e, self.diff_norm(s_new, s_old), self.skeleton_norm(s_new)
+
+        return norms
 
     def error_eval(self, t):
         if self.problem.exact is None:
             return None
         mesh, basis = self.mesh, self.basis
-        X = mesh.centers[:, None, :] + mesh.half * basis.quad_ref[None]
-        ex = np.asarray(self.problem.exact(X.reshape(-1, 2), t)).reshape(
-            mesh.n_el, basis.n_q, 3
-        )
+        ex = self.sample(self.problem.exact, t)
         PHI, jac, w = self.phi_mean, mesh.jac, basis.quad_w
         Ev = basis.eval_vol
 

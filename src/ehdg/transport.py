@@ -13,6 +13,10 @@ sides.
 Face trace data lives at face GLL nodes; the upwind average is formed
 pointwise at face quadrature points and L2-projected back onto the face
 polynomial space.
+
+This module also holds what the shallow water operators share with these:
+the LocalOperators base class, the skeleton TraceField and the chunked
+assembly of local inverses.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import driver
 from .mesh import (
     CHARACTERISTIC,
     INFLOW,
@@ -36,7 +41,7 @@ class AssemblyError(Exception):
     pass
 
 
-def assemble_inverses(ops, n_el, width):
+def assemble_inverses(ops, n_el):
     """Explicit inverses of ops.element_matrix for elements 0 .. n_el - 1.
 
     The matrices are built and inverted one ASSEMBLY_CHUNK of elements at a
@@ -44,7 +49,7 @@ def assemble_inverses(ops, n_el, width):
     inverses are kept rather than LU factors because a batched inverse
     matvec is much cheaper per pass than a batched triangular solve.
     """
-    a_inv = np.empty((n_el, width, width))
+    a_inv = np.empty((n_el, ops.state_width, ops.state_width))
     for start in range(0, n_el, ASSEMBLY_CHUNK):
         els = np.arange(start, min(start + ASSEMBLY_CHUNK, n_el))
         A = ops.element_matrix(els)
@@ -106,7 +111,89 @@ class TraceField:
             d.fill(value)
 
 
-class TransportOperators:
+class LocalOperators:
+    """The contract the fixed-point driver runs on, and what every physics
+    shares.
+
+    An instance holds the explicit inverses of its element-local operators
+    (a_inv: one per element, or one shared by all) and the face data of its
+    trace rule. The base class supplies the state width and zero state,
+    the batched local solve, the interior-face lists, trace construction
+    and the sampling of case callables at element points. Each physics
+    supplies element_matrix(elements), source(t, state_prev),
+    rhs(trace, source), update_trace(state, trace_out, t) and
+    pass_norms(t, state), and sets shared and a_inv (assemble_inverses);
+    the driver calls nothing else.
+    """
+
+    def __init__(self, mesh, basis, problem, dt, state_width):
+        self.mesh = mesh
+        self.basis = basis
+        self.problem = problem
+        self.dt = dt
+        self.state_width = state_width
+        self.mass_phys = mesh.jac * basis.mass_ref
+        self.load_vec = mesh.jac * (basis.eval_vol.T * basis.quad_w)
+        # (face_ids, minus_elements, plus_elements) per axis
+        self._int_faces = [mesh.interior_faces(a) for a in range(mesh.dim)]
+
+    def zero_state(self):
+        return np.zeros((self.mesh.n_el, self.state_width))
+
+    def sample(self, fn, *args, nodes=False, elements=None):
+        """fn(points, *args) at the volume quadrature points (the nodes with
+        nodes=True) of every element, or of the given elements. The result
+        has shape (n_elements, n_points) plus the trailing shape of fn's
+        values."""
+        mesh, basis = self.mesh, self.basis
+        centers = mesh.centers if elements is None else mesh.centers[elements]
+        ref = basis.ref_nodes if nodes else basis.quad_ref
+        X = centers[:, None, :] + mesh.half * ref[None]
+        vals = np.asarray(fn(X.reshape(-1, mesh.dim), *args))
+        return vals.reshape(len(centers), len(ref), *vals.shape[1:])
+
+    def solve_cells(self, rhs, out=None, workers=1):
+        """Batched application of the factorized local operators.
+
+        Elements go in ASSEMBLY_CHUNK blocks, each written to its own rows
+        of out, so the result is the same for any worker count.
+        """
+        if out is None:
+            out = np.empty_like(rhs)
+        if self.shared:
+            np.matmul(rhs, self.a_inv[0].T, out=out)
+            return out
+        chunks = [
+            (s, min(s + ASSEMBLY_CHUNK, self.mesh.n_el))
+            for s in range(0, self.mesh.n_el, ASSEMBLY_CHUNK)
+        ]
+
+        def run(chunk):
+            s, e = chunk
+            np.matmul(
+                self.a_inv[s:e], rhs[s:e, :, None], out=out[s:e, :, None]
+            )
+
+        if workers > 1 and len(chunks) > 1:
+            from concurrent.futures import ThreadPoolExecutor
+
+            with ThreadPoolExecutor(max_workers=workers) as ex:
+                list(ex.map(run, chunks))
+        else:
+            for c in chunks:
+                run(c)
+        return out
+
+    def new_trace(self):
+        return TraceField.zeros(self.mesh, self.basis)
+
+    def initial_trace(self, state, t=0.0):
+        tr = self.new_trace()
+        self.update_trace(state, tr, t)
+        return tr
+
+
+class TransportOperators(LocalOperators):
     """Assembled element-local operators plus face data for one problem.
 
     The factorized local matrices are held as explicit inverses formed by
@@ -116,17 +203,11 @@ class TransportOperators:
     """
 
     def __init__(self, mesh, basis, problem, dt=None, condense_outflow=False):
-        self.mesh = mesh
-        self.basis = basis
-        self.problem = problem
-        self.dt = dt
+        super().__init__(mesh, basis, problem, dt, basis.n_p)
         self.condense_outflow = condense_outflow
         d = mesh.dim
         if problem.dim != d:
             raise AssemblyError("problem/mesh dimension mismatch")
-
-        self.mass_phys = mesh.jac * basis.mass_ref
-        self.load_vec = mesh.jac * (basis.eval_vol.T * basis.quad_w)
 
         # face geometry and velocity data, per normal axis
         self.face_pts = []
@@ -195,8 +276,7 @@ class TransportOperators:
                 self.lift_w[(a, side)][els] = 0.0
 
         self.shared = bool(problem.constant_velocity) and not condense_outflow
-        self.a_inv = assemble_inverses(self, 1 if self.shared else mesh.n_el,
-                                       basis.n_p)
+        self.a_inv = assemble_inverses(self, 1 if self.shared else mesh.n_el)
         self._load_cache = {}
         self._inflow_cache = {}
 
@@ -211,8 +291,7 @@ class TransportOperators:
         mesh, basis, prob = self.mesh, self.basis, self.problem
         d = mesh.dim
         els = np.asarray(elements)
-        X = mesh.centers[els][:, None, :] + mesh.half * basis.quad_ref[None]
-        V = prob.velocity(X.reshape(-1, d)).reshape(len(els), basis.n_q, d)
+        V = self.sample(prob.velocity, elements=els)
         terms = []
         for a in range(d):
             keys = ["val"] * d
@@ -220,7 +299,7 @@ class TransportOperators:
             wb = -(mesh.jac / mesh.half[a]) * basis.quad_w * V[:, :, a]
             terms.append((keys, wb))
         if prob.div_velocity is not None:
-            dv = prob.div_velocity(X.reshape(-1, d)).reshape(len(els), basis.n_q)
+            dv = self.sample(prob.div_velocity, elements=els)
             terms.append((["val"] * d, -mesh.jac * basis.quad_w * dv))
         for a in range(d):
             for s in (0, 1):
@@ -258,11 +337,7 @@ class TransportOperators:
         hit = self._load_cache.get(t)
         if hit is not None:
             return hit
-        mesh, basis = self.mesh, self.basis
-        X = mesh.centers[:, None, :] + mesh.half * basis.quad_ref[None]
-        fv = self.problem.forcing(X.reshape(-1, mesh.dim), t)
-        fv = np.asarray(fv).reshape(mesh.n_el, basis.n_q)
-        load = fv @ self.load_vec.T
+        load = self.sample(self.problem.forcing, t) @ self.load_vec.T
         self._load_cache = {t: load}
         return load
 
@@ -289,7 +364,7 @@ class TransportOperators:
         """Trace-independent part of every local right-hand side: the load
         plus, for a transient step, mass . state_prev / dt. It is fixed for
         a whole solve at one time level."""
-        out = np.zeros((self.mesh.n_el, self.basis.n_p))
+        out = self.zero_state()
         load = self.load_vector(t)
         if load is not None:
             out += load
@@ -308,34 +383,6 @@ class TransportOperators:
             for s in (0, 1):
                 uh_q = trace.data[a][self.fidx[(a, s)]] @ basis.face_eval.T
                 out += (self.lift_w[(a, s)] * uh_q) @ basis.face_restrict[(a, s)]
-        return out
-
-    def solve_cells(self, rhs, out=None, workers=1):
-        """Batched application of the factorized local operators."""
-        if out is None:
-            out = np.empty_like(rhs)
-        if self.shared:
-            np.matmul(rhs, self.a_inv[0].T, out=out)
-            return out
-        chunks = [
-            (s, min(s + ASSEMBLY_CHUNK, self.mesh.n_el))
-            for s in range(0, self.mesh.n_el, ASSEMBLY_CHUNK)
-        ]
-
-        def run(chunk):
-            s, e = chunk
-            np.matmul(
-                self.a_inv[s:e], rhs[s:e, :, None], out=out[s:e, :, None]
-            )
-
-        if workers > 1 and len(chunks) > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=workers) as ex:
-                list(ex.map(run, chunks))
-        else:
-            for c in chunks:
-                run(c)
         return out
 
     def update_trace(self, u, trace_out, t=0.0):
@@ -363,27 +410,18 @@ class TransportOperators:
             nid = basis.face_node_ids[(a, side)]
             trace_out.data[a][fid] = u[els][:, nid]
 
-    @property
-    def _int_faces(self):
-        cached = getattr(self, "_int_faces_cache", None)
-        if cached is None:
-            cached = [self.mesh.interior_faces(a) for a in range(self.mesh.dim)]
-            self._int_faces_cache = cached
-        return cached
+    def pass_norms(self, t, u):
+        # the transport norms live in ehdg.driver, where perfbench/tracer.py
+        # wraps transport_skeleton_norm and its siblings by name
+        return driver.TransportNorms(self, t, u)
 
-    def new_trace(self):
-        return TraceField.zeros(self.mesh, self.basis)
-
-    def initial_trace(self, u, t=0.0):
-        tr = self.new_trace()
-        self.update_trace(u, tr, t)
-        return tr
+    def error_eval(self, t):
+        """L2 error against the exact solution at t, as a callable of the
+        state; None when the problem has no exact solution."""
+        return driver.transport_error_eval(self, t)
 
     def interpolate_exact(self, t=0.0):
         """Nodal interpolant of the exact solution."""
         if self.problem.exact is None:
             raise ValueError("problem has no exact solution")
-        mesh, basis = self.mesh, self.basis
-        X = mesh.centers[:, None, :] + mesh.half * basis.ref_nodes[None]
-        vals = self.problem.exact(X.reshape(-1, mesh.dim), t)
-        return np.asarray(vals).reshape(mesh.n_el, basis.n_p)
+        return self.sample(self.problem.exact, t, nodes=True)

@@ -1,5 +1,7 @@
 """Command-line interface: parsing, exit codes, and output files."""
 
+import io
+
 import pytest
 
 from ehdg.cli import UsageError, main, parse_config, parse_kv_lines
@@ -130,6 +132,67 @@ def test_solve_transient_writes_steps_csv(tmp_path):
     last = lines[-1].split(",")
     assert int(last[0]) == 3
     assert abs(float(last[1]) - 3e-3) < 1e-15
+
+
+@pytest.mark.parametrize("case, nel", [("transport3d-gaussian", 2),
+                                       ("shallow-standing-wave", 4)])
+def test_solve_transient_stops_at_failed_step(tmp_path, case, nel):
+    from ehdg.basis import TensorBasis
+    from ehdg.driver import IterationConfig, ehdg_step_transient
+    from ehdg.mesh import build_mesh
+    from ehdg.problems import catalog
+    from ehdg.shallow import ShallowOperators
+    from ehdg.transport import TransportOperators
+
+    # one pass cannot satisfy error-difference stopping, so step 1 fails
+    rc = main(["solve", f"case={case}", f"nel={nel}", "p=1", "dt=1e-3",
+               "steps=3", "max_iters=1", "workers=1", f"outdir={tmp_path}"])
+    assert rc == 2
+    prefix = f"{case}-p1-nel{nel}-"
+    rows = (tmp_path / (prefix + "steps.csv")).read_text().splitlines()
+    assert len(rows) == 2
+    assert rows[1].split(",")[:3] == ["1", "0.001", "1"]
+
+    c = catalog(case)
+    mesh = build_mesh(c.dim, nel, c.bounds)
+    basis = TensorBasis(c.dim, 1)
+    if c.kind == "shallow":
+        ops = ShallowOperators(mesh, basis, c.problem, 1e-3)
+        state0 = ops.interpolate(c.problem.exact, 0.0)
+    else:
+        ops = TransportOperators(mesh, basis, c.problem, dt=1e-3)
+        state0 = ops.interpolate_exact(0.0)
+    _s, _t, log = ehdg_step_transient(ops, IterationConfig(max_iters=1),
+                                      state0, 0.0)
+    expected = io.StringIO()
+    log.write_csv(expected)
+    conv = (tmp_path / (prefix + "convergence.csv")).read_text()
+    assert conv == expected.getvalue()
+
+
+def test_solve_bad_nel_is_a_usage_error(tmp_path, capsys):
+    # three counts for a 2D case: the mesh refuses it
+    rc = main(["solve", "case=transport2d-smooth", "nel=4,4,4", "p=1",
+               f"outdir={tmp_path}"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "nel" in err
+    assert "Traceback" not in err
+
+
+def test_verify_refuses_oversized_oracle_before_iterating(monkeypatch,
+                                                         capsys):
+    import ehdg.cli as cli_mod
+
+    def no_solve(*_args, **_kwargs):
+        raise AssertionError("verify iterated before the oracle size check")
+
+    monkeypatch.setattr(cli_mod, "iterate_to_fixed_point", no_solve)
+    rc = main(["verify", "case=transport3d-steady", "nel=16", "p=1"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:")
+    assert "exceed the dense-solve guard" in err
 
 
 def test_solve_error_difference_without_exact_exit_1(tmp_path, capsys):

@@ -177,16 +177,20 @@ class TestTransient:
         with pytest.raises(ConvergenceFailure):
             run_transient(ops, IterationConfig(max_iters=1), state, 2)
 
-    def test_run_transient_can_continue_past_failures(self):
+    def test_run_transient_stops_at_first_failure(self):
         case = catalog("shallow-standing-wave")
         mesh = build_mesh(2, 4, case.bounds)
         ops = ShallowOperators(mesh, TensorBasis(2, 1), case.problem,
                                dt=1e-3)
         state = ops.interpolate(case.problem.exact, 0.0)
-        _s, counts, logs = run_transient(ops, IterationConfig(max_iters=1),
-                                         state, 3, raise_on_fail=False)
-        assert counts == [1, 1, 1]
-        assert not any(log.converged for log in logs)
+        config = IterationConfig(max_iters=1)
+        s, counts, logs = run_transient(ops, config, state, 3,
+                                        raise_on_fail=False)
+        assert counts == [1]
+        assert len(logs) == 1 and not logs[0].converged
+        # the returned state is the failed step's
+        s1, _t, _log = ehdg_step_transient(ops, config, state, 0.0)
+        assert np.array_equal(s, s1)
 
     def test_step_warm_start_uses_previous_state(self):
         # with exact initial data and a tiny step the warm start leaves

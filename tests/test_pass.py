@@ -323,22 +323,38 @@ def test_solve_exits_2_on_non_finite_pass(tmp_path, monkeypatch, capsys):
 # -- the benchmark tracer still finds every entry point ------------------------------
 
 
-def test_benchmark_tracer_hooks(tmp_path):
+GAUSSIAN_CELL = ["case=transport3d-gaussian", "nel=2", "p=2", "dt=0.001",
+                 "steps=2"]
+SHALLOW_CELL = ["case=shallow-standing-wave", "nel=2", "p=1", "dt=1e-3",
+                "steps=2"]
+
+
+@pytest.mark.parametrize("cell", [GAUSSIAN_CELL, SHALLOW_CELL],
+                         ids=["gaussian", "shallow"])
+@pytest.mark.parametrize("mode", ["traced", "plain", "setup"])
+def test_benchmark_tracer_hooks(tmp_path, mode, cell):
     record = tmp_path / "record.json"
     proc = subprocess.run(
         [sys.executable, os.path.join(ROOT, "perfbench", "child.py"),
-         "traced", str(record), "solve", "case=transport3d-gaussian",
-         "nel=2", "p=2", "dt=0.001", "steps=2", f"outdir={tmp_path}"],
+         mode, str(record), "solve", *cell, f"outdir={tmp_path}"],
         cwd=ROOT, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    rec = json.loads(record.read_text())
+    assert rec["status"] == 0
+    assert "setup_end" in rec["marks"]
+    if mode == "plain":
+        assert "write_start" in rec["marks"]
+    if mode != "traced":
+        return
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     try:
         from tracer import layer_metrics
     finally:
         sys.path.pop(0)
-    metrics, checks = layer_metrics(json.loads(record.read_text()))
+    metrics, checks = layer_metrics(rec)
     assert metrics["driver.steps"] == 2
+    assert metrics["mesh.build_s"] > 0
     for name in ("rhs_calls == passes",
                  "update_trace_calls == passes + solves",
                  "spans nest: no negative self time"):

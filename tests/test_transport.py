@@ -469,6 +469,23 @@ class TestSolves:
             ops.solve_cells(rhs.copy(), workers=4),
         )
 
+    def test_shallow_workers_do_not_change_results(self, rng):
+        # a varying Coriolis parameter gives per-element operators, and
+        # more than one chunk of them, so the threaded path splits
+        from ehdg.shallow import ShallowOperators, ShallowProblem
+        from ehdg.transport import ASSEMBLY_CHUNK
+
+        mesh = build_mesh(2, (17, 16), [(0, 1), (0, 1)])
+        problem = ShallowProblem(phi_mean=1.0, coriolis_f0=1.0,
+                                 coriolis_beta=0.5, y_mid=0.5)
+        ops = ShallowOperators(mesh, TensorBasis(2, 1), problem, dt=1e-2)
+        assert ops.a_inv.shape[0] == mesh.n_el > ASSEMBLY_CHUNK
+        rhs = rng.standard_normal((mesh.n_el, 3 * ops.n_p))
+        assert np.array_equal(
+            ops.solve_cells(rhs.copy(), workers=1),
+            ops.solve_cells(rhs.copy(), workers=4),
+        )
+
     def test_shared_operator_matches_per_element_assembly(self):
         g = lambda pts, t=0.0: pts[:, 1] + 0.5 * pts[:, 0]
         mesh = build_mesh(2, 3, [(0, 1), (0, 1)])
