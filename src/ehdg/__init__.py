@@ -23,12 +23,10 @@ from .mesh import MeshError, StructuredMesh, build_mesh
 from .oracle import (
     GlobalTraceSystem,
     OracleSizeError,
-    assemble_global_trace_system,
-    assemble_shallow_trace_system,
-    direct_solve_shallow,
-    direct_solve_transport,
+    assemble_trace_system,
+    direct_solve,
     flux_jump_residual,
-    shallow_flux_jump_residual,
+    verify_cell,
 )
 from .problems import (
     ProblemCase,
@@ -74,16 +72,14 @@ __all__ = [
     "TraceField",
     "TransportOperators",
     "TransportProblem",
-    "assemble_global_trace_system",
-    "assemble_shallow_trace_system",
+    "assemble_trace_system",
     "build_case",
     "build_mesh",
     "case_identifiers",
     "catalog",
     "contraction_constants",
     "convergence_study",
-    "direct_solve_shallow",
-    "direct_solve_transport",
+    "direct_solve",
     "ehdg_solve_steady",
     "ehdg_step_transient",
     "fit_exponential_rate",
@@ -92,8 +88,8 @@ __all__ = [
     "gll_nodes",
     "iterate_to_fixed_point",
     "run_transient",
-    "shallow_flux_jump_residual",
     "transport_error_eval",
+    "verify_cell",
     "volume_l2",
 ]
 

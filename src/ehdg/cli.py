@@ -17,8 +17,6 @@ import os
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from .driver import (
     ERROR_DIFFERENCE,
     STOPPING_MODES,
@@ -27,17 +25,9 @@ from .driver import (
     IterationConfig,
     iterate_to_fixed_point,
     run_transient,
-    volume_l2,
 )
 from .mesh import MeshError
-from .oracle import (
-    OracleSizeError,
-    check_dense_size,
-    direct_solve_shallow,
-    direct_solve_transport,
-    flux_jump_residual,
-    shallow_flux_jump_residual,
-)
+from .oracle import OracleSizeError, verify_cell
 from .problems import build_case, catalog, case_identifiers, convergence_study
 # perfbench/child.py hooks the operator constructors through these names
 from .shallow import ShallowOperators  # noqa: F401
@@ -297,7 +287,11 @@ def _solve_transient(cfg, case, ops, state, iters_cfg, steps):
         f"{cfg.case}: nel={ops.mesh.nel} p={ops.basis.p} -> {len(counts)} "
         f"steps, iterations/step {min(counts)}..{max(counts)}{err_txt}"
     )
-    return 0 if logs[-1].converged else 2
+    if not logs[-1].converged:
+        print(f"step {len(logs)} did not converge within the iteration cap",
+              file=sys.stderr)
+        return 2
+    return 0
 
 
 # -- study ----------------------------------------------------------------------
@@ -454,16 +448,7 @@ def _run_table2(cfg):
 # -- verify ----------------------------------------------------------------------
 
 
-def _check(name, ok, detail, lines):
-    lines.append(f"{'PASS' if ok else 'FAIL'}  {name}  {detail}")
-    return ok
-
-
 def cmd_verify(cfg):
-    case = catalog(cfg.case)
-    ops, state0 = build_case(case, _nel(cfg), cfg.p, cfg.dt)
-    # before the iteration, which can take far longer than the refusal
-    check_dense_size(ops.mesh, ops.basis)
     # successive-difference bounds the distance to the fixed point, which
     # is what the comparison against the direct solve needs
     config = IterationConfig(
@@ -471,75 +456,10 @@ def cmd_verify(cfg):
         stopping=SUCCESSIVE_DIFFERENCE,
         workers=cfg.workers,
     )
-    lines = []
-    if case.kind == "shallow":
-        ok = _verify_shallow(case, ops, state0, config, lines)
-    else:
-        ok = _verify_transport(case, ops, state0, config, lines)
-    for line in lines:
-        print(line)
-    return 0 if ok else 3
-
-
-def _verify_transport(case, ops, state0, config, lines):
-    mesh, basis, dt = ops.mesh, ops.basis, ops.dt
-    if dt is None:
-        u_it, tr_it, log = iterate_to_fixed_point(ops, config)
-        u_dir, tr_dir, _sys = direct_solve_transport(mesh, basis, case.problem)
-    else:
-        u_it, tr_it, log = iterate_to_fixed_point(
-            ops, config, u0=state0, t=dt, state_prev=state0
-        )
-        u_dir, tr_dir, _sys = direct_solve_transport(
-            mesh, basis, case.problem, dt=dt, state_prev=state0, t=dt
-        )
-    ok = True
-    scale = volume_l2(mesh, basis, u_dir)
-    rel = volume_l2(mesh, basis, u_it - u_dir) / max(scale, 1e-300)
-    ok &= _check("iterate-vs-direct", rel <= 1e-8, f"relative L2 {rel:.3e}",
-                 lines)
-    j_it = flux_jump_residual(ops, u_it, tr_it)
-    j_dir = flux_jump_residual(ops, u_dir, tr_dir)
-    ok &= _check("flux-jump-iterate", j_it <= 1e-9, f"residual {j_it:.3e}",
-                 lines)
-    ok &= _check("flux-jump-direct", j_dir <= 1e-9, f"residual {j_dir:.3e}",
-                 lines)
-    ok &= _check("iteration-converged", log.converged,
-                 f"{log.iterations} iterations", lines)
-    return ok
-
-
-def _verify_shallow(case, ops, state0, config, lines):
-    mesh, basis, dt = ops.mesh, ops.basis, ops.dt
-    st_it, tr_it, log = iterate_to_fixed_point(
-        ops, config, u0=state0, t=dt, state_prev=state0
-    )
-    st_dir, tr_dir, _sys = direct_solve_shallow(
-        mesh, basis, case.problem, dt, state0, t=dt
-    )
-    ok = True
-    scale = ops.diff_norm(st_dir, ops.zero_state())
-    rel = ops.diff_norm(st_it, st_dir) / max(scale, 1e-300)
-    ok &= _check("iterate-vs-direct", rel <= 1e-8, f"relative L2 {rel:.3e}",
-                 lines)
-    j_it = shallow_flux_jump_residual(ops, st_it, tr_it)
-    j_dir = shallow_flux_jump_residual(ops, st_dir, tr_dir)
-    ok &= _check("flux-jump-iterate", j_it <= 1e-9, f"residual {j_it:.3e}",
-                 lines)
-    ok &= _check("flux-jump-direct", j_dir <= 1e-9, f"residual {j_dir:.3e}",
-                 lines)
-    # the drift is scaled by the integral of |phi0|, not by |mass0|: a
-    # zero-mean state (the standing wave) has a total mass of round-off size
-    phi0 = ops.split(state0)[0]
-    scale = mesh.jac * np.sum(basis.quad_w * np.abs(phi0 @ basis.eval_vol.T))
-    drift = abs(ops.total_mass(st_it) - ops.total_mass(state0))
-    drift /= max(float(scale), 1e-300)
-    ok &= _check("mass-conservation", drift <= 1e-11,
-                 f"drift {drift:.3e} relative to the integral of |phi0|",
-                 lines)
-    ok &= _check("iteration-converged", log.converged,
-                 f"{log.iterations} iterations", lines)
-    return ok
+    checks = verify_cell(catalog(cfg.case), _nel(cfg), cfg.p, cfg.dt, config)
+    for name, ok, detail in checks:
+        print(f"{'PASS' if ok else 'FAIL'}  {name}  {detail}")
+    return 0 if all(ok for _name, ok, _detail in checks) else 3
 
 
 # -- entry point -------------------------------------------------------------------

@@ -10,10 +10,12 @@ function, where u(uhat) denotes the element-local solves driven by the
 trace. The matrix is built by probing unit trace vectors through the local
 solves, one column batch per face, and solved densely. Boundary faces are
 eliminated: inflow data enters the right-hand side, outflow and wall traces
-are folded into the local operators.
+are folded into the local operators (the condensed operators).
 
-This path shares only the element assembly with the fixed-point driver; no
-iteration is involved, so agreement between the two is a genuine check.
+One prober and one direct solve serve both physics; what differs sits in
+the _PHYSICS table. Its rules are written out here, not taken from the
+operators' rhs, and no iteration is involved, so agreement with the
+fixed-point driver is a genuine check.
 """
 
 from __future__ import annotations
@@ -22,8 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .basis import TensorBasis
+from .driver import iterate_to_fixed_point, volume_l2
+from .mesh import build_mesh
+from .problems import build_case
 from .shallow import ShallowOperators
-from .transport import TraceField, TransportOperators
+from .transport import TransportOperators
 
 MAX_DENSE_UNKNOWNS = 20000
 
@@ -32,19 +38,14 @@ class OracleSizeError(Exception):
     pass
 
 
-def _interior_offsets(mesh, basis):
-    """Unknown offsets per axis; only flux-active faces get unknowns."""
-    offs, n = [], 0
-    for a in range(mesh.dim):
-        offs.append(n)
-        n += (mesh.nel[a] - 1) * mesh.n_perp[a] * basis.n_face
-    return offs, n
-
-
 class _TraceIndex:
     def __init__(self, mesh, basis):
         self.mesh, self.basis = mesh, basis
-        self.offs, self.n_unknowns = _interior_offsets(mesh, basis)
+        # unknown offsets per axis; only flux-active faces get unknowns
+        self.offs, self.n_unknowns = [], 0
+        for a in range(mesh.dim):
+            self.offs.append(self.n_unknowns)
+            self.n_unknowns += (mesh.nel[a] - 1) * mesh.n_perp[a] * basis.n_face
 
     def rows(self, axis, fid):
         """Slice of unknown/row indices for one interior face."""
@@ -74,246 +75,284 @@ def check_dense_size(mesh, basis):
     return index
 
 
-def _jump_moments(ops, jump_of, state, trace):
-    """Conservation residual moments <jump, mu>_e on every interior face,
-    from jump_of(ops, state, trace, axis) at the face quadrature points."""
-    mesh, basis = ops.mesh, ops.basis
-    parts = []
-    for a in range(mesh.dim):
-        jump = jump_of(ops, state, trace, a)
-        parts.append(
-            mesh.face_jac[a] * ((basis.face_quad_w * jump) @ basis.face_eval)
-        )
-    return np.concatenate([p.ravel() for p in parts])
-
-
-def _jump_norm(ops, jump_of, state, trace, per_face):
-    """Skeleton L2 norm of jump_of over interior faces, or with
-    per_face=True the array of face L2 norms."""
-    mesh, basis = ops.mesh, ops.basis
-    total, per = 0.0, []
-    for a in range(mesh.dim):
-        jump = jump_of(ops, state, trace, a)
-        face_sq = mesh.face_jac[a] * np.sum(
-            basis.face_quad_w * jump * jump, axis=1
-        )
-        total += float(np.sum(face_sq))
-        per.append(np.sqrt(face_sq))
-    if per_face:
-        return np.concatenate(per) if per else np.zeros(0)
-    return float(np.sqrt(total))
-
-
 @dataclass
 class GlobalTraceSystem:
-    ops: object
     index: _TraceIndex
     matrix: np.ndarray
     rhs: np.ndarray
 
-    @property
-    def n_unknowns(self):
-        return self.index.n_unknowns
+
+# -- per-physics rules ----------------------------------------------------------
+#
+# Namespaces of plain functions of the operators. jump: the flux jump on one
+# axis's interior faces; lift: a unit trace on face f lifted from one side;
+# row: the weighted jump rows on face g that a local change dU drives; own:
+# face f's own weight (None where no flux crosses); closure: the traces set
+# after a solve. The rest serves direct_solve and verify_cell.
 
 
-# -- transport ----------------------------------------------------------------
+class _Transport:
+    def jump(ops, u, trace, axis):
+        basis = ops.basis
+        fid, minus, plus = ops._int_faces[axis]
+        um = u[minus] @ basis.face_restrict[(axis, 1)].T
+        up = u[plus] @ basis.face_restrict[(axis, 0)].T
+        uh = trace.data[axis][fid] @ basis.face_eval.T
+        bn, ab = ops.bn[axis][fid], ops.abs_bn[axis][fid]
+        return bn * (um - up) + ab * (um + up - 2.0 * uh)
+
+    def lift(ops, a, f, side):
+        basis = ops.basis
+        lw = ops.mesh.face_jac[a] * basis.face_quad_w * ops.abs_bn[a][f]
+        return basis.face_restrict[(a, side)].T @ (lw[:, None] * basis.face_eval)
+
+    def row(ops, b, g, s, dU):
+        bn, ab = ops.bn[b][g], ops.abs_bn[b][g]
+        factor = (bn + ab) if s == 1 else (ab - bn)
+        dq = ops.basis.face_restrict[(b, s)] @ dU
+        return (ops.basis.face_quad_w * factor)[:, None] * dq
+
+    def own(ops, a, f):
+        if not np.any(ops.abs_bn[a][f]):
+            return None
+        w, F = ops.basis.face_quad_w, ops.basis.face_eval
+        return -2.0 * ops.mesh.face_jac[a] * (
+            F.T @ ((w * ops.abs_bn[a][f])[:, None] * F)
+        )
+
+    def closure(ops, u, trace):
+        # outflow faces copy the interior solution; a face no flux crosses
+        # takes the mean of its two sides
+        nid = ops.basis.face_node_ids
+        for a, fid, els, side in ops.outflow_blocks:
+            trace.data[a][fid] = u[els][:, nid[(a, side)]]
+        for a in range(ops.mesh.dim):
+            fid, minus, plus = ops._int_faces[a]
+            dead = ~np.any(ops.abs_bn[a][fid], axis=1)
+            if np.any(dead):
+                lo = u[minus[dead]][:, nid[(a, 1)]]
+                hi = u[plus[dead]][:, nid[(a, 0)]]
+                trace.data[a][fid[dead]] = 0.5 * (lo + hi)
+
+    boundary_data = TransportOperators.inflow_trace
+
+    condense = {"condense_outflow": True}
+
+    def norm(ops, u):
+        return volume_l2(ops.mesh, ops.basis, u)
+
+    def extra_checks(ops, state0, state):
+        return []
 
 
-def _transport_jump(ops, u, trace, axis):
-    """Upwind numerical-flux jump at the quadrature points of every
-    interior face of one axis."""
-    basis = ops.basis
-    fid, minus, plus = ops._int_faces[axis]
-    um = u[minus] @ basis.face_restrict[(axis, 1)].T
-    up = u[plus] @ basis.face_restrict[(axis, 0)].T
-    uh = trace.data[axis][fid] @ basis.face_eval.T
-    bn, ab = ops.bn[axis][fid], ops.abs_bn[axis][fid]
-    return bn * (um - up) + ab * (um + up - 2.0 * uh)
+class _Shallow:
+    def jump(ops, state, trace, axis):
+        basis = ops.basis
+        fid, minus, plus = ops._int_faces[axis]
+        phi, u, v = ops.split(state)
+        vel = u if axis == 0 else v
+        R_hi = basis.face_restrict[(axis, 1)]
+        R_lo = basis.face_restrict[(axis, 0)]
+        pm = phi[minus] @ R_hi.T
+        pp = phi[plus] @ R_lo.T
+        vm = vel[minus] @ R_hi.T
+        vp = vel[plus] @ R_lo.T
+        ph = trace.data[axis][fid] @ basis.face_eval.T
+        return ops.phi_mean * (vm - vp) + ops.root_phi * (pm + pp - 2.0 * ph)
+
+    def lift(ops, a, f, side):
+        basis, n_p = ops.basis, ops.n_p
+        fw = ops.mesh.face_jac[a] * basis.face_quad_w
+        lifted = basis.face_restrict[(a, side)].T @ (fw[:, None] * basis.face_eval)
+        nsig = 1.0 if side == 1 else -1.0
+        drhs = np.zeros((3 * n_p, basis.n_face))
+        drhs[:n_p] = ops.root_phi * lifted
+        drhs[(a + 1) * n_p : (a + 2) * n_p] = -ops.phi_mean * nsig * lifted
+        return drhs
+
+    def row(ops, b, g, s, dU):
+        n_p, R = ops.n_p, ops.basis.face_restrict[(b, s)]
+        dphi = R @ dU[:n_p]
+        dvel = R @ dU[(b + 1) * n_p : (b + 2) * n_p]
+        vsig = 1.0 if s == 1 else -1.0
+        djump = ops.phi_mean * vsig * dvel + ops.root_phi * dphi
+        return ops.basis.face_quad_w[:, None] * djump
+
+    def own(ops, a, f):
+        w, F = ops.basis.face_quad_w, ops.basis.face_eval
+        return -2.0 * ops.root_phi * ops.mesh.face_jac[a] * (F.T @ (w[:, None] * F))
+
+    def closure(ops, state, trace):
+        # the one-sided wall rule phihat = phi + sqrt(PHI) theta.n
+        phi, u, v = ops.split(state)
+        for a in range(2):
+            vel = u if a == 0 else v
+            for side in (0, 1):
+                bfid, els, osign = ops.mesh.boundary_faces(a, side)
+                nid = ops.basis.face_node_ids[(a, side)]
+                trace.data[a][bfid] = (
+                    phi[els][:, nid] + ops.root_phi * osign * vel[els][:, nid]
+                )
+
+    def boundary_data(ops, trace, t):
+        pass
+
+    condense = {"condense_walls": True}
+
+    def norm(ops, state):
+        return ops.diff_norm(state, 0.0)
+
+    def extra_checks(ops, state0, state):
+        # scaled by the integral of |phi0|, not by |mass0|: a zero-mean
+        # state (the standing wave) has a round-off-sized total mass
+        mesh, basis = ops.mesh, ops.basis
+        phi0 = ops.split(state0)[0]
+        scale = mesh.jac * np.sum(basis.quad_w * np.abs(phi0 @ basis.eval_vol.T))
+        drift = abs(ops.total_mass(state) - ops.total_mass(state0))
+        drift /= max(float(scale), 1e-300)
+        return [("mass-conservation", drift <= 1e-11,
+                 f"drift {drift:.3e} relative to the integral of |phi0|")]
 
 
-def _element_faces(mesh):
-    return [(a, s) for a in range(mesh.dim) for s in (0, 1)]
+_PHYSICS = {TransportOperators: _Transport, ShallowOperators: _Shallow}
 
 
-def assemble_global_trace_system(mesh, basis, problem, dt=None,
-                                 state_prev=None, t=0.0):
-    """Probe the condensed transport trace system into a dense matrix."""
-    ops = TransportOperators(
-        mesh, basis, problem, dt=dt, condense_outflow=True
-    )
+# -- one verification path ---------------------------------------------------------
+
+
+def jump_moments(ops, state, trace):
+    """Conservation residual moments <jump, mu>_e on every interior face,
+    in the unknown order of the dense trace system."""
+    jump, mesh, basis = _PHYSICS[type(ops)].jump, ops.mesh, ops.basis
+    parts = [
+        mesh.face_jac[a]
+        * ((basis.face_quad_w * jump(ops, state, trace, a)) @ basis.face_eval)
+        for a in range(mesh.dim)
+    ]
+    return np.concatenate([p.ravel() for p in parts])
+
+
+def flux_jump_residual(ops, state, trace, per_face=False):
+    """Skeleton L2 norm of the numerical-flux jump (the continuity-flux jump
+    for shallow water) over interior faces.
+
+    With per_face=True returns the array of face L2 norms instead.
+    """
+    jump, mesh, basis = _PHYSICS[type(ops)].jump, ops.mesh, ops.basis
+    total, per = 0.0, []
+    for a in range(mesh.dim):
+        j = jump(ops, state, trace, a)
+        face_sq = mesh.face_jac[a] * np.sum(basis.face_quad_w * j * j, axis=1)
+        total += float(np.sum(face_sq))
+        per.append(np.sqrt(face_sq))
+    if per_face:
+        return np.concatenate(per)
+    return float(np.sqrt(total))
+
+
+def assemble_trace_system(ops, state_prev=None, t=0.0):
+    """Probe the trace system of condensed operators into a dense matrix.
+
+    ops are built with condense_outflow=True (transport) or
+    condense_walls=True (shallow water); state_prev and t are those of
+    ops.source. The right-hand side is minus the jump moments of a zero
+    interior trace.
+    """
+    rules = _PHYSICS[type(ops)]
+    mesh, basis = ops.mesh, ops.basis
     index = check_dense_size(mesh, basis)
-    nf, w = basis.n_face, basis.face_quad_w
     F = basis.face_eval
 
     trace0 = ops.new_trace()
-    ops.inflow_trace(trace0, t)
-    u0 = ops.solve_cells(ops.rhs(trace0, ops.source(t, state_prev)))
-    r0 = _jump_moments(ops, _transport_jump, u0, trace0)
+    rules.boundary_data(ops, trace0, t)
+    state0 = ops.solve_cells(ops.rhs(trace0, ops.source(t, state_prev)))
+    r0 = jump_moments(ops, state0, trace0)
 
     N = index.n_unknowns
     T = np.zeros((N, N))
     for a in range(mesh.dim):
         fid_arr, minus_arr, plus_arr = ops._int_faces[a]
-        R_side = {1: basis.face_restrict[(a, 1)], 0: basis.face_restrict[(a, 0)]}
-        fj = mesh.face_jac[a]
         for i, f in enumerate(fid_arr):
             cols = index.rows(a, f)
-            if not np.any(ops.abs_bn[a][f]):
+            own = rules.own(ops, a, f)
+            if own is None:
                 # no flux crosses this face; pin its (irrelevant) trace
-                T[cols, cols] = np.eye(nf)
+                T[cols, cols] = np.eye(basis.n_face)
                 continue
-            lw = fj * w * ops.abs_bn[a][f]
-            for el, s_el in ((minus_arr[i], 1), (plus_arr[i], 0)):
-                drhs = R_side[s_el].T @ (lw[:, None] * F)
-                dU = ops.a_inv[el] @ drhs
-                _accumulate_transport_rows(ops, index, T, cols, el, dU)
-            # direct dependence of face f's own flux on its trace
-            T[index.rows(a, f), cols] += (
-                -2.0 * fj * (F.T @ ((w * ops.abs_bn[a][f])[:, None] * F))
-            )
-    return GlobalTraceSystem(ops=ops, index=index, matrix=T, rhs=-r0)
+            for el, side in ((minus_arr[i], 1), (plus_arr[i], 0)):
+                dU = ops.a_inv[el] @ rules.lift(ops, a, f, side)
+                for b in range(mesh.dim):
+                    for s in (0, 1):
+                        g = ops.fidx[(b, s)][el]
+                        plane = g // mesh.n_perp[b]
+                        if plane == 0 or plane == mesh.nel[b]:
+                            continue
+                        wq = rules.row(ops, b, g, s, dU)
+                        T[index.rows(b, g), cols] += mesh.face_jac[b] * (F.T @ wq)
+            T[cols, cols] += own
+    return GlobalTraceSystem(index=index, matrix=T, rhs=-r0)
 
 
-def _accumulate_transport_rows(ops, index, T, cols, el, dU):
-    mesh, basis = ops.mesh, ops.basis
-    w, F = basis.face_quad_w, basis.face_eval
-    for b, s in _element_faces(mesh):
-        g = ops.fidx[(b, s)][el]
-        plane = g // mesh.n_perp[b]
-        if plane == 0 or plane == mesh.nel[b]:
-            continue
-        bn, ab = ops.bn[b][g], ops.abs_bn[b][g]
-        factor = (bn + ab) if s == 1 else (ab - bn)
-        dq = basis.face_restrict[(b, s)] @ dU
-        rows = mesh.face_jac[b] * (F.T @ ((w * factor)[:, None] * dq))
-        T[index.rows(b, g), cols] += rows
+def direct_solve(ops, state_prev=None, t=0.0):
+    """Returns (state, trace, system) from the dense skeleton solve of
+    condensed operators (see assemble_trace_system)."""
+    rules = _PHYSICS[type(ops)]
+    system = assemble_trace_system(ops, state_prev, t)
+    trace = ops.new_trace()
+    rules.boundary_data(ops, trace, t)
+    system.index.scatter(np.linalg.solve(system.matrix, system.rhs), trace)
+    state = ops.solve_cells(ops.rhs(trace, ops.source(t, state_prev)))
+    rules.closure(ops, state, trace)
+    return state, trace, system
+
+
+def verify_cell(case, nel, p, dt, config):
+    """The checks of `ehdg verify` on one cell, as (name, ok, detail).
+
+    The fixed-point solve under config (steady, or one step from the case's
+    initial state) is compared with direct_solve. The dense-solve size is
+    checked on the mesh and basis before any operator is assembled.
+    """
+    check_dense_size(build_mesh(case.dim, nel, case.bounds),
+                     TensorBasis(case.dim, p))
+    ops, state0 = build_case(case, nel, p, dt)
+    rules = _PHYSICS[type(ops)]
+    t = 0.0 if ops.dt is None else ops.dt
+    s_it, tr_it, log = iterate_to_fixed_point(
+        ops, config, u0=state0, t=t, state_prev=state0
+    )
+    condensed = type(ops)(ops.mesh, ops.basis, ops.problem, ops.dt,
+                          **rules.condense)
+    s_dir, tr_dir, _sys = direct_solve(condensed, state0, t)
+    rel = rules.norm(ops, s_it - s_dir) / max(rules.norm(ops, s_dir), 1e-300)
+    j_it = flux_jump_residual(ops, s_it, tr_it)
+    j_dir = flux_jump_residual(ops, s_dir, tr_dir)
+    return [
+        ("iterate-vs-direct", rel <= 1e-8, f"relative L2 {rel:.3e}"),
+        ("flux-jump-iterate", j_it <= 1e-9, f"residual {j_it:.3e}"),
+        ("flux-jump-direct", j_dir <= 1e-9, f"residual {j_dir:.3e}"),
+        *rules.extra_checks(ops, state0, s_it),
+        ("iteration-converged", log.converged, f"{log.iterations} iterations"),
+    ]
+
+
+# -- kept because perfbench/gate.py and tests/test_acceptance.py call them ----
+#
+# They go once the gate calls verify_cell. Each checks the dense-solve size
+# before it assembles the condensed operators.
 
 
 def direct_solve_transport(mesh, basis, problem, dt=None, state_prev=None,
                            t=0.0):
-    """Returns (u, trace, system) from the dense skeleton solve."""
-    system = assemble_global_trace_system(
-        mesh, basis, problem, dt=dt, state_prev=state_prev, t=t
-    )
-    ops, index = system.ops, system.index
-    uhat = np.linalg.solve(system.matrix, system.rhs)
-    trace = ops.new_trace()
-    ops.inflow_trace(trace, t)
-    index.scatter(uhat, trace)
-    u = ops.solve_cells(ops.rhs(trace, ops.source(t, state_prev)))
-    for a, fid, els, side in ops.outflow_blocks:
-        trace.data[a][fid] = u[els][:, ops.basis.face_node_ids[(a, side)]]
-    for a in range(mesh.dim):
-        fid, minus, plus = ops._int_faces[a]
-        dead = ~np.any(ops.abs_bn[a][fid], axis=1)
-        if np.any(dead):
-            lo = u[minus[dead]][:, ops.basis.face_node_ids[(a, 1)]]
-            hi = u[plus[dead]][:, ops.basis.face_node_ids[(a, 0)]]
-            trace.data[a][fid[dead]] = 0.5 * (lo + hi)
-    return u, trace, system
-
-
-def flux_jump_residual(ops, u, trace, per_face=False):
-    """Skeleton L2 norm of the numerical-flux jump over interior faces.
-
-    With per_face=True returns the array of face L2 norms instead.
-    """
-    return _jump_norm(ops, _transport_jump, u, trace, per_face)
-
-
-# -- shallow water --------------------------------------------------------------
-
-
-def _shallow_jump(ops, state, trace, axis):
-    basis = ops.basis
-    fid, minus, plus = ops._int_faces[axis]
-    phi, u, v = ops.split(state)
-    vel = u if axis == 0 else v
-    R_hi = basis.face_restrict[(axis, 1)]
-    R_lo = basis.face_restrict[(axis, 0)]
-    pm = phi[minus] @ R_hi.T
-    pp = phi[plus] @ R_lo.T
-    vm = vel[minus] @ R_hi.T
-    vp = vel[plus] @ R_lo.T
-    ph = trace.data[axis][fid] @ basis.face_eval.T
-    return ops.phi_mean * (vm - vp) + ops.root_phi * (pm + pp - 2.0 * ph)
-
-
-def assemble_shallow_trace_system(mesh, basis, problem, dt, state_prev,
-                                  t=0.0):
-    ops = ShallowOperators(mesh, basis, problem, dt, condense_walls=True)
-    index = check_dense_size(mesh, basis)
-    n_p, nf = ops.n_p, basis.n_face
-    w, F = basis.face_quad_w, basis.face_eval
-    PHI, rp = ops.phi_mean, ops.root_phi
-
-    trace0 = ops.new_trace()
-    state0 = ops.solve_cells(ops.rhs(trace0, ops.source(t, state_prev)))
-    r0 = _jump_moments(ops, _shallow_jump, state0, trace0)
-
-    N = index.n_unknowns
-    T = np.zeros((N, N))
-    for a in range(2):
-        fid_arr, minus_arr, plus_arr = ops._int_faces[a]
-        fj = mesh.face_jac[a]
-        for i, f in enumerate(fid_arr):
-            cols = index.rows(a, f)
-            for el, s_el in ((minus_arr[i], 1), (plus_arr[i], 0)):
-                R = basis.face_restrict[(a, s_el)]
-                nsig = 1.0 if s_el == 1 else -1.0
-                lifted = R.T @ ((fj * w)[:, None] * F)
-                drhs = np.zeros((3 * n_p, nf))
-                drhs[:n_p] = rp * lifted
-                mom = slice(n_p, 2 * n_p) if a == 0 else slice(2 * n_p, 3 * n_p)
-                drhs[mom] = -PHI * nsig * lifted
-                dU = ops.a_inv[el] @ drhs
-                _accumulate_shallow_rows(ops, index, T, cols, el, dU)
-            T[index.rows(a, f), cols] += (
-                -2.0 * rp * fj * (F.T @ (w[:, None] * F))
-            )
-    return GlobalTraceSystem(ops=ops, index=index, matrix=T, rhs=-r0)
-
-
-def _accumulate_shallow_rows(ops, index, T, cols, el, dU):
-    mesh, basis = ops.mesh, ops.basis
-    n_p = ops.n_p
-    w, F = basis.face_quad_w, basis.face_eval
-    for b, s in _element_faces(mesh):
-        g = ops.fidx[(b, s)][el]
-        plane = g // mesh.n_perp[b]
-        if plane == 0 or plane == mesh.nel[b]:
-            continue
-        R = basis.face_restrict[(b, s)]
-        vel = slice(n_p, 2 * n_p) if b == 0 else slice(2 * n_p, 3 * n_p)
-        dphi = R @ dU[:n_p]
-        dvel = R @ dU[vel]
-        vsig = 1.0 if s == 1 else -1.0
-        djump = ops.phi_mean * vsig * dvel + ops.root_phi * dphi
-        rows = mesh.face_jac[b] * (F.T @ (w[:, None] * djump))
-        T[index.rows(b, g), cols] += rows
+    check_dense_size(mesh, basis)
+    ops = TransportOperators(mesh, basis, problem, dt=dt, condense_outflow=True)
+    return direct_solve(ops, state_prev, t)
 
 
 def direct_solve_shallow(mesh, basis, problem, dt, state_prev, t=0.0):
-    system = assemble_shallow_trace_system(
-        mesh, basis, problem, dt, state_prev, t=t
-    )
-    ops, index = system.ops, system.index
-    phat = np.linalg.solve(system.matrix, system.rhs)
-    trace = ops.new_trace()
-    index.scatter(phat, trace)
-    state = ops.solve_cells(ops.rhs(trace, ops.source(t, state_prev)))
-    phi, u, v = ops.split(state)
-    for a in range(2):
-        vel = u if a == 0 else v
-        for side in (0, 1):
-            bfid, els, osign = mesh.boundary_faces(a, side)
-            nid = ops.basis.face_node_ids[(a, side)]
-            trace.data[a][bfid] = (
-                phi[els][:, nid] + ops.root_phi * osign * vel[els][:, nid]
-            )
-    return state, trace, system
+    check_dense_size(mesh, basis)
+    ops = ShallowOperators(mesh, basis, problem, dt, condense_walls=True)
+    return direct_solve(ops, state_prev, t)
 
 
-def shallow_flux_jump_residual(ops, state, trace, per_face=False):
-    """Continuity-flux jump over interior faces, as a skeleton L2 norm."""
-    return _jump_norm(ops, _shallow_jump, state, trace, per_face)
+shallow_flux_jump_residual = flux_jump_residual

@@ -136,7 +136,7 @@ def test_solve_transient_writes_steps_csv(tmp_path):
 
 @pytest.mark.parametrize("case, nel", [("transport3d-gaussian", 2),
                                        ("shallow-standing-wave", 4)])
-def test_solve_transient_stops_at_failed_step(tmp_path, case, nel):
+def test_solve_transient_stops_at_failed_step(tmp_path, capsys, case, nel):
     from ehdg.basis import TensorBasis
     from ehdg.driver import IterationConfig, ehdg_step_transient
     from ehdg.mesh import build_mesh
@@ -148,6 +148,8 @@ def test_solve_transient_stops_at_failed_step(tmp_path, case, nel):
     rc = main(["solve", f"case={case}", f"nel={nel}", "p=1", "dt=1e-3",
                "steps=3", "max_iters=1", "workers=1", f"outdir={tmp_path}"])
     assert rc == 2
+    err = capsys.readouterr().err
+    assert "step 1 did not converge within the iteration cap" in err
     prefix = f"{case}-p1-nel{nel}-"
     rows = (tmp_path / (prefix + "steps.csv")).read_text().splitlines()
     assert len(rows) == 2
@@ -182,12 +184,17 @@ def test_solve_bad_nel_is_a_usage_error(tmp_path, capsys):
 
 def test_verify_refuses_oversized_oracle_before_iterating(monkeypatch,
                                                          capsys):
-    import ehdg.cli as cli_mod
+    import ehdg.oracle as oracle_mod
+    from ehdg.transport import LocalOperators
 
     def no_solve(*_args, **_kwargs):
         raise AssertionError("verify iterated before the oracle size check")
 
-    monkeypatch.setattr(cli_mod, "iterate_to_fixed_point", no_solve)
+    def no_operators(*_args, **_kwargs):
+        raise AssertionError("verify assembled before the oracle size check")
+
+    monkeypatch.setattr(oracle_mod, "iterate_to_fixed_point", no_solve)
+    monkeypatch.setattr(LocalOperators, "__init__", no_operators)
     rc = main(["verify", "case=transport3d-steady", "nel=16", "p=1"])
     assert rc == 1
     err = capsys.readouterr().err
@@ -317,10 +324,10 @@ def test_verify_shallow_detects_mass_drift(monkeypatch, capsys):
 
 
 def test_verify_detects_flux_defect(monkeypatch, capsys):
-    import ehdg.cli as cli_mod
+    import ehdg.oracle as oracle_mod
 
     monkeypatch.setattr(
-        cli_mod, "flux_jump_residual", lambda *a, **k: 1.0
+        oracle_mod, "flux_jump_residual", lambda *a, **k: 1.0
     )
     rc = main(["verify", "case=transport2d-smooth", "nel=4", "p=1"])
     assert rc == 3
