@@ -11,11 +11,9 @@ from .driver import (
     ConvergenceLog,
     IterationConfig,
     RateFit,
-    ehdg_solve_steady,
-    ehdg_step_transient,
     fit_exponential_rate,
     iterate_to_fixed_point,
-    run_transient,
+    solve,
     transport_error_eval,
     volume_l2,
 )
@@ -80,14 +78,12 @@ __all__ = [
     "contraction_constants",
     "convergence_study",
     "direct_solve",
-    "ehdg_solve_steady",
-    "ehdg_step_transient",
     "fit_exponential_rate",
     "flux_jump_residual",
     "gauss_quadrature",
     "gll_nodes",
     "iterate_to_fixed_point",
-    "run_transient",
+    "solve",
     "transport_error_eval",
     "verify_cell",
     "volume_l2",

@@ -157,7 +157,6 @@ class TensorBasis:
 
         nq1 = p + 2
         xg, wg = gauss_quadrature(nq1)
-        self.quad_1d, self.quad_w_1d = xg, wg
         self.n_q = nq1**d
         self.n_fq = nq1 ** (d - 1)
 
@@ -210,7 +209,6 @@ class TensorBasis:
         self.face_quad_w = _tensor_points([wg] * (d - 1)).prod(axis=1)
         Mf = self.face_eval.T @ (self.face_quad_w[:, None] * self.face_eval)
         self.face_proj = np.linalg.solve(Mf, self.face_eval.T * self.face_quad_w[None, :])
-        self.face_mass_ref = Mf
 
         # per-axis factor pairs (L, R) of the sum-factorized products, stored
         # as L[q, i] R[q, j] with (i, j) flattened; a face term's normal axis
@@ -273,11 +271,3 @@ class TensorBasis:
         out = out.reshape(n_el, *[n] * (2 * d)).transpose(perm)
         return out.reshape(n_el, self.n_p, self.n_p)
 
-
-def project_to_face(basis, values_q):
-    """L2-project point values at face quadrature points onto the face space.
-
-    values_q has shape (..., n_fq); returns nodal coefficients (..., n_face).
-    The affine face Jacobian is constant and cancels from the projection.
-    """
-    return values_q @ basis.face_proj.T

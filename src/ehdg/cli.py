@@ -23,8 +23,7 @@ from .driver import (
     SUCCESSIVE_DIFFERENCE,
     ConvergenceFailure,
     IterationConfig,
-    iterate_to_fixed_point,
-    run_transient,
+    solve,
 )
 from .mesh import MeshError
 from .oracle import OracleSizeError, verify_cell
@@ -239,57 +238,32 @@ def cmd_solve(cfg):
     if dt is not None and steps is None:
         raise UsageError("transient transport needs steps=")
     ops, state0 = build_case(case, _nel(cfg), cfg.p, dt)
-    iters_cfg = iteration_config(cfg)
-    if dt is None:
-        return _solve_steady(cfg, case, ops, iters_cfg)
-    return _solve_transient(cfg, case, ops, state0, iters_cfg, steps)
-
-
-def _write_field(cfg, case, ops, state):
+    state, _trace, logs = solve(ops, iteration_config(cfg), state0, steps)
+    # the error of each returned state, as the solve's norms took it
+    errors = [log.errors[-1] for log in logs]
+    counts = [log.iterations for log in logs]
+    if ops.dt is not None:
+        _write_steps_csv(_out(cfg, "steps.csv"), ops.dt, counts, errors)
+    with open(_out(cfg, "convergence.csv"), "w") as fh:
+        logs[-1].write_csv(fh)
     if case.kind == "shallow":
         fields = list(zip(("phi", "u", "v"), ops.split(state)))
     else:
         fields = [("u", state)]
     write_field_dump(_out(cfg, "field.txt"), cfg, ops.mesh, ops.basis, fields)
-
-
-def _solve_steady(cfg, case, ops, iters_cfg):
-    u, _trace, log = iterate_to_fixed_point(ops, iters_cfg)
-    with open(_out(cfg, "convergence.csv"), "w") as fh:
-        log.write_csv(fh)
-    _write_field(cfg, case, ops, u)
-    last_err = log.errors[-1]
-    err_txt = "" if math.isnan(last_err) else f", error {last_err:.3e}"
-    print(
-        f"{cfg.case}: nel={ops.mesh.nel} p={ops.basis.p} -> "
-        f"{log.iterations} iterations{err_txt}"
-    )
-    if not log.converged:
-        print("did not converge within the iteration cap", file=sys.stderr)
-        return 2
-    return 0
-
-
-def _solve_transient(cfg, case, ops, state, iters_cfg, steps):
-    state, counts, logs = run_transient(
-        ops, iters_cfg, state, steps, raise_on_fail=False
-    )
-    # the error of each returned state, as the solve's norms took it
-    errors = [log.errors[-1] for log in logs]
-    _write_steps_csv(_out(cfg, "steps.csv"), ops.dt, counts, errors)
-    with open(_out(cfg, "convergence.csv"), "w") as fh:
-        logs[-1].write_csv(fh)
-    _write_field(cfg, case, ops, state)
-    err_txt = ""
+    if ops.dt is None:
+        summary, err_label = f"{counts[0]} iterations", "error"
+        failure = "did not converge within the iteration cap"
+    else:
+        summary = (f"{len(counts)} steps, iterations/step "
+                   f"{min(counts)}..{max(counts)}")
+        err_label = "final error"
+        failure = f"step {len(logs)} did not converge within the iteration cap"
     if not math.isnan(errors[-1]):
-        err_txt = f", final error {errors[-1]:.3e}"
-    print(
-        f"{cfg.case}: nel={ops.mesh.nel} p={ops.basis.p} -> {len(counts)} "
-        f"steps, iterations/step {min(counts)}..{max(counts)}{err_txt}"
-    )
+        summary += f", {err_label} {errors[-1]:.3e}"
+    print(f"{cfg.case}: nel={ops.mesh.nel} p={ops.basis.p} -> {summary}")
     if not logs[-1].converged:
-        print(f"step {len(logs)} did not converge within the iteration cap",
-              file=sys.stderr)
+        print(failure, file=sys.stderr)
         return 2
     return 0
 
@@ -351,7 +325,11 @@ TABLE2_DTS = (1e-3, 1e-4)
 TABLE2_STEPS = 10
 
 
-def _steady_counts(identifier, nel_axis, p, workers):
+def _counts(identifier, nel_axis, p, workers, dt=None, steps=1):
+    """Passes per level of one table cell; the cap raises ConvergenceFailure.
+
+    Cases without an exact solution stop on the successive difference.
+    """
     case = catalog(identifier)
     stopping = (
         SUCCESSIVE_DIFFERENCE
@@ -359,13 +337,14 @@ def _steady_counts(identifier, nel_axis, p, workers):
         else ERROR_DIFFERENCE
     )
     config = IterationConfig(stopping=stopping, workers=workers)
-    ops, _state0 = build_case(case, nel_axis, p)
-    _u, _trace, log = iterate_to_fixed_point(ops, config)
-    if not log.converged:
+    ops, state0 = build_case(case, nel_axis, p, dt)
+    _state, _trace, logs = solve(ops, config, state0, steps)
+    if not logs[-1].converged:
         raise ConvergenceFailure(
-            f"{identifier} nel={nel_axis} p={p} hit the iteration cap"
+            f"{identifier} nel={nel_axis} p={p} dt={dt}: level {len(logs)} "
+            "hit the iteration cap"
         )
-    return log.iterations
+    return [log.iterations for log in logs]
 
 
 def cmd_tables(cfg):
@@ -395,24 +374,11 @@ def _run_table1(cfg):
         for identifier, nels in grid:
             for p in ps:
                 for n in nels:
-                    count = _steady_counts(identifier, n, p, cfg.workers)
+                    [count] = _counts(identifier, n, p, cfg.workers)
                     dim = catalog(identifier).dim
                     fh.write(f"{identifier},{n ** dim},{p},{count}\n")
                     print(f"{identifier} nel={n}^{dim} p={p}: {count}")
     return path
-
-
-def _transient_counts(identifier, nel_axis, p, dt, steps, workers):
-    ops, state0 = build_case(catalog(identifier), nel_axis, p, dt)
-    config = IterationConfig(workers=workers)
-    _state, counts, logs = run_transient(
-        ops, config, state0, steps, raise_on_fail=False
-    )
-    if not logs[-1].converged:
-        raise ConvergenceFailure(
-            f"{identifier} dt={dt} p={p} step {len(logs)} hit the cap"
-        )
-    return counts
 
 
 def _run_table2(cfg):
@@ -428,8 +394,8 @@ def _run_table2(cfg):
             for p in ps:
                 for n in nels:
                     for dt in TABLE2_DTS:
-                        counts = _transient_counts(
-                            identifier, n, p, dt, steps, cfg.workers
+                        counts = _counts(
+                            identifier, n, p, cfg.workers, dt, steps
                         )
                         # startup steps can differ; the settled per-step
                         # count is the one the table reports

@@ -24,6 +24,9 @@ ERROR_DIFFERENCE = "error-difference"
 SUCCESSIVE_DIFFERENCE = "successive-difference"
 TRACE_RESIDUAL = "trace-residual"
 STOPPING_MODES = (ERROR_DIFFERENCE, SUCCESSIVE_DIFFERENCE, TRACE_RESIDUAL)
+# the default cap is 10 * n_el passes, but never below this: a cold-start
+# steady solve needs 30-73 passes on meshes of 1-27 elements
+MIN_ITERATION_CAP = 200
 
 
 class ConvergenceFailure(Exception):
@@ -44,7 +47,9 @@ class IterationConfig:
             raise ValueError("tolerance must be positive")
 
     def iteration_cap(self, mesh):
-        return self.max_iters if self.max_iters is not None else 10 * mesh.n_el
+        if self.max_iters is not None:
+            return self.max_iters
+        return max(10 * mesh.n_el, MIN_ITERATION_CAP)
 
 
 @dataclass
@@ -218,44 +223,35 @@ def iterate_to_fixed_point(ops, config, u0=None, t=0.0, state_prev=None):
     return u, trace, log
 
 
-def ehdg_solve_steady(ops, config, u0=None):
-    """Steady solve; raises ConvergenceFailure if the cap is hit."""
-    u, trace, log = iterate_to_fixed_point(ops, config, u0=u0, t=0.0)
-    if not log.converged:
-        raise ConvergenceFailure(
-            f"no convergence in {log.iterations} iterations"
-        )
-    return u, trace, log
+def solve(ops, config, state0=None, steps=1):
+    """Run a case: one steady solve, or `steps` backward-Euler steps.
 
+    With ops.dt None this is one fixed-point solve at t=0 started from
+    state0 (zero when None), and steps is not read. Otherwise level m
+    (m = 0, 1, ...) is warm-started at the state of the level before it,
+    state0 for the first, and solved at t = m * dt + dt.
 
-def ehdg_step_transient(ops, config, state, t_old):
-    """One backward-Euler step from t_old, warm-started at the old state."""
-    t_new = t_old + ops.dt
-    u, trace, log = iterate_to_fixed_point(
-        ops, config, u0=state, t=t_new, state_prev=state
-    )
-    return u, trace, log
-
-
-def run_transient(ops, config, state0, n_steps, t0=0.0, raise_on_fail=True):
-    """March n_steps; returns (state, per-step iteration counts, logs).
-
-    A step that does not converge raises ConvergenceFailure, or with
-    raise_on_fail=False ends the march: the returned state, counts and logs
-    are those of the steps that ran, the failed one last.
+    Returns (state, trace, logs): the last level's state and trace and one
+    ConvergenceLog per level run. The march stops after the first level
+    that does not converge; nothing is raised at the pass cap, so the
+    caller decides by logs[-1].converged.
     """
-    state = state0
-    counts, logs = [], []
-    for m in range(n_steps):
-        t_old = t0 + m * ops.dt
-        state, _trace, log = ehdg_step_transient(ops, config, state, t_old)
-        counts.append(log.iterations)
+    # iterate_to_fixed_point is looked up as a module global at each call,
+    # so a wrapped driver.iterate_to_fixed_point sees every level
+    if ops.dt is None:
+        state, trace, log = iterate_to_fixed_point(ops, config, u0=state0)
+        return state, trace, [log]
+    if steps < 1:
+        raise ValueError(f"steps must be positive, got {steps}")
+    state, logs = state0, []
+    for m in range(steps):
+        state, trace, log = iterate_to_fixed_point(
+            ops, config, u0=state, t=m * ops.dt + ops.dt, state_prev=state
+        )
         logs.append(log)
         if not log.converged:
-            if raise_on_fail:
-                raise ConvergenceFailure(f"step {m + 1} did not converge")
             break
-    return state, counts, logs
+    return state, trace, logs
 
 
 @dataclass

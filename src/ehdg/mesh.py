@@ -78,13 +78,10 @@ class StructuredMesh:
         plane = self.plane_of[axis] + side
         return self.perp_of[axis] + self.n_perp[axis] * plane
 
-    def interior_planes(self, axis):
-        return np.arange(1, self.nel[axis])
-
     def interior_faces(self, axis):
         """(face_ids, minus_elements, plus_elements) for one axis."""
         n_perp = self.n_perp[axis]
-        planes = self.interior_planes(axis)
+        planes = np.arange(1, self.nel[axis])
         perp = np.arange(n_perp)
         fid = (perp[None, :] + n_perp * planes[:, None]).ravel()
         minus = self._element_at(axis, planes - 1, perp)

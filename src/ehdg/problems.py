@@ -18,7 +18,7 @@ import numpy as np
 
 from . import mesh as meshes
 from .basis import TensorBasis
-from .driver import IterationConfig, ehdg_solve_steady, run_transient
+from .driver import ConvergenceFailure, IterationConfig, solve
 from .shallow import ShallowOperators, ShallowProblem
 from .transport import TransportOperators, TransportProblem
 
@@ -243,13 +243,15 @@ def build_case(case, nel, p, dt=None):
 
 
 def _study_point(case, nel, p, config, dt, n_steps):
-    ops, state = build_case(case, nel, p, dt)
-    if ops.dt is None:
-        state, _trace, log = ehdg_solve_steady(ops, config)
-        counts, t = [log.iterations], 0.0
-    else:
-        n_steps = n_steps if n_steps is not None else case.n_steps_default
-        state, counts, _logs = run_transient(ops, config, state, n_steps)
-        t = n_steps * ops.dt
+    ops, state0 = build_case(case, nel, p, dt)
+    n_steps = n_steps if n_steps is not None else case.n_steps_default
+    state, _trace, logs = solve(ops, config, state0, n_steps)
+    if not logs[-1].converged:
+        raise ConvergenceFailure(
+            f"no convergence in {logs[-1].iterations} iterations"
+            if ops.dt is None
+            else f"step {len(logs)} did not converge"
+        )
+    t = 0.0 if ops.dt is None else n_steps * ops.dt
     err = ops.error_eval(t)(state)
-    return err, int(sum(counts)), ops.mesh.h_max
+    return err, sum(log.iterations for log in logs), ops.mesh.h_max

@@ -103,13 +103,6 @@ class TraceField:
             ]
         )
 
-    def copy(self):
-        return TraceField(data=[d.copy() for d in self.data])
-
-    def fill(self, value):
-        for d in self.data:
-            d.fill(value)
-
 
 class LocalOperators:
     """The contract the fixed-point driver runs on, and what every physics
@@ -277,7 +270,6 @@ class TransportOperators(LocalOperators):
 
         self.shared = bool(problem.constant_velocity) and not condense_outflow
         self.a_inv = assemble_inverses(self, 1 if self.shared else mesh.n_el)
-        self._load_cache = {}
         self._inflow_cache = {}
 
     # -- assembly -----------------------------------------------------------
@@ -331,15 +323,10 @@ class TransportOperators(LocalOperators):
     # -- per-iteration pieces ------------------------------------------------
 
     def load_vector(self, t=0.0):
-        """(f, v)_K load for every element, cached per time value."""
+        """(f, v)_K load for every element at time t."""
         if self.problem.forcing is None:
             return None
-        hit = self._load_cache.get(t)
-        if hit is not None:
-            return hit
-        load = self.sample(self.problem.forcing, t) @ self.load_vec.T
-        self._load_cache = {t: load}
-        return load
+        return self.sample(self.problem.forcing, t) @ self.load_vec.T
 
     def inflow_trace(self, trace, t=0.0):
         """Write the L2 projection of the inflow data onto inflow faces.

@@ -17,15 +17,13 @@ import numpy as np
 import pytest
 
 from ehdg.basis import TensorBasis, gauss_quadrature, gll_nodes
-from ehdg.cli import _steady_counts, _transient_counts
+from ehdg.cli import _counts
 from ehdg.driver import (
     SUCCESSIVE_DIFFERENCE,
     IterationConfig,
-    ehdg_solve_steady,
-    ehdg_step_transient,
     fit_exponential_rate,
     iterate_to_fixed_point,
-    run_transient,
+    solve,
     transport_error_eval,
     volume_l2,
 )
@@ -167,9 +165,9 @@ def standing_wave_march():
             basis = TensorBasis(2, p)
             ops = ShallowOperators(mesh, basis, case.problem, dt)
             state = ops.interpolate(case.problem.exact, 0.0)
-            state, counts, _ = run_transient(
-                ops, IterationConfig(), state, n_steps
-            )
+            state, _tr, logs = solve(ops, IterationConfig(), state, n_steps)
+            assert logs[-1].converged
+            counts = [log.iterations for log in logs]
             out[(nel, p)] = (counts, ops.error_eval(n_steps * dt)(state))
     return out
 
@@ -204,7 +202,7 @@ def steady_counts():
     for ident, per_p in REFERENCE_STEADY.items():
         for p, cells in per_p.items():
             for nel in cells:
-                out[(ident, p, nel)] = _steady_counts(ident, nel, p, 1)
+                out[(ident, p, nel)] = _counts(ident, nel, p, 1)[0]
     return out
 
 
@@ -250,7 +248,7 @@ def transient_counts():
     for (ident, dt), per_p in REFERENCE_TRANSIENT.items():
         for p, cells in per_p.items():
             for nel in cells:
-                counts = _transient_counts(ident, nel, p, dt, 6, 1)
+                counts = _counts(ident, nel, p, 1, dt, 6)
                 out[(ident, dt, p, nel)] = counts[-1]
     return out
 
@@ -289,14 +287,17 @@ def gaussian_march():
     basis = TensorBasis(3, 4)
     ops = TransportOperators(mesh, basis, case.problem, dt=dt)
     state = ops.interpolate_exact(0.0)
-    state, counts, _ = run_transient(ops, IterationConfig(), state, n_steps)
+    state, _tr, logs = solve(ops, IterationConfig(), state, n_steps)
+    assert logs[-1].converged
+    counts = [log.iterations for log in logs]
     err = transport_error_eval(ops, n_steps * dt)(state)
 
     steady = catalog("transport3d-steady")
     smesh = build_mesh(3, 8, steady.bounds)
     sbasis = TensorBasis(3, 1)
     sops = TransportOperators(smesh, sbasis, steady.problem)
-    u, _tr, _log = ehdg_solve_steady(sops, IterationConfig())
+    u, _tr, [log] = solve(sops, IterationConfig())
+    assert log.converged
     floor = transport_error_eval(sops, 0.0)(u)
     return counts, err, floor
 
@@ -358,7 +359,7 @@ def _transient_transport_pair(case, nel, p, dt):
     basis = TensorBasis(case.dim, p)
     ops = TransportOperators(mesh, basis, case.problem, dt=dt)
     state0 = ops.interpolate_exact(0.0)
-    u_it, _tr, _log = ehdg_step_transient(ops, TIGHT, state0, 0.0)
+    u_it, _tr, _logs = solve(ops, TIGHT, state0)
     u_dir, tr_dir, _sys = direct_solve_transport(
         mesh, basis, case.problem, dt=dt, state_prev=state0, t=dt
     )
@@ -373,7 +374,7 @@ def _shallow_pair(case, nel, p, dt):
     basis = TensorBasis(case.dim, p)
     ops = ShallowOperators(mesh, basis, case.problem, dt)
     state0 = ops.interpolate(case.problem.exact, 0.0)
-    s_it, _tr, _log = ehdg_step_transient(ops, TIGHT, state0, 0.0)
+    s_it, _tr, _logs = solve(ops, TIGHT, state0)
     s_dir, tr_dir, _sys = direct_solve_shallow(
         mesh, basis, case.problem, dt, state_prev=state0, t=dt
     )
@@ -422,14 +423,14 @@ def test_mass_conservation_per_step():
     mesh = build_mesh(2, 8, case.bounds)
     basis = TensorBasis(2, 2)
     ops = ShallowOperators(mesh, basis, case.problem, 1e-3)
-    state = ops.interpolate(case.problem.exact, 0.0)
-    phi0 = ops.split(state)[0]
+    state0 = ops.interpolate(case.problem.exact, 0.0)
+    phi0 = ops.split(state0)[0]
     vals = np.abs(phi0 @ basis.eval_vol.T)
     scale = float(mesh.jac * np.sum(basis.quad_w * vals))
     config = IterationConfig()
-    masses = [ops.total_mass(state)]
-    for m in range(10):
-        state, _tr, _log = ehdg_step_transient(ops, config, state, m * 1e-3)
+    masses = [ops.total_mass(state0)]
+    for m in range(1, 11):
+        state, _tr, _logs = solve(ops, config, state0, m)
         masses.append(ops.total_mass(state))
     drifts = np.abs(np.diff(masses))
     ok = bool(np.all(drifts <= 1e-11 * scale))
@@ -599,7 +600,7 @@ def _check_constant_state():
     sops = ShallowOperators(mesh, basis, case.problem, 1e-3)
     state = sops.zero_state()
     state[:, : basis.n_p] = 7.25
-    stepped, _tr, _log = ehdg_step_transient(sops, TIGHT, state, 0.0)
+    stepped, _tr, _logs = solve(sops, TIGHT, state)
     return np.abs(stepped - state).max() <= 1e-12
 
 

@@ -13,7 +13,6 @@ from ehdg.basis import (
     gauss_quadrature,
     gll_nodes,
     lagrange_eval,
-    project_to_face,
 )
 
 from conftest import cardinal_grads, cardinal_values
@@ -250,15 +249,3 @@ class TestFaceStructure:
         b = TensorBasis(d, p)
         assert np.allclose(b.face_proj @ b.face_eval, np.eye(b.n_face),
                            atol=1e-12)
-
-    def test_project_to_face_roundtrip(self, rng):
-        b = TensorBasis(2, 3)
-        g = rng.standard_normal((7, b.n_face))
-        back = project_to_face(b, g @ b.face_eval.T)
-        assert np.allclose(back, g, atol=1e-12)
-
-    def test_face_mass_spd(self):
-        b = TensorBasis(3, 3)
-        M = b.face_mass_ref
-        assert np.allclose(M, M.T, atol=1e-14)
-        assert float(np.linalg.eigvalsh(M).min()) > 0.0

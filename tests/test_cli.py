@@ -137,12 +137,8 @@ def test_solve_transient_writes_steps_csv(tmp_path):
 @pytest.mark.parametrize("case, nel", [("transport3d-gaussian", 2),
                                        ("shallow-standing-wave", 4)])
 def test_solve_transient_stops_at_failed_step(tmp_path, capsys, case, nel):
-    from ehdg.basis import TensorBasis
-    from ehdg.driver import IterationConfig, ehdg_step_transient
-    from ehdg.mesh import build_mesh
-    from ehdg.problems import catalog
-    from ehdg.shallow import ShallowOperators
-    from ehdg.transport import TransportOperators
+    from ehdg.driver import IterationConfig, solve
+    from ehdg.problems import build_case, catalog
 
     # one pass cannot satisfy error-difference stopping, so step 1 fails
     rc = main(["solve", f"case={case}", f"nel={nel}", "p=1", "dt=1e-3",
@@ -155,17 +151,8 @@ def test_solve_transient_stops_at_failed_step(tmp_path, capsys, case, nel):
     assert len(rows) == 2
     assert rows[1].split(",")[:3] == ["1", "0.001", "1"]
 
-    c = catalog(case)
-    mesh = build_mesh(c.dim, nel, c.bounds)
-    basis = TensorBasis(c.dim, 1)
-    if c.kind == "shallow":
-        ops = ShallowOperators(mesh, basis, c.problem, 1e-3)
-        state0 = ops.interpolate(c.problem.exact, 0.0)
-    else:
-        ops = TransportOperators(mesh, basis, c.problem, dt=1e-3)
-        state0 = ops.interpolate_exact(0.0)
-    _s, _t, log = ehdg_step_transient(ops, IterationConfig(max_iters=1),
-                                      state0, 0.0)
+    ops, state0 = build_case(catalog(case), nel, 1, 1e-3)
+    _s, _t, [log] = solve(ops, IterationConfig(max_iters=1), state0)
     expected = io.StringIO()
     log.write_csv(expected)
     conv = (tmp_path / (prefix + "convergence.csv")).read_text()
@@ -245,15 +232,18 @@ def test_study_writes_rate_table(tmp_path):
 
 
 def test_tables_smoke_table1(tmp_path):
-    rc = main(["tables", "table=1", "nels=4", "ps=1", f"outdir={tmp_path}"])
+    # at nel=2 the cold-start sweep needs more than 10 * n_el passes
+    rc = main(["tables", "table=1", "nels=2,4", "ps=1", f"outdir={tmp_path}"])
     assert rc == 0
     lines = (tmp_path / "table1-iterations.csv").read_text().splitlines()
     assert lines[0] == "case,nel,p,iterations"
-    assert len(lines) == 4            # three steady cases, one cell each
-    cells = {ln.split(",")[0]: ln.split(",") for ln in lines[1:]}
-    assert cells["transport2d-smooth"][1] == "16"
-    assert cells["transport3d-steady"][1] == "64"
-    assert all(int(row[3]) > 0 for row in cells.values())
+    assert len(lines) == 7            # three steady cases, two cells each
+    rows = [ln.split(",") for ln in lines[1:]]
+    cells = {(row[0], row[1]) for row in rows}
+    assert ("transport2d-discontinuous", "4") in cells
+    assert ("transport2d-smooth", "16") in cells
+    assert ("transport3d-steady", "64") in cells
+    assert all(int(row[3]) > 0 for row in rows)
 
 
 def test_tables_smoke_table2(tmp_path):
@@ -269,6 +259,19 @@ def test_tables_smoke_table2(tmp_path):
         row = ln.split(",")
         assert row[4] == "2"
         assert int(row[5]) >= 1
+
+
+@pytest.mark.parametrize("table", ["1", "2"])
+def test_tables_cap_exits_2(tmp_path, capsys, monkeypatch, table):
+    from ehdg.driver import IterationConfig
+
+    monkeypatch.setattr(IterationConfig, "iteration_cap", lambda self, m: 1)
+    rc = main(["tables", f"table={table}", "nels=2", "ps=1", "steps=2",
+               f"outdir={tmp_path}"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("non-convergence:")
+    assert "level 1 hit the iteration cap" in err
 
 
 # -- verify ---------------------------------------------------------------------

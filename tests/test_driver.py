@@ -14,17 +14,14 @@ from ehdg.driver import (
     TRACE_RESIDUAL,
     ConvergenceFailure,
     IterationConfig,
-    ehdg_solve_steady,
-    ehdg_step_transient,
     fit_exponential_rate,
     iterate_to_fixed_point,
-    run_transient,
+    solve,
     trace_diff_norm,
     volume_l2,
 )
 from ehdg.mesh import build_mesh
-from ehdg.problems import catalog
-from ehdg.shallow import ShallowOperators
+from ehdg.problems import build_case, catalog, convergence_study
 from ehdg.transport import TraceField, TransportOperators, TransportProblem
 
 from conftest import interp_scalar
@@ -134,9 +131,11 @@ class TestIterateContract:
         assert la.iterations == lb.iterations
 
     def test_cap_raises_on_steady_solve(self):
-        ops, _mesh, _basis = smooth_ops()
-        with pytest.raises(ConvergenceFailure):
-            ehdg_solve_steady(ops, IterationConfig(max_iters=3))
+        # solve leaves the cap to its caller; the study raises on it
+        with pytest.raises(ConvergenceFailure,
+                           match="no convergence in 3 iterations"):
+            convergence_study(catalog("transport2d-smooth"), [4], [2],
+                              config=IterationConfig(max_iters=3))
 
     def test_capped_iterate_returns_partial_log(self):
         ops, _mesh, _basis = smooth_ops()
@@ -155,54 +154,73 @@ class TestIterateContract:
         assert all(b < a for a, b in zip(e[:5], e[1:6]))
 
 
+def shallow_case(dt=1e-3):
+    return build_case(catalog("shallow-standing-wave"), 4, 1, dt)
+
+
 class TestTransient:
-    def test_run_transient_contract(self):
-        case = catalog("shallow-standing-wave")
-        mesh = build_mesh(2, 4, case.bounds)
-        ops = ShallowOperators(mesh, TensorBasis(2, 1), case.problem,
-                               dt=1e-3)
-        state = ops.interpolate(case.problem.exact, 0.0)
-        state, counts, logs = run_transient(ops, IterationConfig(), state, 4)
-        assert len(counts) == 4 and len(logs) == 4
-        assert all(c >= 1 for c in counts)
+    def test_solve_transient_contract(self):
+        ops, state = shallow_case()
+        state, _trace, logs = solve(ops, IterationConfig(), state, 4)
+        assert len(logs) == 4
+        assert all(log.iterations >= 1 for log in logs)
         assert all(log.converged for log in logs)
-        assert state.shape == (mesh.n_el, 3 * ops.n_p)
+        assert state.shape == (ops.mesh.n_el, 3 * ops.n_p)
+        with pytest.raises(ValueError, match="steps must be positive"):
+            solve(ops, IterationConfig(), state, 0)
 
-    def test_run_transient_raises_on_cap(self):
-        case = catalog("shallow-standing-wave")
-        mesh = build_mesh(2, 4, case.bounds)
-        ops = ShallowOperators(mesh, TensorBasis(2, 1), case.problem,
-                               dt=1e-3)
-        state = ops.interpolate(case.problem.exact, 0.0)
-        with pytest.raises(ConvergenceFailure):
-            run_transient(ops, IterationConfig(max_iters=1), state, 2)
+    def test_study_raises_on_cap(self):
+        with pytest.raises(ConvergenceFailure,
+                           match="step 1 did not converge"):
+            convergence_study(catalog("shallow-standing-wave"), [4], [1],
+                              config=IterationConfig(max_iters=1),
+                              dt=1e-3, n_steps=2)
 
-    def test_run_transient_stops_at_first_failure(self):
-        case = catalog("shallow-standing-wave")
-        mesh = build_mesh(2, 4, case.bounds)
-        ops = ShallowOperators(mesh, TensorBasis(2, 1), case.problem,
-                               dt=1e-3)
-        state = ops.interpolate(case.problem.exact, 0.0)
+    def test_solve_stops_at_first_failure(self):
+        ops, state = shallow_case()
         config = IterationConfig(max_iters=1)
-        s, counts, logs = run_transient(ops, config, state, 3,
-                                        raise_on_fail=False)
-        assert counts == [1]
-        assert len(logs) == 1 and not logs[0].converged
-        # the returned state is the failed step's
-        s1, _t, _log = ehdg_step_transient(ops, config, state, 0.0)
+        s, trace, logs = solve(ops, config, state, 3)
+        assert [log.iterations for log in logs] == [1]
+        assert not logs[0].converged
+        # the returned state and trace are the failed step's
+        s1, t1, _log = iterate_to_fixed_point(
+            ops, config, u0=state, t=ops.dt, state_prev=state)
         assert np.array_equal(s, s1)
+        assert all(np.array_equal(a, b) for a, b in zip(trace.data, t1.data))
 
     def test_step_warm_start_uses_previous_state(self):
         # with exact initial data and a tiny step the warm start leaves
         # almost nothing to correct, so the pass count stays at the floor
-        case = catalog("shallow-standing-wave")
-        mesh = build_mesh(2, 4, case.bounds)
-        ops = ShallowOperators(mesh, TensorBasis(2, 1), case.problem,
-                               dt=1e-6)
-        state = ops.interpolate(case.problem.exact, 0.0)
-        _s, _t, log = ehdg_step_transient(ops, IterationConfig(), state, 0.0)
+        ops, state = shallow_case(dt=1e-6)
+        _s, _t, [log] = solve(ops, IterationConfig(), state)
         assert log.converged
         assert log.iterations == 2
+
+    @pytest.mark.parametrize("identifier, nel, p, dt, steps", [
+        ("transport2d-smooth", 4, 2, None, 1),
+        ("transport3d-gaussian", 2, 2, 1e-2, 3),
+        ("shallow-standing-wave", 4, 1, 1e-3, 3),
+    ])
+    def test_solve_matches_level_by_level(self, identifier, nel, p, dt,
+                                          steps):
+        ops, state0 = build_case(catalog(identifier), nel, p, dt)
+        config = IterationConfig()
+        state, trace, logs = solve(ops, config, state0, steps)
+        times = [0.0] if dt is None else [m * dt + dt for m in range(steps)]
+        assert len(logs) == len(times)
+        ref = state0
+        for t, log in zip(times, logs):
+            prev = None if dt is None else ref
+            ref, ref_trace, ref_log = iterate_to_fixed_point(
+                ops, config, u0=ref, t=t, state_prev=prev)
+            assert log.converged and ref_log.converged
+            assert log.iterations == ref_log.iterations
+            for seq in ("errors", "successive", "skeleton"):
+                assert np.array_equal(getattr(log, seq),
+                                      getattr(ref_log, seq))
+        assert np.array_equal(state, ref)
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(trace.data, ref_trace.data))
 
 
 class TestNorms:

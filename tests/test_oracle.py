@@ -19,8 +19,7 @@ from ehdg.basis import TensorBasis
 from ehdg.driver import (
     IterationConfig,
     SUCCESSIVE_DIFFERENCE,
-    ehdg_solve_steady,
-    ehdg_step_transient,
+    solve,
     volume_l2,
 )
 from ehdg.mesh import build_mesh
@@ -85,7 +84,8 @@ class TestSteadyEquivalence:
         mesh, basis = ops_c.mesh, ops_c.basis
         u_dir, trace_dir, _system = direct_solve(ops_c)
         ops = TransportOperators(mesh, basis, case.problem)
-        u_it, trace_it, log = ehdg_solve_steady(ops, TIGHT)
+        u_it, trace_it, [log] = solve(ops, TIGHT)
+        assert log.converged
         assert rel_l2(mesh, basis, u_it - u_dir, u_dir) < 1e-10
         assert flux_jump_residual(ops_c, u_dir, trace_dir) < 1e-11
         assert flux_jump_residual(ops_c, u_it, trace_it) < 1e-9
@@ -112,7 +112,7 @@ class TestTransientEquivalence:
         ops = TransportOperators(mesh, basis, case.problem, dt=dt)
         state0 = ops.interpolate_exact(0.0)
         u_dir, trace_dir, _system = direct_solve(ops_c, state0, dt)
-        u_it, trace_it, log = ehdg_step_transient(ops, TIGHT, state0, 0.0)
+        u_it, trace_it, [log] = solve(ops, TIGHT, state0)
         assert log.converged
         assert rel_l2(mesh, basis, u_it - u_dir, u_dir) < 1e-10
         assert flux_jump_residual(ops_c, u_dir, trace_dir) < 1e-11
@@ -124,7 +124,7 @@ class TestTransientEquivalence:
         ops = ShallowOperators(ops_c.mesh, ops_c.basis, case.problem, dt=dt)
         state0 = ops.interpolate(case.problem.exact, 0.0)
         s_dir, trace_dir, _system = direct_solve(ops_c, state0, dt)
-        s_it, trace_it, log = ehdg_step_transient(ops, TIGHT, state0, 0.0)
+        s_it, trace_it, [log] = solve(ops, TIGHT, state0)
         assert log.converged
         num = ops.diff_norm(s_it, s_dir)
         den = ops.diff_norm(s_dir, ops.zero_state())
@@ -258,10 +258,8 @@ class TestSizeGuard:
                                  state_prev=state0, t=1e-3)
 
 
-# disc2d at nel=2 hits the default cap of 10 * n_el = 40 passes (relative
-# gap 2.2e-9 there), so its tiny cell is nel=3
 @pytest.mark.parametrize("name, nel", [("steady3d", 2), ("gaussian3d", 2),
-                                       ("wave2d", 2), ("disc2d", 3)])
+                                       ("wave2d", 2), ("disc2d", 2)])
 def test_benchmark_gate_passes_on_tiny_cells(name, nel):
     # perfbench/gate.py reaches the oracle through direct_solve_transport,
     # direct_solve_shallow and shallow_flux_jump_residual; run it on each
