@@ -223,6 +223,20 @@ def _write_steps_csv(path, dt, counts, errors):
             fh.write(f"{m},{FMT % (m * dt)},{c},{cell}\n")
 
 
+def _time_levels(cfg, case):
+    """(dt, steps) of a run: the given values, else the case's defaults.
+
+    A steady transport run has dt None, and its steps are not read.
+    """
+    dt = cfg.dt if cfg.dt is not None else case.dt_default
+    steps = cfg.steps if cfg.steps is not None else case.n_steps_default
+    if case.kind == "shallow" and (dt is None or steps is None):
+        raise UsageError("shallow cases need dt= and steps=")
+    if dt is not None and steps is None:
+        raise UsageError("transient transport needs steps=")
+    return dt, steps
+
+
 def cmd_solve(cfg):
     case = catalog(cfg.case)
     if cfg.stopping == ERROR_DIFFERENCE and case.problem.exact is None:
@@ -231,12 +245,7 @@ def cmd_solve(cfg):
             f"case {cfg.case} has no exact solution, so stopping="
             f"{ERROR_DIFFERENCE} cannot be used (valid: {', '.join(valid)})"
         )
-    dt = cfg.dt if cfg.dt is not None else case.dt_default
-    steps = cfg.steps if cfg.steps is not None else case.n_steps_default
-    if case.kind == "shallow" and (dt is None or steps is None):
-        raise UsageError("shallow cases need dt= and steps=")
-    if dt is not None and steps is None:
-        raise UsageError("transient transport needs steps=")
+    dt, steps = _time_levels(cfg, case)
     ops, state0 = build_case(case, _nel(cfg), cfg.p, dt)
     state, _trace, logs = solve(ops, iteration_config(cfg), state0, steps)
     # the error of each returned state, as the solve's norms took it
@@ -286,9 +295,9 @@ def cmd_study(cfg):
     defaults = _STUDY_DEFAULTS.get(cfg.case, ((4, 8, 16), (1, 2)))
     nels = cfg.nels if cfg.nels is not None else defaults[0]
     ps = cfg.ps if cfg.ps is not None else defaults[1]
+    dt, steps = _time_levels(cfg, case)
     rows = convergence_study(
-        case, nels, ps, config=iteration_config(cfg),
-        dt=cfg.dt, n_steps=cfg.steps,
+        case, nels, ps, config=iteration_config(cfg), dt=dt, n_steps=steps,
     )
     os.makedirs(cfg.outdir, exist_ok=True)
     path = os.path.join(cfg.outdir, f"{cfg.case}-study.csv")

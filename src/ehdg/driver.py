@@ -45,6 +45,8 @@ class IterationConfig:
             raise ValueError(f"unknown stopping mode {self.stopping!r}")
         if self.tol <= 0:
             raise ValueError("tolerance must be positive")
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
 
     def iteration_cap(self, mesh):
         if self.max_iters is not None:

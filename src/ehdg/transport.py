@@ -129,6 +129,9 @@ class LocalOperators:
         self.load_vec = mesh.jac * (basis.eval_vol.T * basis.quad_w)
         # (face_ids, minus_elements, plus_elements) per axis
         self._int_faces = [mesh.interior_faces(a) for a in range(mesh.dim)]
+        # element worker pool of solve_cells and its worker count
+        self._pool = None
+        self._pool_workers = None
 
     def zero_state(self):
         return np.zeros((self.mesh.n_el, self.state_width))
@@ -149,7 +152,9 @@ class LocalOperators:
         """Batched application of the factorized local operators.
 
         Elements go in ASSEMBLY_CHUNK blocks, each written to its own rows
-        of out, so the result is the same for any worker count.
+        of out, so the result is the same for any worker count. With
+        workers > 1 and more than one block, the blocks run on the pool of
+        _executor; its threads run the numpy kernels only.
         """
         if out is None:
             out = np.empty_like(rhs)
@@ -168,14 +173,25 @@ class LocalOperators:
             )
 
         if workers > 1 and len(chunks) > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=workers) as ex:
-                list(ex.map(run, chunks))
+            list(self._executor(workers).map(run, chunks))
         else:
             for c in chunks:
                 run(c)
         return out
+
+    def _executor(self, workers):
+        """One thread pool for every pass and time level of this operator
+        set, built on first use; a new worker count replaces it and shuts
+        the old one down. Its threads exit when the operators are freed."""
+        if self._pool_workers != workers:
+            # imported here, so a run without a pool does not load it
+            from concurrent import futures
+
+            if self._pool is not None:
+                self._pool.shutdown()
+            self._pool = futures.ThreadPoolExecutor(max_workers=workers)
+            self._pool_workers = workers
+        return self._pool
 
     def new_trace(self):
         return TraceField.zeros(self.mesh, self.basis)

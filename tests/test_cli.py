@@ -228,6 +228,18 @@ def test_study_writes_rate_table(tmp_path):
     assert float(rows[1][4]) < float(rows[0][4])
 
 
+def test_study_transient_without_steps_is_usage_error(tmp_path, capsys):
+    # transport2d-smooth has no default step count, so a dt alone cannot
+    # say how far to march; solve and study refuse it the same way
+    for command in ("solve", "study"):
+        rc = main([command, "case=transport2d-smooth", "nel=4", "nels=4",
+                   "ps=1", "dt=0.01", f"outdir={tmp_path}"])
+        assert rc == 1
+        assert ("usage error: transient transport needs steps="
+                in capsys.readouterr().err)
+    assert not list(tmp_path.iterdir())
+
+
 # -- tables ---------------------------------------------------------------------
 
 

@@ -82,6 +82,12 @@ class TestStoppingRules:
         with pytest.raises(ValueError):
             iterate_to_fixed_point(ops, IterationConfig())
 
+    @pytest.mark.parametrize(
+        "bad", [{"tol": 0.0}, {"workers": 0}, {"workers": -2}])
+    def test_config_rejects_non_positive_values(self, bad):
+        with pytest.raises(ValueError):
+            IterationConfig(**bad)
+
     def test_all_modes_reach_the_same_fixed_point(self):
         results, errors = [], []
         for mode in STOPPING_MODES:

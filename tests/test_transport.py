@@ -8,7 +8,10 @@ sum-factorized element_matrix is also compared with the dense
 dense_element_matrix.
 """
 
+import gc
 import math
+import threading
+from concurrent import futures
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from ehdg.driver import IterationConfig, SUCCESSIVE_DIFFERENCE, volume_l2
 from ehdg.driver import solve
 from ehdg.mesh import build_mesh
 from ehdg.transport import (
+    ASSEMBLY_CHUNK,
     AssemblyError,
     TraceField,
     TransportOperators,
@@ -47,6 +51,60 @@ def constant_problem(bvec, dim=2, inflow=None, shared=False, exact=None):
 
     return TransportProblem(dim=dim, velocity=beta, inflow=inflow,
                             exact=exact, constant_velocity=shared)
+
+
+def rotating_ops_17x16(dt=None):
+    """Per-element p=1 transport operators in more than one
+    ASSEMBLY_CHUNK, so the threaded path of solve_cells splits."""
+    mesh = build_mesh(2, (17, 16), [(0, 1), (0, 1)])
+    inflow = lambda pts, t=0.0: np.sin(3.0 * pts[:, 0]) + pts[:, 1]
+    ops = TransportOperators(mesh, TensorBasis(2, 1),
+                             rotating_problem(inflow=inflow), dt=dt)
+    assert ops.a_inv.shape[0] == mesh.n_el > ASSEMBLY_CHUNK
+    return ops
+
+
+def shallow_ops_17x16(dt=1e-3):
+    """A varying Coriolis parameter gives per-element shallow water
+    operators, again more than one ASSEMBLY_CHUNK of them. At dt=1e-3 a
+    step from random data takes about 10 passes."""
+    from ehdg.shallow import ShallowOperators, ShallowProblem
+
+    mesh = build_mesh(2, (17, 16), [(0, 1), (0, 1)])
+    problem = ShallowProblem(phi_mean=1.0, coriolis_f0=1.0,
+                             coriolis_beta=0.5, y_mid=0.5)
+    ops = ShallowOperators(mesh, TensorBasis(2, 1), problem, dt=dt)
+    assert ops.a_inv.shape[0] == mesh.n_el > ASSEMBLY_CHUNK
+    return ops
+
+
+def assert_worker_counts_agree(ops, rhs):
+    """solve_cells on one operator set, the pool built, replaced and
+    rebuilt, gives the serial result bit for bit."""
+    serial = ops.solve_cells(rhs.copy(), workers=1)
+    for workers in (2, 4, 2):
+        assert np.array_equal(ops.solve_cells(rhs.copy(), workers=workers),
+                              serial)
+
+
+def assert_solves_agree(ops, state0, steps=3):
+    """A whole solve with workers=1 and workers=2: state, trace and every
+    level's log bit for bit."""
+    runs = [
+        solve(ops, IterationConfig(stopping=SUCCESSIVE_DIFFERENCE,
+                                   workers=workers), state0, steps)
+        for workers in (1, 2)
+    ]
+    (s1, t1, logs1), (s2, t2, logs2) = runs
+    assert np.array_equal(s1, s2)
+    assert all(np.array_equal(a, b) for a, b in zip(t1.data, t2.data))
+    assert len(logs1) == len(logs2) == steps
+    for a, b in zip(logs1, logs2):
+        assert (a.iterations, a.converged) == (b.iterations, b.converged)
+        assert a.converged and a.iterations > 1
+        for seq in ("errors", "successive", "skeleton"):
+            assert np.array_equal(getattr(a, seq), getattr(b, seq),
+                                  equal_nan=True)
 
 
 def brute_element_matrix(ops, el):
@@ -443,34 +501,54 @@ class TestSolves:
                                atol=1e-11)
 
     def test_workers_do_not_change_results(self, rng):
-        # more than one chunk so the threaded path actually splits
-        mesh = build_mesh(2, (17, 16), [(0, 1), (0, 1)])
-        basis = TensorBasis(2, 1)
-        ops = TransportOperators(
-            mesh, basis,
-            rotating_problem(inflow=lambda pts, t=0.0: np.zeros(len(pts))))
-        rhs = rng.standard_normal((mesh.n_el, basis.n_p))
-        assert np.array_equal(
-            ops.solve_cells(rhs.copy(), workers=1),
-            ops.solve_cells(rhs.copy(), workers=4),
-        )
+        ops = rotating_ops_17x16(dt=0.05)
+        rhs = rng.standard_normal((ops.mesh.n_el, ops.state_width))
+        assert_worker_counts_agree(ops, rhs)
+        assert_solves_agree(ops, rng.standard_normal(rhs.shape))
 
     def test_shallow_workers_do_not_change_results(self, rng):
-        # a varying Coriolis parameter gives per-element operators, and
-        # more than one chunk of them, so the threaded path splits
-        from ehdg.shallow import ShallowOperators, ShallowProblem
-        from ehdg.transport import ASSEMBLY_CHUNK
+        ops = shallow_ops_17x16()
+        rhs = rng.standard_normal((ops.mesh.n_el, ops.state_width))
+        assert_worker_counts_agree(ops, rhs)
+        assert_solves_agree(ops, rng.standard_normal(rhs.shape))
 
-        mesh = build_mesh(2, (17, 16), [(0, 1), (0, 1)])
-        problem = ShallowProblem(phi_mean=1.0, coriolis_f0=1.0,
-                                 coriolis_beta=0.5, y_mid=0.5)
-        ops = ShallowOperators(mesh, TensorBasis(2, 1), problem, dt=1e-2)
-        assert ops.a_inv.shape[0] == mesh.n_el > ASSEMBLY_CHUNK
-        rhs = rng.standard_normal((mesh.n_el, 3 * ops.n_p))
-        assert np.array_equal(
-            ops.solve_cells(rhs.copy(), workers=1),
-            ops.solve_cells(rhs.copy(), workers=4),
-        )
+    def test_one_executor_serves_every_pass(self, monkeypatch, rng):
+        built = []
+
+        class CountingExecutor(futures.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        # solve_cells looks the class up in concurrent.futures when it
+        # builds a pool
+        monkeypatch.setattr(futures, "ThreadPoolExecutor", CountingExecutor)
+        ops = shallow_ops_17x16()
+        state0 = rng.standard_normal((ops.mesh.n_el, ops.state_width))
+        config = IterationConfig(stopping=SUCCESSIVE_DIFFERENCE, workers=2)
+        _state, _trace, logs = solve(ops, config, state0, 3)
+        assert len(logs) == 3 and all(log.converged for log in logs)
+        assert sum(log.iterations for log in logs) > 3
+        assert len(built) == 1
+        # a new worker count replaces the pool; the same count reuses it
+        ops.solve_cells(state0, workers=4)
+        ops.solve_cells(state0, workers=4)
+        assert len(built) == 2
+
+    def test_pool_threads_end_with_the_operators(self, rng):
+        gc.collect()  # pools of earlier tests held in reference cycles
+        known = set(threading.enumerate())
+        ops = shallow_ops_17x16()
+        state0 = rng.standard_normal((ops.mesh.n_el, ops.state_width))
+        solve(ops, IterationConfig(stopping=SUCCESSIVE_DIFFERENCE,
+                                   workers=2), state0, 2)
+        started = [t for t in threading.enumerate() if t not in known]
+        del ops
+        gc.collect()
+        assert started
+        for t in started:
+            t.join(timeout=10)
+        assert set(threading.enumerate()) <= known
 
     def test_shared_operator_matches_per_element_assembly(self):
         g = lambda pts, t=0.0: pts[:, 1] + 0.5 * pts[:, 0]
