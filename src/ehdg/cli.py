@@ -226,7 +226,7 @@ def _write_steps_csv(path, dt, counts, errors):
 def _time_levels(cfg, case):
     """(dt, steps) of a run: the given values, else the case's defaults.
 
-    A steady transport run has dt None, and its steps are not read.
+    A steady transport run has dt None and refuses a given steps=.
     """
     dt = cfg.dt if cfg.dt is not None else case.dt_default
     steps = cfg.steps if cfg.steps is not None else case.n_steps_default
@@ -234,6 +234,9 @@ def _time_levels(cfg, case):
         raise UsageError("shallow cases need dt= and steps=")
     if dt is not None and steps is None:
         raise UsageError("transient transport needs steps=")
+    if dt is None and cfg.steps is not None:
+        raise UsageError(f"case {case.identifier} is steady without dt=, "
+                         "so steps= would be ignored")
     return dt, steps
 
 

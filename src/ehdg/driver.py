@@ -43,8 +43,11 @@ class IterationConfig:
     def __post_init__(self):
         if self.stopping not in STOPPING_MODES:
             raise ValueError(f"unknown stopping mode {self.stopping!r}")
-        if self.tol <= 0:
-            raise ValueError("tolerance must be positive")
+        if not (self.tol > 0 and math.isfinite(self.tol)):
+            raise ValueError(f"tolerance must be positive and finite, "
+                             f"got {self.tol}")
+        if self.max_iters is not None and self.max_iters < 1:
+            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
 
@@ -105,11 +108,11 @@ def transport_skeleton_norm(ops, u):
     element boundaries (interior faces contribute from both sides).
 
     Face values are read from the face nodes alone (the other GLL basis
-    functions vanish on the face) and weighted by ops.skeleton_w.
+    functions vanish on the face) and weighted by ops.lift_w.
     """
     basis = ops.basis
     total = 0.0
-    for (a, s), w in ops.skeleton_w.items():
+    for (a, s), w in ops.lift_w.items():
         vals = u[:, basis.face_node_ids[(a, s)]] @ basis.face_eval.T
         total += np.sum(w * vals * vals)
     return float(np.sqrt(total))

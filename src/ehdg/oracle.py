@@ -9,8 +9,11 @@ interior face the conservation condition
 function, where u(uhat) denotes the element-local solves driven by the
 trace. The matrix is built by probing unit trace vectors through the local
 solves, one column batch per face, and solved densely. Boundary faces are
-eliminated: inflow data enters the right-hand side, outflow and wall traces
-are folded into the local operators (the condensed operators).
+eliminated: inflow data enters the right-hand side, and the outflow and
+wall trace rules are folded into the local matrices (condensed_matrices:
+ops.element_matrix plus a face correction). The operators are those the
+fixed-point driver runs on; the oracle keeps their outflow and wall trace
+entries zero whenever it calls ops.rhs, so those faces lift nothing.
 
 One prober and one direct solve serve both physics; what differs sits in
 the _PHYSICS table. Its rules are written out here, not taken from the
@@ -29,7 +32,7 @@ from .driver import iterate_to_fixed_point, volume_l2
 from .mesh import build_mesh
 from .problems import build_case
 from .shallow import ShallowOperators
-from .transport import TransportOperators
+from .transport import TransportOperators, assemble_inverses
 
 MAX_DENSE_UNKNOWNS = 20000
 
@@ -80,6 +83,7 @@ class GlobalTraceSystem:
     index: _TraceIndex
     matrix: np.ndarray
     rhs: np.ndarray
+    a_inv: np.ndarray  # the condensed local inverses it was probed with
 
 
 # -- per-physics rules ----------------------------------------------------------
@@ -87,8 +91,10 @@ class GlobalTraceSystem:
 # Namespaces of plain functions of the operators. jump: the flux jump on one
 # axis's interior faces; lift: a unit trace on face f lifted from one side;
 # row: the weighted jump rows on face g that a local change dU drives; own:
-# face f's own weight (None where no flux crosses); closure: the traces set
-# after a solve. The rest serves direct_solve and verify_cell.
+# face f's own weight (None where no flux crosses); correction: what the
+# outflow (wall) trace rule adds to ops.element_matrix once it is condensed
+# into the local equations; closure: the traces set after a solve. The rest
+# serves direct_solve and verify_cell.
 
 
 class _Transport:
@@ -111,6 +117,20 @@ class _Transport:
         factor = (bn + ab) if s == 1 else (ab - bn)
         dq = ops.basis.face_restrict[(b, s)] @ dU
         return (ops.basis.face_quad_w * factor)[:, None] * dq
+
+    def correction(ops, els):
+        # the outflow trace is the interior solution itself, so the upwind
+        # term |beta.n| (u - uhat) drops out there: minus the |beta.n|-
+        # weighted face mass of each element's outflow faces
+        basis = ops.basis
+        C = np.zeros((len(els), basis.n_p, basis.n_p))
+        for a, _fid, bels, side in ops.outflow_blocks:
+            sel = np.isin(els, bels)
+            f = ops.fidx[(a, side)][els[sel]]
+            w = ops.mesh.face_jac[a] * basis.face_quad_w * ops.abs_bn[a][f]
+            R = basis.face_restrict[(a, side)]
+            C[sel] -= np.matmul(R.T, w[:, :, None] * R)
+        return C
 
     def own(ops, a, f):
         if not np.any(ops.abs_bn[a][f]):
@@ -135,8 +155,6 @@ class _Transport:
                 trace.data[a][fid[dead]] = 0.5 * (lo + hi)
 
     boundary_data = TransportOperators.inflow_trace
-
-    condense = {"condense_outflow": True}
 
     def norm(ops, u):
         return volume_l2(ops.mesh, ops.basis, u)
@@ -178,6 +196,27 @@ class _Shallow:
         djump = ops.phi_mean * vsig * dvel + ops.root_phi * dphi
         return ops.basis.face_quad_w[:, None] * djump
 
+    def correction(ops, els):
+        # the wall rule phihat = phi + sqrt(PHI) theta.n cancels the
+        # continuity flux and turns the momentum flux <PHI phihat n_a, w>
+        # into interior terms
+        basis, n_p = ops.basis, ops.n_p
+        PHI, rp = ops.phi_mean, ops.root_phi
+        C = np.zeros((len(els), 3 * n_p, 3 * n_p))
+        phi = slice(0, n_p)
+        for a in range(2):
+            vel = slice((a + 1) * n_p, (a + 2) * n_p)
+            for s in (0, 1):
+                _fid, bels, nsig = ops.mesh.boundary_faces(a, s)
+                wall = np.isin(els, bels)
+                R = basis.face_restrict[(a, s)]
+                E = ops.mesh.face_jac[a] * (R.T @ (basis.face_quad_w[:, None] * R))
+                C[wall, phi, phi] -= rp * E
+                C[wall, phi, vel] -= nsig * PHI * E
+                C[wall, vel, phi] += nsig * PHI * E
+                C[wall, vel, vel] += PHI * rp * E
+        return C
+
     def own(ops, a, f):
         w, F = ops.basis.face_quad_w, ops.basis.face_eval
         return -2.0 * ops.root_phi * ops.mesh.face_jac[a] * (F.T @ (w[:, None] * F))
@@ -196,8 +235,6 @@ class _Shallow:
 
     def boundary_data(ops, trace, t):
         pass
-
-    condense = {"condense_walls": True}
 
     def norm(ops, state):
         return ops.diff_norm(state, 0.0)
@@ -250,22 +287,37 @@ def flux_jump_residual(ops, state, trace, per_face=False):
     return float(np.sqrt(total))
 
 
-def assemble_trace_system(ops, state_prev=None, t=0.0):
-    """Probe the trace system of condensed operators into a dense matrix.
+def condensed_matrices(ops, elements):
+    """The local matrices of the direct solve on the given elements:
+    ops.element_matrix with the outflow (transport) or wall (shallow water)
+    trace rule substituted into the local equations."""
+    els = np.asarray(elements)
+    return ops.element_matrix(els) + _PHYSICS[type(ops)].correction(ops, els)
 
-    ops are built with condense_outflow=True (transport) or
-    condense_walls=True (shallow water); state_prev and t are those of
-    ops.source. The right-hand side is minus the jump moments of a zero
-    interior trace.
+
+def condensed_solve(ops, a_inv, trace, source):
+    """Element solutions of the condensed local problems driven by trace,
+    whose outflow (wall) entries are zero; a_inv holds the inverses of
+    condensed_matrices for every element, source is ops.source's."""
+    return np.matmul(a_inv, ops.rhs(trace, source)[:, :, None])[:, :, 0]
+
+
+def assemble_trace_system(ops, state_prev=None, t=0.0):
+    """Probe the condensed trace system of ops into a dense matrix.
+
+    state_prev and t are those of ops.source. The right-hand side is minus
+    the jump moments of a zero interior trace.
     """
     rules = _PHYSICS[type(ops)]
     mesh, basis = ops.mesh, ops.basis
     index = check_dense_size(mesh, basis)
     F = basis.face_eval
+    a_inv = assemble_inverses(lambda els: condensed_matrices(ops, els),
+                              mesh.n_el, ops.state_width)
 
     trace0 = ops.new_trace()
     rules.boundary_data(ops, trace0, t)
-    state0 = ops.solve_cells(ops.rhs(trace0, ops.source(t, state_prev)))
+    state0 = condensed_solve(ops, a_inv, trace0, ops.source(t, state_prev))
     r0 = jump_moments(ops, state0, trace0)
 
     N = index.n_unknowns
@@ -280,7 +332,7 @@ def assemble_trace_system(ops, state_prev=None, t=0.0):
                 T[cols, cols] = np.eye(basis.n_face)
                 continue
             for el, side in ((minus_arr[i], 1), (plus_arr[i], 0)):
-                dU = ops.a_inv[el] @ rules.lift(ops, a, f, side)
+                dU = a_inv[el] @ rules.lift(ops, a, f, side)
                 for b in range(mesh.dim):
                     for s in (0, 1):
                         g = ops.fidx[(b, s)][el]
@@ -290,18 +342,19 @@ def assemble_trace_system(ops, state_prev=None, t=0.0):
                         wq = rules.row(ops, b, g, s, dU)
                         T[index.rows(b, g), cols] += mesh.face_jac[b] * (F.T @ wq)
             T[cols, cols] += own
-    return GlobalTraceSystem(index=index, matrix=T, rhs=-r0)
+    return GlobalTraceSystem(index=index, matrix=T, rhs=-r0, a_inv=a_inv)
 
 
 def direct_solve(ops, state_prev=None, t=0.0):
-    """Returns (state, trace, system) from the dense skeleton solve of
-    condensed operators (see assemble_trace_system)."""
+    """Returns (state, trace, system) from the dense skeleton solve of the
+    condensed trace system of ops (see assemble_trace_system)."""
     rules = _PHYSICS[type(ops)]
     system = assemble_trace_system(ops, state_prev, t)
     trace = ops.new_trace()
     rules.boundary_data(ops, trace, t)
     system.index.scatter(np.linalg.solve(system.matrix, system.rhs), trace)
-    state = ops.solve_cells(ops.rhs(trace, ops.source(t, state_prev)))
+    state = condensed_solve(ops, system.a_inv, trace,
+                            ops.source(t, state_prev))
     rules.closure(ops, state, trace)
     return state, trace, system
 
@@ -310,8 +363,9 @@ def verify_cell(case, nel, p, dt, config):
     """The checks of `ehdg verify` on one cell, as (name, ok, detail).
 
     The fixed-point solve under config (steady, or one step from the case's
-    initial state) is compared with direct_solve. The dense-solve size is
-    checked on the mesh and basis before any operator is assembled.
+    initial state) is compared with direct_solve on the same operators. The
+    dense-solve size is checked on the mesh and basis before any operator
+    is assembled.
     """
     check_dense_size(build_mesh(case.dim, nel, case.bounds),
                      TensorBasis(case.dim, p))
@@ -321,9 +375,7 @@ def verify_cell(case, nel, p, dt, config):
     s_it, tr_it, log = iterate_to_fixed_point(
         ops, config, u0=state0, t=t, state_prev=state0
     )
-    condensed = type(ops)(ops.mesh, ops.basis, ops.problem, ops.dt,
-                          **rules.condense)
-    s_dir, tr_dir, _sys = direct_solve(condensed, state0, t)
+    s_dir, tr_dir, _sys = direct_solve(ops, state0, t)
     rel = rules.norm(ops, s_it - s_dir) / max(rules.norm(ops, s_dir), 1e-300)
     j_it = flux_jump_residual(ops, s_it, tr_it)
     j_dir = flux_jump_residual(ops, s_dir, tr_dir)
@@ -339,19 +391,19 @@ def verify_cell(case, nel, p, dt, config):
 # -- kept because perfbench/gate.py and tests/test_acceptance.py call them ----
 #
 # They go once the gate calls verify_cell. Each checks the dense-solve size
-# before it assembles the condensed operators.
+# before it assembles the operators.
 
 
 def direct_solve_transport(mesh, basis, problem, dt=None, state_prev=None,
                            t=0.0):
     check_dense_size(mesh, basis)
-    ops = TransportOperators(mesh, basis, problem, dt=dt, condense_outflow=True)
+    ops = TransportOperators(mesh, basis, problem, dt=dt)
     return direct_solve(ops, state_prev, t)
 
 
 def direct_solve_shallow(mesh, basis, problem, dt, state_prev, t=0.0):
     check_dense_size(mesh, basis)
-    ops = ShallowOperators(mesh, basis, problem, dt, condense_walls=True)
+    ops = ShallowOperators(mesh, basis, problem, dt)
     return direct_solve(ops, state_prev, t)
 
 

@@ -92,12 +92,10 @@ def contraction_constants(h, dt, p, phi_mean, friction=0.0):
 class ShallowOperators(LocalOperators):
     """Assembled 3 n_p x 3 n_p local solvers plus trace machinery.
 
-    With condense_walls=True the wall trace rule is substituted into the
-    local equations (the direct-solve variant); otherwise wall faces read
-    the lagged trace like any other face.
+    Wall faces read the lagged trace like any other face.
     """
 
-    def __init__(self, mesh, basis, problem, dt, condense_walls=False):
+    def __init__(self, mesh, basis, problem, dt):
         if mesh.dim != 2 or problem.dim != 2:
             raise AssemblyError("shallow water operators are 2D")
         if dt is None or dt <= 0:
@@ -105,7 +103,6 @@ class ShallowOperators(LocalOperators):
         n_p = basis.n_p
         super().__init__(mesh, basis, problem, float(dt), 3 * n_p)
         self.n_p = n_p
-        self.condense_walls = condense_walls
         self.phi_mean = float(problem.phi_mean)
         self.root_phi = float(np.sqrt(self.phi_mean))
 
@@ -128,18 +125,9 @@ class ShallowOperators(LocalOperators):
         self.fidx = {
             (a, s): mesh.face_index(a, s) for a in range(2) for s in (0, 1)
         }
-        # 1.0 where the element face participates in trace lifting
-        self.lift_mask = {}
-        for a in range(2):
-            for s in (0, 1):
-                mask = np.ones(mesh.n_el)
-                if condense_walls:
-                    _fid, els, _sign = mesh.boundary_faces(a, s)
-                    mask[els] = 0.0
-                self.lift_mask[(a, s)] = mask
-
-        self.shared = problem.coriolis_beta == 0.0 and not condense_walls
-        self.a_inv = assemble_inverses(self, 1 if self.shared else mesh.n_el)
+        self.shared = problem.coriolis_beta == 0.0
+        n = 1 if self.shared else mesh.n_el
+        self.a_inv = assemble_inverses(self.element_matrix, n, 3 * n_p)
 
     # -- assembly -----------------------------------------------------------
 
@@ -161,13 +149,6 @@ class ShallowOperators(LocalOperators):
         gam = self.problem.friction
         M, Sx, Sy = self.mass_phys, self.S[0], self.S[1]
 
-        wall = {}
-        for a in range(2):
-            for s in (0, 1):
-                _fid, bels, _sign = self.mesh.boundary_faces(a, s)
-                onb = np.isin(els, bels).astype(float)
-                wall[(a, s)] = onb  # 1.0 where this local face is a wall
-
         A = np.zeros((len(els), 3 * n_p, 3 * n_p))
         sl = [slice(0, n_p), slice(n_p, 2 * n_p), slice(2 * n_p, 3 * n_p)]
 
@@ -178,15 +159,9 @@ class ShallowOperators(LocalOperators):
             for s in (0, 1):
                 E = self.Eface[(a, s)]
                 nsig = -1.0 if s == 0 else 1.0
-                if self.condense_walls:
-                    # continuity flux vanishes on condensed wall faces
-                    keep = 1.0 - wall[(a, s)]
-                else:
-                    keep = np.ones(len(els))
-                contrib00 = rp * E
-                A[:, sl[0], sl[0]] += keep[:, None, None] * contrib00[None]
+                A[:, sl[0], sl[0]] += rp * E
                 tgt = sl[1] if a == 0 else sl[2]
-                A[:, sl[0], tgt] += (keep * nsig)[:, None, None] * (PHI * E)[None]
+                A[:, sl[0], tgt] += nsig * (PHI * E)
         A[:, sl[0], sl[0]] += a00[None]
         A[:, sl[0], sl[1]] += a01[None]
         A[:, sl[0], sl[2]] += a02[None]
@@ -199,19 +174,6 @@ class ShallowOperators(LocalOperators):
         A[:, sl[2], sl[0]] += (-PHI * Sy)[None]
         A[:, sl[2], sl[1]] += PHI * Mc
         A[:, sl[2], sl[2]] += diag_m[None]
-
-        if self.condense_walls:
-            # wall rule phihat = phi + sqrt(PHI) theta.n folded into the
-            # momentum boundary terms <PHI phihat n_i, .>
-            for a in range(2):
-                for s in (0, 1):
-                    E = self.Eface[(a, s)]
-                    nsig = -1.0 if s == 0 else 1.0
-                    w = wall[(a, s)]
-                    row = sl[1] if a == 0 else sl[2]
-                    vel = sl[1] if a == 0 else sl[2]
-                    A[:, row, sl[0]] += (w * nsig)[:, None, None] * (PHI * E)[None]
-                    A[:, row, vel] += w[:, None, None] * (PHI * rp * E)[None]
         return A
 
     # -- state helpers --------------------------------------------------------
@@ -268,10 +230,7 @@ class ShallowOperators(LocalOperators):
             mom = r1 if a == 0 else r2
             for s in (0, 1):
                 ph_q = trace.data[a][self.fidx[(a, s)]] @ basis.face_eval.T
-                w = (
-                    self.lift_mask[(a, s)][:, None]
-                    * (mesh.face_jac[a] * basis.face_quad_w)[None]
-                )
+                w = mesh.face_jac[a] * basis.face_quad_w
                 lifted = (w * ph_q) @ basis.face_restrict[(a, s)]
                 nsig = -1.0 if s == 0 else 1.0
                 r0 += rp * lifted

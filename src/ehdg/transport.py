@@ -41,18 +41,19 @@ class AssemblyError(Exception):
     pass
 
 
-def assemble_inverses(ops, n_el):
-    """Explicit inverses of ops.element_matrix for elements 0 .. n_el - 1.
+def assemble_inverses(matrices, n_el, width):
+    """Explicit inverses of the width x width local matrices
+    matrices(elements) for elements 0 .. n_el - 1.
 
     The matrices are built and inverted one ASSEMBLY_CHUNK of elements at a
     time, so only a chunk of dense local matrices is held at once. The
     inverses are kept rather than LU factors because a batched inverse
     matvec is much cheaper per pass than a batched triangular solve.
     """
-    a_inv = np.empty((n_el, ops.state_width, ops.state_width))
+    a_inv = np.empty((n_el, width, width))
     for start in range(0, n_el, ASSEMBLY_CHUNK):
         els = np.arange(start, min(start + ASSEMBLY_CHUNK, n_el))
-        A = ops.element_matrix(els)
+        A = matrices(els)
         try:
             inv = np.linalg.inv(A)
         except np.linalg.LinAlgError as err:
@@ -211,9 +212,8 @@ class TransportOperators(LocalOperators):
     operator is shared by all elements.
     """
 
-    def __init__(self, mesh, basis, problem, dt=None, condense_outflow=False):
+    def __init__(self, mesh, basis, problem, dt=None):
         super().__init__(mesh, basis, problem, dt, basis.n_p)
-        self.condense_outflow = condense_outflow
         d = mesh.dim
         if problem.dim != d:
             raise AssemblyError("problem/mesh dimension mismatch")
@@ -231,7 +231,8 @@ class TransportOperators(LocalOperators):
             self.abs_bn.append(np.abs(self.bn[a]))
             self.sgn.append(np.sign(self.bn[a]))
 
-        # element -> face index maps and element-side upwind weights
+        # element -> face index maps and the element-side |beta.n| face
+        # weights of the trace lift and the skeleton norm
         self.fidx = {}
         self.lift_w = {}
         for a in range(d):
@@ -274,18 +275,9 @@ class TransportOperators(LocalOperators):
         if problem.inflow is None and self.inflow_blocks:
             raise AssemblyError("problem has inflow faces but no inflow data")
 
-        # |beta.n| face weights of the skeleton norm: the lift weights,
-        # unless outflow condensation zeroes some of those
-        self.skeleton_w = self.lift_w
-        if condense_outflow:
-            self.skeleton_w = {k: w.copy() for k, w in self.lift_w.items()}
-            # the outflow trace is the interior solution itself; its
-            # stabilization lives in the matrix, not in the lift
-            for a, fid, els, side in self.outflow_blocks:
-                self.lift_w[(a, side)][els] = 0.0
-
-        self.shared = bool(problem.constant_velocity) and not condense_outflow
-        self.a_inv = assemble_inverses(self, 1 if self.shared else mesh.n_el)
+        self.shared = bool(problem.constant_velocity)
+        n = 1 if self.shared else mesh.n_el
+        self.a_inv = assemble_inverses(self.element_matrix, n, basis.n_p)
         self._inflow_cache = {}
 
     # -- assembly -----------------------------------------------------------
@@ -315,10 +307,6 @@ class TransportOperators(LocalOperators):
                 if s == 0:
                     bn_el = -bn_el
                 w = bn_el + np.abs(bn_el)
-                if self.condense_outflow:
-                    # on outflow boundary faces the trace equals the interior
-                    # solution, so the stabilization folds into beta.n u
-                    self._strip_outflow_weight(a, s, els, bn_el, w)
                 keys = ["val"] * d
                 keys[a] = ("lo", "hi")[s]
                 terms.append((keys, mesh.face_jac[a] * basis.face_quad_w * w))
@@ -326,15 +314,6 @@ class TransportOperators(LocalOperators):
         if self.dt is not None:
             A += self.mass_phys[None] / self.dt
         return A
-
-    def _strip_outflow_weight(self, a, s, els, bn_el, w):
-        dom_side = s  # element low face sits on the domain low plane etc.
-        for ax, fid, bels, side in self.outflow_blocks:
-            if ax != a or side != dom_side:
-                continue
-            sel = np.isin(els, bels)
-            if np.any(sel):
-                w[sel] = bn_el[sel]
 
     # -- per-iteration pieces ------------------------------------------------
 
@@ -417,11 +396,6 @@ class TransportOperators(LocalOperators):
         # the transport norms live in ehdg.driver, where perfbench/tracer.py
         # wraps transport_skeleton_norm and its siblings by name
         return driver.TransportNorms(self, t, u)
-
-    def error_eval(self, t):
-        """L2 error against the exact solution at t, as a callable of the
-        state; None when the problem has no exact solution."""
-        return driver.transport_error_eval(self, t)
 
     def interpolate_exact(self, t=0.0):
         """Nodal interpolant of the exact solution."""

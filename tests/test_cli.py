@@ -240,6 +240,17 @@ def test_study_transient_without_steps_is_usage_error(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+def test_steps_without_a_time_step_is_usage_error(tmp_path, capsys):
+    # a steady case would ignore steps= and write no -steps.csv
+    for command in ("solve", "study"):
+        rc = main([command, "case=transport2d-smooth", "nel=4", "p=1",
+                   "nels=4", "ps=1", "steps=3", f"outdir={tmp_path}"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "usage error:" in err and "steps=" in err
+    assert not list(tmp_path.iterdir())
+
+
 # -- tables ---------------------------------------------------------------------
 
 

@@ -83,7 +83,9 @@ class TestStoppingRules:
             iterate_to_fixed_point(ops, IterationConfig())
 
     @pytest.mark.parametrize(
-        "bad", [{"tol": 0.0}, {"workers": 0}, {"workers": -2}])
+        "bad", [{"tol": 0.0}, {"tol": float("nan")}, {"tol": float("inf")},
+                {"max_iters": 0}, {"max_iters": -3},
+                {"workers": 0}, {"workers": -2}])
     def test_config_rejects_non_positive_values(self, bad):
         with pytest.raises(ValueError):
             IterationConfig(**bad)

@@ -3,7 +3,8 @@
 The direct path eliminates the element unknowns onto the interior trace,
 solves one dense system, and recovers element fields. Its solutions are
 single-valued by construction, which the jump residuals verify, and the
-iterative solver must land on the same fields.
+iterative solver must land on the same fields. Both run on one operator
+set; the direct path condenses the boundary trace rules itself.
 """
 
 import dataclasses
@@ -28,11 +29,13 @@ from ehdg.oracle import (
     OracleSizeError,
     assemble_trace_system,
     check_dense_size,
+    condensed_solve,
     direct_solve,
     direct_solve_shallow,
     direct_solve_transport,
     flux_jump_residual,
     jump_moments,
+    verify_cell,
 )
 from ehdg.problems import catalog
 from ehdg.shallow import ShallowOperators
@@ -48,15 +51,13 @@ def rel_l2(mesh, basis, diff, ref):
     return volume_l2(mesh, basis, diff) / volume_l2(mesh, basis, ref)
 
 
-def condensed(case, nel, p, dt=None):
-    """The condensed operators the direct solve runs on."""
+def operators(case, nel, p, dt=None):
+    """The operators both the direct solve and the iteration run on."""
     mesh = build_mesh(case.dim, nel, case.bounds)
     basis = TensorBasis(case.dim, p)
     if case.kind == "shallow":
-        return ShallowOperators(mesh, basis, case.problem, dt,
-                                condense_walls=True)
-    return TransportOperators(mesh, basis, case.problem, dt=dt,
-                              condense_outflow=True)
+        return ShallowOperators(mesh, basis, case.problem, dt)
+    return TransportOperators(mesh, basis, case.problem, dt=dt)
 
 
 def _dead_face_problem():
@@ -79,16 +80,14 @@ class TestSteadyEquivalence:
         ],
     )
     def test_direct_matches_iterative(self, identifier, nel, p):
-        case = catalog(identifier)
-        ops_c = condensed(case, nel, p)
-        mesh, basis = ops_c.mesh, ops_c.basis
-        u_dir, trace_dir, _system = direct_solve(ops_c)
-        ops = TransportOperators(mesh, basis, case.problem)
+        ops = operators(catalog(identifier), nel, p)
+        mesh, basis = ops.mesh, ops.basis
+        u_dir, trace_dir, _system = direct_solve(ops)
         u_it, trace_it, [log] = solve(ops, TIGHT)
         assert log.converged
         assert rel_l2(mesh, basis, u_it - u_dir, u_dir) < 1e-10
-        assert flux_jump_residual(ops_c, u_dir, trace_dir) < 1e-11
-        assert flux_jump_residual(ops_c, u_it, trace_it) < 1e-9
+        assert flux_jump_residual(ops, u_dir, trace_dir) < 1e-11
+        assert flux_jump_residual(ops, u_it, trace_it) < 1e-9
 
     def test_transverse_dead_faces_stay_well_posed(self):
         # the axis-1 trace unknowns must be pinned rather than left
@@ -96,8 +95,7 @@ class TestSteadyEquivalence:
         # exactly
         mesh = build_mesh(2, 3, [(0, 1), (0, 1)])
         basis = TensorBasis(2, 2)
-        ops = TransportOperators(mesh, basis, _dead_face_problem(),
-                                 condense_outflow=True)
+        ops = TransportOperators(mesh, basis, _dead_face_problem())
         u, _trace, _system = direct_solve(ops)
         expect = interp_scalar(mesh, basis, lambda q: q[:, 1] ** 2)
         assert np.allclose(u, expect, atol=1e-11)
@@ -107,40 +105,40 @@ class TestTransientEquivalence:
     def test_transport_step(self):
         case = catalog("transport3d-gaussian")
         dt = case.dt_default
-        ops_c = condensed(case, 4, 1, dt)
-        mesh, basis = ops_c.mesh, ops_c.basis
-        ops = TransportOperators(mesh, basis, case.problem, dt=dt)
+        ops = operators(case, 4, 1, dt)
+        mesh, basis = ops.mesh, ops.basis
         state0 = ops.interpolate_exact(0.0)
-        u_dir, trace_dir, _system = direct_solve(ops_c, state0, dt)
+        u_dir, trace_dir, _system = direct_solve(ops, state0, dt)
         u_it, trace_it, [log] = solve(ops, TIGHT, state0)
         assert log.converged
         assert rel_l2(mesh, basis, u_it - u_dir, u_dir) < 1e-10
-        assert flux_jump_residual(ops_c, u_dir, trace_dir) < 1e-11
+        assert flux_jump_residual(ops, u_dir, trace_dir) < 1e-11
 
     def test_shallow_step(self):
         case = catalog("shallow-standing-wave")
         dt = 1e-3
-        ops_c = condensed(case, 4, 1, dt)
-        ops = ShallowOperators(ops_c.mesh, ops_c.basis, case.problem, dt=dt)
+        ops = operators(case, 4, 1, dt)
         state0 = ops.interpolate(case.problem.exact, 0.0)
-        s_dir, trace_dir, _system = direct_solve(ops_c, state0, dt)
+        s_dir, trace_dir, _system = direct_solve(ops, state0, dt)
         s_it, trace_it, [log] = solve(ops, TIGHT, state0)
         assert log.converged
         num = ops.diff_norm(s_it, s_dir)
         den = ops.diff_norm(s_dir, ops.zero_state())
         assert num / den < 1e-10
-        assert flux_jump_residual(ops_c, s_dir, trace_dir) < 1e-11
+        assert flux_jump_residual(ops, s_dir, trace_dir) < 1e-11
         assert flux_jump_residual(ops, s_it, trace_it) < 1e-9
 
 
-def _residual(ops, index, vec, state_prev, t):
-    """Jump moments of the local solves driven by the interior trace vec,
-    through ops.rhs: the map whose Jacobian the prober writes down."""
+def _residual(ops, system, vec, state_prev, t):
+    """Jump moments of the condensed local solves driven by the interior
+    trace vec, through ops.rhs: the map whose Jacobian the prober writes
+    down."""
     trace = ops.new_trace()
     if isinstance(ops, TransportOperators):
         ops.inflow_trace(trace, t)
-    index.scatter(vec, trace)
-    state = ops.solve_cells(ops.rhs(trace, ops.source(t, state_prev)))
+    system.index.scatter(vec, trace)
+    state = condensed_solve(ops, system.a_inv, trace,
+                            ops.source(t, state_prev))
     return jump_moments(ops, state, trace)
 
 
@@ -154,23 +152,22 @@ class TestProbedSystem:
         state_prev, t = None, 0.0
         if cell == "dead-faces":
             mesh, basis = build_mesh(2, 3, [(0, 1), (0, 1)]), TensorBasis(2, 2)
-            ops = TransportOperators(mesh, basis, _dead_face_problem(),
-                                     condense_outflow=True)
+            ops = TransportOperators(mesh, basis, _dead_face_problem())
         elif cell == "steady2d":
-            ops = condensed(catalog("transport2d-smooth"), 3, 2)
+            ops = operators(catalog("transport2d-smooth"), 3, 2)
         elif cell == "transient3d":
             case = catalog("transport3d-gaussian")
-            ops = condensed(case, 2, 2, dt=1e-2)
+            ops = operators(case, 2, 2, dt=1e-2)
             state_prev, t = ops.interpolate_exact(0.0), 1e-2
         else:
             case = catalog("shallow-standing-wave")
-            ops = condensed(case, 3, 2, dt=1e-3)
+            ops = operators(case, 3, 2, dt=1e-3)
             state_prev, t = ops.interpolate(case.problem.exact, 0.0), 1e-3
         system = assemble_trace_system(ops, state_prev, t)
         index, n = system.index, system.index.n_unknowns
         assert system.matrix.shape == (n, n)
 
-        r0 = _residual(ops, index, np.zeros(n), state_prev, t)
+        r0 = _residual(ops, system, np.zeros(n), state_prev, t)
         assert np.abs(system.rhs + r0).max() <= 1e-12 * np.abs(r0).max()
         dead = np.zeros(n, dtype=bool)
         if isinstance(ops, TransportOperators):
@@ -182,7 +179,7 @@ class TestProbedSystem:
         for j in range(n):
             e = np.zeros(n)
             e[j] = 1.0
-            col = _residual(ops, index, e, state_prev, t) - r0
+            col = _residual(ops, system, e, state_prev, t) - r0
             if dead[j]:
                 # no flux crosses the face: the column is pinned to e_j
                 assert np.array_equal(system.matrix[:, j], e)
@@ -215,7 +212,7 @@ class TestJumpResidual:
             assert flux_jump_residual(ops, u, trace) < 1e-12
 
     def test_per_face_layout(self):
-        ops = condensed(catalog("transport2d-smooth"), 4, 1)
+        ops = operators(catalog("transport2d-smooth"), 4, 1)
         u_dir, trace_dir, _system = direct_solve(ops)
         per = flux_jump_residual(ops, u_dir, trace_dir, per_face=True)
         assert per.shape == (2 * 4 * 3,)
@@ -232,7 +229,7 @@ def _no_operators(monkeypatch):
 
 class TestSizeGuard:
     def test_unknown_count(self):
-        ops = condensed(catalog("transport2d-smooth"), 4, 2)
+        ops = operators(catalog("transport2d-smooth"), 4, 2)
         system = assemble_trace_system(ops)
         assert system.index.n_unknowns == 2 * 4 * 3 * 3
         assert check_dense_size(ops.mesh, ops.basis).n_unknowns == 2 * 4 * 3 * 3
@@ -256,6 +253,25 @@ class TestSizeGuard:
         with pytest.raises(OracleSizeError):
             direct_solve_shallow(mesh, basis, case.problem, dt=1e-3,
                                  state_prev=state0, t=1e-3)
+
+
+@pytest.mark.parametrize("identifier, dt", [("transport3d-gaussian", 1e-2),
+                                            ("shallow-standing-wave", 1e-3)])
+def test_verify_cell_assembles_one_operator_set(identifier, dt, monkeypatch):
+    # the direct solve condenses the boundary trace rules on the operators
+    # the iteration runs on, so a verify cell builds them once
+    built = []
+    init = LocalOperators.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(type(self))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(LocalOperators, "__init__", counting)
+    config = IterationConfig(stopping=SUCCESSIVE_DIFFERENCE, tol=1e-12)
+    checks = verify_cell(catalog(identifier), 2, 2, dt, config)
+    assert len(built) == 1
+    assert all(ok for _name, ok, _detail in checks), checks
 
 
 @pytest.mark.parametrize("name, nel", [("steady3d", 2), ("gaussian3d", 2),

@@ -111,8 +111,7 @@ def reference_shallow_rhs(ops, trace, t, state_prev):
         mom = r1 if a == 0 else r2
         for s in (0, 1):
             ph_q = trace.data[a][ops.fidx[(a, s)]] @ basis.face_eval.T
-            w = (ops.lift_mask[(a, s)][:, None]
-                 * (mesh.face_jac[a] * basis.face_quad_w)[None])
+            w = mesh.face_jac[a] * basis.face_quad_w
             lifted = (w * ph_q) @ basis.face_restrict[(a, s)]
             nsig = -1.0 if s == 0 else 1.0
             r0 += rp * lifted
@@ -161,18 +160,6 @@ def test_fused_norms_match_direct_norms(dim, p, transient):
         assert abs(log.successive[k]
                    - volume_l2(mesh, basis, u - u_prev)) <= tol
         assert abs(log.skeleton[k] - reference_skeleton_norm(ops, u)) <= tol
-
-
-def test_condensed_skeleton_weights_keep_outflow_faces():
-    case = catalog("transport2d-smooth")
-    mesh = build_mesh(2, 4, case.bounds)
-    ops = TransportOperators(mesh, TensorBasis(2, 2), case.problem,
-                             condense_outflow=True)
-    assert ops.outflow_blocks
-    assert ops.skeleton_w is not ops.lift_w
-    for a, fid, els, side in ops.outflow_blocks:
-        assert not np.any(ops.lift_w[(a, side)][els])
-        assert np.all(ops.skeleton_w[(a, side)][els] > 0)
 
 
 # -- face-node trace rebuild -------------------------------------------------------

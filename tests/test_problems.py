@@ -5,8 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from ehdg.driver import IterationConfig
-from ehdg.problems import case_identifiers, catalog, convergence_study
+from ehdg.driver import IterationConfig, solve
+from ehdg.problems import (
+    build_case,
+    case_identifiers,
+    catalog,
+    convergence_study,
+)
 
 FD_H = 1e-6
 
@@ -155,6 +160,16 @@ class TestConvergenceStudy:
         assert len(rows) == 1
         assert rows[0].iterations >= 3
         assert np.isfinite(rows[0].error) and rows[0].error > 0
+
+    def test_transient_error_is_the_solve_log_error(self):
+        # the study reports the error the solve's last pass logged, at the
+        # time the last level was solved at, as `ehdg solve` does
+        case = catalog("transport3d-gaussian")
+        [row] = convergence_study(case, [4], [2], dt=0.01, n_steps=7)
+        ops, state0 = build_case(case, 4, 2, 0.01)
+        _state, _trace, logs = solve(ops, IterationConfig(), state0, 7)
+        assert row.error == logs[-1].errors[-1]
+        assert row.iterations == sum(log.iterations for log in logs)
 
     def test_requires_exact_solution(self):
         case = catalog("transport2d-discontinuous")

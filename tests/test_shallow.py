@@ -14,6 +14,7 @@ import pytest
 from ehdg.basis import TensorBasis, gauss_quadrature, lagrange_eval
 from ehdg.driver import IterationConfig, solve
 from ehdg.mesh import build_mesh
+from ehdg.oracle import condensed_matrices
 from ehdg.problems import catalog
 from ehdg.shallow import (
     AssemblyError,
@@ -40,7 +41,10 @@ def synthetic_problem():
     )
 
 
-def brute_shallow_matrix(ops, el):
+def brute_shallow_matrix(ops, el, condensed=False):
+    """Loop-based assembly of one local matrix on an independent rule;
+    with condensed=True, of the direct solve's matrix, whose wall faces
+    take the one-sided trace rule."""
     mesh, basis, prob = ops.mesh, ops.basis, ops.problem
     PHI, rp, dt, gam = (prob.phi_mean, math.sqrt(prob.phi_mean), ops.dt,
                         prob.friction)
@@ -85,7 +89,7 @@ def brute_shallow_matrix(ops, el):
             fphi = cardinal_values(basis, ref)
             E = fjac * (fphi.T * w1) @ fphi
             nsig = -1.0 if s == 0 else 1.0
-            if ops.condense_walls and wall[(a, s)]:
+            if condensed and wall[(a, s)]:
                 # reflective trace substituted into the momentum flux;
                 # the continuity flux cancels exactly on the wall
                 A[bv[a], b0] += nsig * PHI * E
@@ -101,10 +105,14 @@ class TestElementMatrix:
     def test_matches_brute_quadrature(self, condense):
         mesh = build_mesh(2, 2, [(0, 1), (0, 1)])
         ops = ShallowOperators(mesh, TensorBasis(2, 2), synthetic_problem(),
-                               dt=0.37, condense_walls=condense)
-        A = ops.element_matrix(np.arange(mesh.n_el))
+                               dt=0.37)
+        els = np.arange(mesh.n_el)
+        if condense:
+            A = condensed_matrices(ops, els)
+        else:
+            A = ops.element_matrix(els)
         for el in range(mesh.n_el):
-            assert np.allclose(A[el], brute_shallow_matrix(ops, el),
+            assert np.allclose(A[el], brute_shallow_matrix(ops, el, condense),
                                atol=1e-12)
 
     def test_interior_element_without_coriolis_gradient(self):

@@ -22,6 +22,7 @@ from ehdg.basis import TensorBasis, gauss_quadrature, lagrange_eval
 from ehdg.driver import IterationConfig, SUCCESSIVE_DIFFERENCE, volume_l2
 from ehdg.driver import solve
 from ehdg.mesh import build_mesh
+from ehdg.oracle import condensed_matrices
 from ehdg.transport import (
     ASSEMBLY_CHUNK,
     AssemblyError,
@@ -141,8 +142,10 @@ def brute_element_matrix(ops, el):
     return A
 
 
-def dense_element_matrix(ops, elements):
-    """Reference assembly from the full tensor matrices on the same rule."""
+def dense_element_matrix(ops, elements, condensed=False):
+    """Reference assembly from the full tensor matrices on the same rule;
+    with condensed=True, of the direct solve's matrices, whose outflow
+    faces keep beta.n and drop |beta.n|."""
     mesh, basis, prob = ops.mesh, ops.basis, ops.problem
     d = mesh.dim
     els = np.asarray(elements)
@@ -167,7 +170,7 @@ def dense_element_matrix(ops, elements):
             if s == 0:
                 bn_el = -bn_el
             w = bn_el + np.abs(bn_el)
-            if ops.condense_outflow:
+            if condensed:
                 for ax, _fid, bels, side in ops.outflow_blocks:
                     if ax == a and side == s:
                         sel = np.isin(els, bels)
@@ -194,11 +197,14 @@ def varying_problem(dim):
                             inflow=lambda pts, t=0.0: np.zeros(len(pts)))
 
 
-def assert_matches_dense(ops, elements):
+def assert_matches_dense(ops, elements, condensed=False):
     # float64 round-off of sums over at most (p + 2)^d products, fixed in
     # advance; the observed gap is below 1e-15 relative
-    A = ops.element_matrix(elements)
-    ref = dense_element_matrix(ops, elements)
+    if condensed:
+        A = condensed_matrices(ops, elements)
+    else:
+        A = ops.element_matrix(elements)
+    ref = dense_element_matrix(ops, elements, condensed)
     assert A.shape == ref.shape
     assert np.abs(A - ref).max() <= 1e-13 * np.abs(ref).max()
 
@@ -303,11 +309,11 @@ class TestSumFactorization:
         mesh = build_mesh(dim, 2 if dim == 3 else 3, [(0, 1)] * dim)
         ops = TransportOperators(
             mesh, TensorBasis(dim, p), varying_problem(dim),
-            dt=0.37 if variant == "transient" else None,
-            condense_outflow=variant == "condensed")
+            dt=0.37 if variant == "transient" else None)
         if variant == "condensed":
             assert ops.outflow_blocks
-        assert_matches_dense(ops, np.arange(mesh.n_el))
+        assert_matches_dense(ops, np.arange(mesh.n_el),
+                             condensed=variant == "condensed")
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_shared_operator_matches_dense(self, dim):
@@ -567,22 +573,6 @@ class TestSolves:
 
 
 class TestCondensedOutflow:
-    def test_rhs_ignores_outflow_trace_data(self, rng):
-        from ehdg.problems import catalog
-
-        case = catalog("transport2d-smooth")
-        mesh = build_mesh(2, 4, case.bounds)
-        basis = TensorBasis(2, 2)
-        ops = TransportOperators(mesh, basis, case.problem,
-                                 condense_outflow=True)
-        t1 = ops.new_trace()
-        for a in range(2):
-            t1.data[a][:] = rng.standard_normal(t1.data[a].shape)
-        t2 = TraceField([d.copy() for d in t1.data])
-        for a, fid, _els, _side in ops.outflow_blocks:
-            t2.data[a][fid] += 100.0
-        assert np.allclose(ops.rhs(t1, ops.source()), ops.rhs(t2, ops.source()), atol=1e-13)
-
     def test_interior_elements_unchanged(self):
         from ehdg.problems import catalog
 
@@ -590,14 +580,12 @@ class TestCondensedOutflow:
         mesh = build_mesh(2, 4, case.bounds)
         basis = TensorBasis(2, 1)
         plain = TransportOperators(mesh, basis, case.problem)
-        cond = TransportOperators(mesh, basis, case.problem,
-                                  condense_outflow=True)
         interior = [e for e in range(mesh.n_el)
                     if np.all((mesh.el_coords[e] > 0)
                               & (mesh.el_coords[e] < 3))]
         assert interior
         Ap = plain.element_matrix(interior)
-        Ac = cond.element_matrix(interior)
+        Ac = condensed_matrices(plain, interior)
         assert np.allclose(Ap, Ac, atol=1e-14)
 
 
