@@ -32,6 +32,7 @@ from .problems import (
     case_identifiers,
     catalog,
     convergence_study,
+    run_cell,
 )
 from .shallow import (
     ContractionReport,
@@ -83,6 +84,7 @@ __all__ = [
     "gauss_quadrature",
     "gll_nodes",
     "iterate_to_fixed_point",
+    "run_cell",
     "solve",
     "transport_error_eval",
     "verify_cell",

@@ -1,7 +1,8 @@
 """Command-line front end: solve / study / tables / verify.
 
 Configuration is plain key=value text, either in a file (one pair per line,
-'#' comments) or as trailing command-line tokens; the tokens win. Outputs
+'#' comments) or as trailing command-line tokens; the tokens win. Each
+command accepts only the keys it reads (_COMMANDS). Outputs
 are CSV files plus plain-text field dumps, deterministic for a fixed worker
 count.
 
@@ -27,7 +28,13 @@ from .driver import (
 )
 from .mesh import MeshError
 from .oracle import OracleSizeError, verify_cell
-from .problems import build_case, catalog, case_identifiers, convergence_study
+from .problems import (
+    build_case,
+    case_identifiers,
+    catalog,
+    convergence_study,
+    run_cell,
+)
 # perfbench/child.py hooks the operator constructors through these names
 from .shallow import ShallowOperators  # noqa: F401
 from .transport import TransportOperators  # noqa: F401
@@ -170,6 +177,8 @@ def parse_config(command, config_path=None, overrides=()):
     pairs.update(parse_kv_lines(overrides, "argument"))
     cfg = RunConfig(command=command, workers=default_workers())
     for key, raw in pairs.items():
+        if key not in _COMMANDS[command][1].split():
+            raise UsageError(f"{command} does not read {key}=")
         setattr(cfg, key, _KEYS[key](key, raw))
     return cfg
 
@@ -230,8 +239,6 @@ def _time_levels(cfg, case):
     """
     dt = cfg.dt if cfg.dt is not None else case.dt_default
     steps = cfg.steps if cfg.steps is not None else case.n_steps_default
-    if case.kind == "shallow" and (dt is None or steps is None):
-        raise UsageError("shallow cases need dt= and steps=")
     if dt is not None and steps is None:
         raise UsageError("transient transport needs steps=")
     if dt is None and cfg.steps is not None:
@@ -325,101 +332,70 @@ def cmd_study(cfg):
 # -- tables ----------------------------------------------------------------------
 
 
-TABLE1_NEL_2D = (4, 8, 16, 32)     # per axis; 16..1024 elements
-TABLE1_NEL_3D = (2, 4, 8, 16)      # per axis; 8..4096 elements
-TABLE1_PS = (1, 2, 3, 4)
-TABLE2_PS = (1, 2, 3, 4)
+TABLE1_GRID = (                    # (case, nel per axis)
+    ("transport2d-smooth", (4, 8, 16, 32)),         # 16..1024 elements
+    ("transport2d-discontinuous", (4, 8, 16, 32)),
+    ("transport3d-steady", (2, 4, 8, 16)),          # 8..4096 elements
+)
 TABLE2_GRID = (
     ("shallow-standing-wave", (4, 8, 16, 32)),
     ("transport3d-gaussian", (2, 4, 8, 16)),
 )
 TABLE2_DTS = (1e-3, 1e-4)
+TABLE_PS = (1, 2, 3, 4)
 TABLE2_STEPS = 10
 
 
-def _counts(identifier, nel_axis, p, workers, dt=None, steps=1):
-    """Passes per level of one table cell; the cap raises ConvergenceFailure.
+def _table_cells(table, nels=None, ps=None, workers=1):
+    """(case, nel, p, dt, config) of each cell of table "1" or "2", in row
+    order; nels and ps replace the table's own sweeps.
 
     Cases without an exact solution stop on the successive difference.
     """
-    case = catalog(identifier)
-    stopping = (
-        SUCCESSIVE_DIFFERENCE
-        if case.problem.exact is None
-        else ERROR_DIFFERENCE
-    )
-    config = IterationConfig(stopping=stopping, workers=workers)
-    ops, state0 = build_case(case, nel_axis, p, dt)
-    _state, _trace, logs = solve(ops, config, state0, steps)
-    if not logs[-1].converged:
-        raise ConvergenceFailure(
-            f"{identifier} nel={nel_axis} p={p} dt={dt}: level {len(logs)} "
-            "hit the iteration cap"
-        )
-    return [log.iterations for log in logs]
+    grid, dts = ((TABLE1_GRID, (None,)) if table == "1"
+                 else (TABLE2_GRID, TABLE2_DTS))
+    for ident, table_nels in grid:
+        case = catalog(ident)
+        stopping = (SUCCESSIVE_DIFFERENCE if case.problem.exact is None
+                    else ERROR_DIFFERENCE)
+        config = IterationConfig(stopping=stopping, workers=workers)
+        for p in ps or TABLE_PS:
+            for n in nels or table_nels:
+                for dt in dts:
+                    yield case, n, p, dt, config
 
 
 def cmd_tables(cfg):
+    if cfg.table == "1" and cfg.steps is not None:
+        raise UsageError("tables does not read steps= with table=1; "
+                         "only table 2 steps")
     os.makedirs(cfg.outdir, exist_ok=True)
-    wrote = []
-    if cfg.table in ("1", "both"):
-        wrote.append(_run_table1(cfg))
-    if cfg.table in ("2", "both"):
-        wrote.append(_run_table2(cfg))
+    wrote = [_write_table(cfg, t) for t in ("1", "2")
+             if cfg.table in (t, "both")]
     for path in wrote:
         print(f"wrote {path}")
     return 0
 
 
-def _run_table1(cfg):
-    ps = cfg.ps if cfg.ps is not None else TABLE1_PS
-    nels2 = cfg.nels if cfg.nels is not None else TABLE1_NEL_2D
-    nels3 = cfg.nels if cfg.nels is not None else TABLE1_NEL_3D
-    grid = [
-        ("transport2d-smooth", nels2),
-        ("transport2d-discontinuous", nels2),
-        ("transport3d-steady", nels3),
-    ]
-    path = os.path.join(cfg.outdir, "table1-iterations.csv")
-    with open(path, "w") as fh:
-        fh.write("case,nel,p,iterations\n")
-        for identifier, nels in grid:
-            for p in ps:
-                for n in nels:
-                    [count] = _counts(identifier, n, p, cfg.workers)
-                    dim = catalog(identifier).dim
-                    fh.write(f"{identifier},{n ** dim},{p},{count}\n")
-                    print(f"{identifier} nel={n}^{dim} p={p}: {count}")
-    return path
-
-
-def _run_table2(cfg):
-    ps = cfg.ps if cfg.ps is not None else TABLE2_PS
+def _write_table(cfg, table):
     steps = cfg.steps if cfg.steps is not None else TABLE2_STEPS
-    path = os.path.join(cfg.outdir, "table2-iterations.csv")
+    path = os.path.join(cfg.outdir, f"table{table}-iterations.csv")
     with open(path, "w") as fh:
-        fh.write("case,nel,p,dt,steps,iterations_per_step\n")
-        for identifier, nels in TABLE2_GRID:
-            if cfg.nels is not None:
-                nels = cfg.nels
-            dim = catalog(identifier).dim
-            for p in ps:
-                for n in nels:
-                    for dt in TABLE2_DTS:
-                        counts = _counts(
-                            identifier, n, p, cfg.workers, dt, steps
-                        )
-                        # startup steps can differ; the settled per-step
-                        # count is the one the table reports
-                        per_step = counts[-1]
-                        fh.write(
-                            f"{identifier},{n ** dim},{p},{FMT % dt},"
-                            f"{steps},{per_step}\n"
-                        )
-                        print(
-                            f"{identifier} nel={n}^{dim} p={p} dt={dt:g}: "
-                            f"{per_step} iterations/step"
-                        )
+        fh.write("case,nel,p,iterations\n" if table == "1"
+                 else "case,nel,p,dt,steps,iterations_per_step\n")
+        for case, n, p, dt, config in _table_cells(table, cfg.nels, cfg.ps,
+                                                   cfg.workers):
+            _ops, logs = run_cell(case, n, p, config, dt, steps)
+            # startup steps can differ; table 2 reports the settled count
+            count = logs[-1].iterations
+            ident, cell = case.identifier, f"{n ** case.dim},{p}"
+            label = f"{ident} nel={n}^{case.dim} p={p}"
+            if dt is None:
+                fh.write(f"{ident},{cell},{count}\n")
+                print(f"{label}: {count}")
+            else:
+                fh.write(f"{ident},{cell},{FMT % dt},{steps},{count}\n")
+                print(f"{label} dt={dt:g}: {count} iterations/step")
     return path
 
 
@@ -470,11 +446,14 @@ def build_parser():
     return parser
 
 
+# each command and the keys it reads; any other key is a usage error
 _COMMANDS = {
-    "solve": cmd_solve,
-    "study": cmd_study,
-    "tables": cmd_tables,
-    "verify": cmd_verify,
+    "solve": (cmd_solve,
+              "case nel p dt steps stopping tol max_iters workers outdir"),
+    "study": (cmd_study,
+              "case nels ps dt steps stopping tol max_iters workers outdir"),
+    "tables": (cmd_tables, "table nels ps steps workers outdir"),
+    "verify": (cmd_verify, "case nel p dt tol workers"),
 }
 
 
@@ -483,7 +462,7 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         cfg = parse_config(args.command, args.config, args.overrides)
-        return _COMMANDS[cfg.command](cfg)
+        return _COMMANDS[cfg.command][0](cfg)
     except (UsageError, MeshError, OracleSizeError) as err:
         # a mesh that cannot be built or a verify cell too large for the
         # dense oracle is an input the command refuses, not a crash

@@ -158,17 +158,17 @@ INFLOW, OUTFLOW, CHARACTERISTIC = "inflow", "outflow", "characteristic"
 
 
 def classify_boundary_face(bn_outward):
-    """Label a boundary face from beta . n at its quadrature points.
+    """Label boundary faces from beta . n at their quadrature points.
 
-    bn_outward uses the outward normal of the adjacent element. The sign
-    must be uniform across the face; a sign change within one face would
-    need sub-face upwinding, which the structured setup does not support.
+    bn_outward uses the outward normal of the adjacent element, with the
+    quadrature points on the last axis; a stack of faces gets an array of
+    labels. The sign must be uniform across each face; a sign change
+    within one face would need sub-face upwinding, which the structured
+    setup does not support.
     """
     bn = np.asarray(bn_outward)
-    if np.all(bn < 0):
-        return INFLOW
-    if np.all(bn > 0):
-        return OUTFLOW
-    if np.all(bn == 0):
-        return CHARACTERISTIC
-    raise MeshError("mixed-sign beta . n on a boundary face")
+    inflow, outflow = np.all(bn < 0, -1), np.all(bn > 0, -1)
+    if not np.all(inflow | outflow | np.all(bn == 0, -1)):
+        raise MeshError("mixed-sign beta . n on a boundary face")
+    return np.select([inflow, outflow], [INFLOW, OUTFLOW],
+                     CHARACTERISTIC)[()]

@@ -388,9 +388,10 @@ def verify_cell(case, nel, p, dt, config):
     ]
 
 
-# -- kept because perfbench/gate.py and tests/test_acceptance.py call them ----
+# -- kept because perfbench/gate.py calls them ---------------------------------
 #
-# They go once the gate calls verify_cell. Each checks the dense-solve size
+# Apart from the size-guard tests of tests/test_oracle.py nothing else does;
+# they go once the gate calls verify_cell. Each checks the dense-solve size
 # before it assembles the operators.
 
 

@@ -194,8 +194,9 @@ def convergence_study(case, nel_list, p_list, config=None, dt=None,
                       n_steps=None):
     """L2 errors, observed orders, and iteration counts over a mesh sweep.
 
-    Steady cases solve once per mesh; transient cases march n_steps of dt
-    and report the final-time error with the summed iteration count.
+    Each point is one run_cell: steady cases solve once per mesh; transient
+    cases march n_steps of dt and report the final-time error with the
+    summed iteration count.
     """
     if case.problem.exact is None:
         raise ValueError(f"case {case.identifier} has no exact solution")
@@ -204,7 +205,10 @@ def convergence_study(case, nel_list, p_list, config=None, dt=None,
     for p in p_list:
         prev = None
         for nel in nel_list:
-            err, iters, h = _study_point(case, nel, p, config, dt, n_steps)
+            ops, logs = run_cell(case, nel, p, config, dt, n_steps)
+            # the error the last pass's norms took of the returned state
+            err, h = logs[-1].errors[-1], ops.mesh.h_max
+            iters = sum(log.iterations for log in logs)
             order = math.nan
             if prev is not None:
                 order = math.log(prev[0] / err) / math.log(prev[1] / h)
@@ -242,16 +246,20 @@ def build_case(case, nel, p, dt=None):
     return ops, state0
 
 
-def _study_point(case, nel, p, config, dt, n_steps):
+def run_cell(case, nel, p, config, dt=None, steps=None):
+    """Build one cell of a sweep and solve it; returns (ops, logs).
+
+    dt falls back to the case's default step (build_case) and steps to the
+    case's default step count; a steady cell does not read steps. A level
+    that stops at the pass cap raises ConvergenceFailure naming the cell
+    and the level.
+    """
     ops, state0 = build_case(case, nel, p, dt)
-    n_steps = n_steps if n_steps is not None else case.n_steps_default
-    _state, _trace, logs = solve(ops, config, state0, n_steps)
+    steps = steps if steps is not None else case.n_steps_default
+    _state, _trace, logs = solve(ops, config, state0, steps)
     if not logs[-1].converged:
         raise ConvergenceFailure(
-            f"no convergence in {logs[-1].iterations} iterations"
-            if ops.dt is None
-            else f"step {len(logs)} did not converge"
+            f"{case.identifier} nel={nel} p={p} dt={dt}: level {len(logs)} "
+            "hit the iteration cap"
         )
-    # the error the last pass's norms took of the returned state
-    err = logs[-1].errors[-1]
-    return err, sum(log.iterations for log in logs), ops.mesh.h_max
+    return ops, logs

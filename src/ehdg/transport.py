@@ -27,12 +27,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import driver
-from .mesh import (
-    CHARACTERISTIC,
-    INFLOW,
-    OUTFLOW,
-    classify_boundary_face,
-)
+from .mesh import INFLOW, classify_boundary_face
 
 ASSEMBLY_CHUNK = 256
 
@@ -249,29 +244,13 @@ class TransportOperators(LocalOperators):
         for a in range(d):
             for side in (0, 1):
                 fid, els, osign = mesh.boundary_faces(a, side)
-                labels = [
-                    classify_boundary_face(osign * self.bn[a][f]) for f in fid
-                ]
-                inf_ids = [f for f, l in zip(fid, labels) if l == INFLOW]
-                out_ids = [
-                    (f, e)
-                    for f, e, l in zip(fid, els, labels)
-                    if l in (OUTFLOW, CHARACTERISTIC)
-                ]
-                if inf_ids:
-                    sel = np.array([f in set(inf_ids) for f in fid])
-                    self.inflow_blocks.append(
-                        (a, np.asarray(inf_ids), els[sel], side)
-                    )
-                if out_ids:
-                    self.outflow_blocks.append(
-                        (
-                            a,
-                            np.array([f for f, _ in out_ids]),
-                            np.array([e for _, e in out_ids]),
-                            side,
-                        )
-                    )
+                labels = classify_boundary_face(osign * self.bn[a][fid])
+                inflow = labels == INFLOW
+                # characteristic faces take the outflow rule
+                for blocks, sel in ((self.inflow_blocks, inflow),
+                                    (self.outflow_blocks, ~inflow)):
+                    if sel.any():
+                        blocks.append((a, fid[sel], els[sel], side))
         if problem.inflow is None and self.inflow_blocks:
             raise AssemblyError("problem has inflow faces but no inflow data")
 

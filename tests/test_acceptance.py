@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from ehdg.basis import TensorBasis, gauss_quadrature, gll_nodes
-from ehdg.cli import _counts
+from ehdg.cli import _table_cells
 from ehdg.driver import (
     SUCCESSIVE_DIFFERENCE,
     IterationConfig,
@@ -28,13 +28,8 @@ from ehdg.driver import (
     volume_l2,
 )
 from ehdg.mesh import build_mesh
-from ehdg.oracle import (
-    direct_solve_shallow,
-    direct_solve_transport,
-    flux_jump_residual,
-    shallow_flux_jump_residual,
-)
-from ehdg.problems import catalog, convergence_study
+from ehdg.oracle import direct_solve, flux_jump_residual
+from ehdg.problems import build_case, catalog, convergence_study, run_cell
 from ehdg.shallow import ShallowOperators, ShallowProblem, contraction_constants
 from ehdg.transport import TransportOperators, TransportProblem
 
@@ -101,6 +96,16 @@ REFERENCE_TRANSIENT = {
 
 TIGHT = IterationConfig(stopping=SUCCESSIVE_DIFFERENCE, tol=1e-12)
 DEEP = IterationConfig(tol=1e-12)  # error-difference, runs to the floor
+
+
+def _reference_cells(reference):
+    """The (identifier[, dt], p, nel) keys of a reference table, in order."""
+    return [
+        (*(key if isinstance(key, tuple) else (key,)), p, nel)
+        for key, per_p in reference.items()
+        for p, cells in per_p.items()
+        for nel in cells
+    ]
 
 
 def _final_orders(rows, nel_finest):
@@ -198,11 +203,12 @@ def test_standing_wave_order_and_iterations(standing_wave_march):
 
 @pytest.fixture(scope="module")
 def steady_counts():
+    # the cells of `ehdg tables table=1`, which must be the reference's
     out = {}
-    for ident, per_p in REFERENCE_STEADY.items():
-        for p, cells in per_p.items():
-            for nel in cells:
-                out[(ident, p, nel)] = _counts(ident, nel, p, 1)[0]
+    for case, nel, p, _dt, config in _table_cells("1"):
+        _ops, [log] = run_cell(case, nel, p, config)
+        out[(case.identifier, p, nel)] = log.iterations
+    assert list(out) == _reference_cells(REFERENCE_STEADY)
     return out
 
 
@@ -244,13 +250,15 @@ def test_steady_iteration_counts_vs_reference(steady_counts):
 
 @pytest.fixture(scope="module")
 def transient_counts():
+    # the cells of `ehdg tables table=2` over 6 steps, which must be the
+    # reference's; returned in the reference's order
     out = {}
-    for (ident, dt), per_p in REFERENCE_TRANSIENT.items():
-        for p, cells in per_p.items():
-            for nel in cells:
-                counts = _counts(ident, nel, p, 1, dt, 6)
-                out[(ident, dt, p, nel)] = counts[-1]
-    return out
+    for case, nel, p, dt, config in _table_cells("2"):
+        _ops, logs = run_cell(case, nel, p, config, dt, 6)
+        out[(case.identifier, dt, p, nel)] = logs[-1].iterations
+    cells = _reference_cells(REFERENCE_TRANSIENT)
+    assert sorted(out) == sorted(cells)
+    return {key: out[key] for key in cells}
 
 
 def test_transient_iteration_counts_vs_reference(transient_counts):
@@ -342,45 +350,20 @@ def test_exponential_error_decay_fit():
 # -- 8: equivalence with the direct skeleton solve ---------------------------------
 
 
-def _steady_pair(case, nel, p):
-    mesh = build_mesh(case.dim, nel, case.bounds)
-    basis = TensorBasis(case.dim, p)
-    ops = TransportOperators(mesh, basis, case.problem)
-    u_it, _tr_it, _log = iterate_to_fixed_point(ops, TIGHT)
-    u_dir, tr_dir, _sys = direct_solve_transport(mesh, basis, case.problem)
-    rel = volume_l2(mesh, basis, u_it - u_dir) / volume_l2(mesh, basis, u_dir)
-    j_it = flux_jump_residual(ops, u_it, tr_dir)
-    j_dir = flux_jump_residual(ops, u_dir, tr_dir)
-    return rel, j_it, j_dir
-
-
-def _transient_transport_pair(case, nel, p, dt):
-    mesh = build_mesh(case.dim, nel, case.bounds)
-    basis = TensorBasis(case.dim, p)
-    ops = TransportOperators(mesh, basis, case.problem, dt=dt)
-    state0 = ops.interpolate_exact(0.0)
-    u_it, _tr, _logs = solve(ops, TIGHT, state0)
-    u_dir, tr_dir, _sys = direct_solve_transport(
-        mesh, basis, case.problem, dt=dt, state_prev=state0, t=dt
-    )
-    rel = volume_l2(mesh, basis, u_it - u_dir) / volume_l2(mesh, basis, u_dir)
-    j_it = flux_jump_residual(ops, u_it, tr_dir)
-    j_dir = flux_jump_residual(ops, u_dir, tr_dir)
-    return rel, j_it, j_dir
-
-
-def _shallow_pair(case, nel, p, dt):
-    mesh = build_mesh(case.dim, nel, case.bounds)
-    basis = TensorBasis(case.dim, p)
-    ops = ShallowOperators(mesh, basis, case.problem, dt)
-    state0 = ops.interpolate(case.problem.exact, 0.0)
+def _oracle_pair(case, nel, p, dt=None):
+    """One level iterated and direct-solved on the same operator set."""
+    ops, state0 = build_case(case, nel, p, dt)
     s_it, _tr, _logs = solve(ops, TIGHT, state0)
-    s_dir, tr_dir, _sys = direct_solve_shallow(
-        mesh, basis, case.problem, dt, state_prev=state0, t=dt
-    )
-    rel = ops.diff_norm(s_it, s_dir) / ops.diff_norm(s_dir, ops.zero_state())
-    j_it = shallow_flux_jump_residual(ops, s_it, tr_dir)
-    j_dir = shallow_flux_jump_residual(ops, s_dir, tr_dir)
+    t = 0.0 if ops.dt is None else ops.dt
+    s_dir, tr_dir, _sys = direct_solve(ops, state0, t)
+    if case.kind == "shallow":
+        gap = ops.diff_norm
+    else:
+        def gap(a, b):
+            return volume_l2(ops.mesh, ops.basis, a - b)
+    rel = gap(s_it, s_dir) / gap(s_dir, np.zeros_like(s_dir))
+    j_it = flux_jump_residual(ops, s_it, tr_dir)
+    j_dir = flux_jump_residual(ops, s_dir, tr_dir)
     return rel, j_it, j_dir
 
 
@@ -395,15 +378,10 @@ def test_direct_solve_equivalence():
     ):
         case = catalog(ident)
         nel = 16 if case.dim == 2 else 4
+        # transport steps at the case's own dt, shallow water at 1e-3
+        dt = 1e-3 if case.kind == "shallow" else None
         for p in (1, 2, 3):
-            if case.kind == "shallow":
-                rel, j_it, j_dir = _shallow_pair(case, nel, p, 1e-3)
-            elif case.dt_default is not None:
-                rel, j_it, j_dir = _transient_transport_pair(
-                    case, nel, p, case.dt_default
-                )
-            else:
-                rel, j_it, j_dir = _steady_pair(case, nel, p)
+            rel, j_it, j_dir = _oracle_pair(case, nel, p, dt)
             worst_rel = max(worst_rel, rel)
             worst_jump = max(worst_jump, j_it, j_dir)
             rows += 1
@@ -593,7 +571,7 @@ def _check_constant_state():
     # point; the direct solve reproduces the constant to machine precision
     if np.abs(u - 4.5).max() > 1e-9:
         return False
-    u_dir, _tr, _sys = direct_solve_transport(mesh, basis, problem)
+    u_dir, _tr, _sys = direct_solve(ops, None, 0.0)
     if np.abs(u_dir - 4.5).max() > 1e-11:
         return False
     case = catalog("shallow-standing-wave")

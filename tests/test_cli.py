@@ -76,6 +76,12 @@ def test_bad_tokens_exit_1(token, capsys):
     assert "usage error" in capsys.readouterr().err
 
 
+def test_bad_table_choice_exit_1(capsys):
+    # `solve table=3` above is refused as an unread key; tables reads it
+    assert main(["tables", "table=3"]) == 1
+    assert "table must be 1, 2, or both" in capsys.readouterr().err
+
+
 def test_bad_workers_env_exit_1(monkeypatch, capsys):
     monkeypatch.setenv("EHDG_WORKERS", "many")
     assert main(["solve", "case=transport2d-smooth", "nel=4", "p=1"]) == 1
@@ -228,12 +234,16 @@ def test_study_writes_rate_table(tmp_path):
     assert float(rows[1][4]) < float(rows[0][4])
 
 
+# the keys of one small cell, as solve and study spell them
+_CELL_KEYS = {"solve": ["nel=4", "p=1"], "study": ["nels=4", "ps=1"]}
+
+
 def test_study_transient_without_steps_is_usage_error(tmp_path, capsys):
     # transport2d-smooth has no default step count, so a dt alone cannot
     # say how far to march; solve and study refuse it the same way
-    for command in ("solve", "study"):
-        rc = main([command, "case=transport2d-smooth", "nel=4", "nels=4",
-                   "ps=1", "dt=0.01", f"outdir={tmp_path}"])
+    for command, cell in _CELL_KEYS.items():
+        rc = main([command, "case=transport2d-smooth", *cell, "dt=0.01",
+                   f"outdir={tmp_path}"])
         assert rc == 1
         assert ("usage error: transient transport needs steps="
                 in capsys.readouterr().err)
@@ -242,9 +252,9 @@ def test_study_transient_without_steps_is_usage_error(tmp_path, capsys):
 
 def test_steps_without_a_time_step_is_usage_error(tmp_path, capsys):
     # a steady case would ignore steps= and write no -steps.csv
-    for command in ("solve", "study"):
-        rc = main([command, "case=transport2d-smooth", "nel=4", "p=1",
-                   "nels=4", "ps=1", "steps=3", f"outdir={tmp_path}"])
+    for command, cell in _CELL_KEYS.items():
+        rc = main([command, "case=transport2d-smooth", *cell, "steps=3",
+                   f"outdir={tmp_path}"])
         assert rc == 1
         err = capsys.readouterr().err
         assert "usage error:" in err and "steps=" in err
@@ -289,7 +299,8 @@ def test_tables_cap_exits_2(tmp_path, capsys, monkeypatch, table):
     from ehdg.driver import IterationConfig
 
     monkeypatch.setattr(IterationConfig, "iteration_cap", lambda self, m: 1)
-    rc = main(["tables", f"table={table}", "nels=2", "ps=1", "steps=2",
+    steps = ["steps=2"] if table == "2" else []
+    rc = main(["tables", f"table={table}", "nels=2", "ps=1", *steps,
                f"outdir={tmp_path}"])
     assert rc == 2
     err = capsys.readouterr().err
@@ -367,3 +378,29 @@ def test_verify_detects_flux_defect(monkeypatch, capsys):
 def test_unknown_command_rejected(capsys):
     assert main(["frobnicate"]) == 1
     assert "invalid choice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["solve", "nels=9"], "nels"),
+    (["study", "nel=64"], "nel"),
+    (["tables", "dt=0.5"], "dt"),
+    (["verify", "steps=9"], "steps"),
+    (["verify", "max_iters=1"], "max_iters"),
+    (["tables", "table=1", "steps=3"], "steps"),
+])
+def test_command_refuses_a_key_it_does_not_read(argv, key, tmp_path,
+                                                monkeypatch, capsys):
+    # an ignored key would exit 0 without the effect it asks for
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:")
+    assert f"{argv[0]} does not read {key}=" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_unread_key_in_config_file_is_refused(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text("case=transport2d-smooth\nnel=4\np=1\ntable=1\n")
+    assert main(["verify", "-c", str(path)]) == 1
+    assert "verify does not read table=" in capsys.readouterr().err

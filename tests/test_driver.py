@@ -141,7 +141,8 @@ class TestIterateContract:
     def test_cap_raises_on_steady_solve(self):
         # solve leaves the cap to its caller; the study raises on it
         with pytest.raises(ConvergenceFailure,
-                           match="no convergence in 3 iterations"):
+                           match="transport2d-smooth nel=4 p=2 dt=None: "
+                                 "level 1 hit the iteration cap"):
             convergence_study(catalog("transport2d-smooth"), [4], [2],
                               config=IterationConfig(max_iters=3))
 
@@ -179,7 +180,8 @@ class TestTransient:
 
     def test_study_raises_on_cap(self):
         with pytest.raises(ConvergenceFailure,
-                           match="step 1 did not converge"):
+                           match="shallow-standing-wave nel=4 p=1 dt=0.001: "
+                                 "level 1 hit the iteration cap"):
             convergence_study(catalog("shallow-standing-wave"), [4], [1],
                               config=IterationConfig(max_iters=1),
                               dt=1e-3, n_steps=2)

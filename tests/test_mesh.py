@@ -169,3 +169,10 @@ class TestBoundaryClassification:
             classify_boundary_face(np.array([-1.0, 1.0]))
         with pytest.raises(MeshError):
             classify_boundary_face(np.array([0.0, 1.0]))
+
+    def test_stack_of_faces_labelled_per_face(self):
+        bn = np.array([[-0.5, -1.0], [0.25, 2.0], [0.0, 0.0]])
+        labels = classify_boundary_face(bn)
+        assert list(labels) == [INFLOW, OUTFLOW, CHARACTERISTIC]
+        with pytest.raises(MeshError):
+            classify_boundary_face(np.vstack([bn, [[-1.0, 1.0]]]))

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from ehdg.basis import TensorBasis, gauss_quadrature, lagrange_eval
 from ehdg.driver import IterationConfig, SUCCESSIVE_DIFFERENCE, volume_l2
 from ehdg.driver import solve
-from ehdg.mesh import build_mesh
+from ehdg.mesh import MeshError, build_mesh
 from ehdg.oracle import condensed_matrices
 from ehdg.transport import (
     ASSEMBLY_CHUNK,
@@ -597,6 +597,18 @@ class TestValidation:
                 TensorBasis(2, 1),
                 rotating_problem(),  # inflow faces exist, data missing
             )
+
+    def test_mixed_sign_boundary_face_rejected(self):
+        # beta.n = 0.5 - x changes sign inside the y = 0 face
+        prob = TransportProblem(
+            dim=2,
+            velocity=lambda pts: np.stack(
+                [np.ones(len(pts)), pts[:, 0] - 0.5], axis=1),
+            inflow=lambda pts, t=0.0: np.zeros(len(pts)),
+        )
+        with pytest.raises(MeshError, match="mixed-sign"):
+            TransportOperators(build_mesh(2, 1, [(0, 1), (0, 1)]),
+                               TensorBasis(2, 1), prob)
 
     def test_dimension_mismatch_rejected(self):
         prob = constant_problem([1.0, 1.0, 1.0], dim=3,
