@@ -246,8 +246,9 @@ def solve(ops, config, state0=None, steps=1):
     if ops.dt is None:
         state, trace, log = iterate_to_fixed_point(ops, config, u0=state0)
         return state, trace, [log]
-    if steps < 1:
-        raise ValueError(f"steps must be positive, got {steps}")
+    if steps is None or steps < 1:
+        raise ValueError("steps must be positive for a time-stepping solve, "
+                         f"got {steps}")
     state, logs = state0, []
     for m in range(steps):
         state, trace, log = iterate_to_fixed_point(

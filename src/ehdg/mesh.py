@@ -116,29 +116,26 @@ class StructuredMesh:
         strides = np.cumprod([1] + list(self.nel[:-1]))
         return (coords * strides).sum(axis=2).reshape(len(planes) * len(perp))
 
-    def face_quad_points(self, axis, basis):
-        """Physical quadrature points of every face of one axis.
+    def face_quad_points(self, axis, basis, faces=None):
+        """Physical quadrature points of the given faces of one axis (flat
+        indices within the axis block), every face by default.
 
-        Returns (n_faces_axis, n_fq, dim). Points of a face are identical
+        Returns (n_faces, n_fq, dim). Points of a face are identical
         whichever adjacent element they are computed from, up to roundoff.
         """
-        d = self.dim
-        n_perp = self.n_perp[axis]
-        nplanes = self.nel[axis] + 1
-        other = [b for b in range(d) if b != axis]
+        if faces is None:
+            faces = np.arange(self.n_faces_axis[axis])
+        plane, rem = np.divmod(np.asarray(faces), self.n_perp[axis])
         ref = basis.face_quad_ref[(axis, 0)]  # tangential Gauss coords, axis col unused
-        pts = np.zeros((nplanes, n_perp, basis.n_fq, d))
-        rem = np.arange(n_perp)
-        tang_idx = {}
-        for b in other:
-            tang_idx[b] = rem % self.nel[b]
+        pts = np.empty((len(plane), basis.n_fq, self.dim))
+        for b in range(self.dim):
+            if b == axis:
+                continue
+            center = self.lo[b] + (rem % self.nel[b] + 0.5) * self.dx[b]
             rem = rem // self.nel[b]
-        for b in other:
-            center = self.lo[b] + (tang_idx[b] + 0.5) * self.dx[b]
-            pts[:, :, :, b] = center[None, :, None] + self.half[b] * ref[None, None, :, b]
-        planes = self.lo[axis] + np.arange(nplanes) * self.dx[axis]
-        pts[:, :, :, axis] = planes[:, None, None]
-        return pts.reshape(nplanes * n_perp, basis.n_fq, d)
+            pts[:, :, b] = center[:, None] + self.half[b] * ref[None, :, b]
+        pts[:, :, axis] = (self.lo[axis] + plane * self.dx[axis])[:, None]
+        return pts
 
 
 def build_mesh(dim, nel, bounds):

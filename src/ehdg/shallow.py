@@ -33,7 +33,9 @@ from .transport import AssemblyError, LocalOperators, assemble_inverses
 @dataclass
 class ShallowProblem:
     """Linearized shallow water data. wind maps (pts, t) -> (N, 2) giving
-    tau/rho; exact maps (pts, t) -> (N, 3) as (phi, u, v)."""
+    tau/rho; exact maps (pts, t) -> (N, 3) as (phi, u, v). Both must be
+    pointwise, each value depending on its own point alone: the operators
+    evaluate them in blocks of at most SAMPLE_POINTS points."""
 
     phi_mean: float
     coriolis_f0: float = 0.0
@@ -124,6 +126,10 @@ class ShallowOperators(LocalOperators):
 
         self.fidx = {
             (a, s): mesh.face_index(a, s) for a in range(2) for s in (0, 1)
+        }
+        # (face_ids, elements, outward_sign) of each wall plane, by (a, side)
+        self._wall_faces = {
+            (a, s): mesh.boundary_faces(a, s) for a in range(2) for s in (0, 1)
         }
         self.shared = problem.coriolis_beta == 0.0
         n = 1 if self.shared else mesh.n_el
@@ -243,25 +249,20 @@ class ShallowOperators(LocalOperators):
         Every quantity involved is already a face polynomial, so nodal reads
         are exact and no quadrature projection is needed.
         """
-        mesh, basis = self.mesh, self.basis
+        basis = self.basis
         rp = self.root_phi
         phi, u, v = self.split(state)
         for a in range(2):
             vel = u if a == 0 else v
             fid, minus, plus = self._int_faces[a]
-            nid_hi = basis.face_node_ids[(a, 1)]
-            nid_lo = basis.face_node_ids[(a, 0)]
-            pm = phi[minus][:, nid_hi]
-            pp = phi[plus][:, nid_lo]
-            vm = vel[minus][:, nid_hi]
-            vp = vel[plus][:, nid_lo]
-            trace_out.data[a][fid] = 0.5 * (pm + pp) + 0.5 * rp * (vm - vp)
+            hi = minus[:, None], basis.face_node_ids[(a, 1)]
+            lo = plus[:, None], basis.face_node_ids[(a, 0)]
+            trace_out.data[a][fid] = (0.5 * (phi[hi] + phi[lo])
+                                      + 0.5 * rp * (vel[hi] - vel[lo]))
             for side in (0, 1):
-                bfid, els, osign = mesh.boundary_faces(a, side)
-                nid = basis.face_node_ids[(a, side)]
-                trace_out.data[a][bfid] = (
-                    phi[els][:, nid] + rp * osign * vel[els][:, nid]
-                )
+                bfid, els, osign = self._wall_faces[(a, side)]
+                at = els[:, None], basis.face_node_ids[(a, side)]
+                trace_out.data[a][bfid] = phi[at] + rp * osign * vel[at]
 
     # -- norms ----------------------------------------------------------------
 

@@ -29,34 +29,74 @@ import numpy as np
 from . import driver
 from .mesh import INFLOW, classify_boundary_face
 
+# elements per block of the batched local solve, and the most elements one
+# assembly chunk takes
 ASSEMBLY_CHUNK = 256
+# most bytes of local matrices one assembly chunk builds and inverts: 67
+# elements at 125 x 125 (3D p=4), a full ASSEMBLY_CHUNK at 25 x 25 (2D p=4)
+ASSEMBLY_BYTES = 8 * 2**20
+# most points one call of a case callable receives (evaluate_blocked)
+SAMPLE_POINTS = 2**14
 
 
 class AssemblyError(Exception):
     pass
 
 
+def assembly_chunk(width):
+    """Elements per assembly chunk of width x width local matrices: as many
+    as ASSEMBLY_BYTES holds, at least one and at most ASSEMBLY_CHUNK."""
+    return max(1, min(ASSEMBLY_CHUNK, ASSEMBLY_BYTES // (8 * width * width)))
+
+
 def assemble_inverses(matrices, n_el, width):
     """Explicit inverses of the width x width local matrices
     matrices(elements) for elements 0 .. n_el - 1.
 
-    The matrices are built and inverted one ASSEMBLY_CHUNK of elements at a
-    time, so only a chunk of dense local matrices is held at once. The
+    The matrices are built and inverted one assembly_chunk(width) of
+    elements at a time, so the temporaries of a chunk stay within a few
+    ASSEMBLY_BYTES whatever the mesh. Each inverse depends on its own
+    element alone, so the result is the same for any chunk size. The
     inverses are kept rather than LU factors because a batched inverse
     matvec is much cheaper per pass than a batched triangular solve.
     """
     a_inv = np.empty((n_el, width, width))
-    for start in range(0, n_el, ASSEMBLY_CHUNK):
-        els = np.arange(start, min(start + ASSEMBLY_CHUNK, n_el))
-        A = matrices(els)
+    chunk = assembly_chunk(width)
+    for start in range(0, n_el, chunk):
+        stop = min(start + chunk, n_el)
+        A = matrices(np.arange(start, stop))
         try:
-            inv = np.linalg.inv(A)
+            a_inv[start:stop] = np.linalg.inv(A)
         except np.linalg.LinAlgError as err:
             raise AssemblyError(f"singular local operator: {err}") from err
-        if not np.all(np.isfinite(inv)):
+        if not np.all(np.isfinite(a_inv[start:stop])):
             raise AssemblyError("non-finite local operator inverse")
-        a_inv[els] = inv
     return a_inv
+
+
+def evaluate_blocked(fn, args, points, n, per):
+    """fn(X, *args) over items 0 .. n - 1 of per points each, with X the
+    flattened points(lo, hi), the (hi - lo, per, dim) coordinates of items
+    lo .. hi - 1.
+
+    fn sees at most SAMPLE_POINTS points per call (one item's per points
+    when that is more), so its temporaries do not grow with the mesh; fn
+    must be pointwise for the blocks to add up to one whole-array call.
+    The values go into one array of shape (n, per) plus the trailing shape
+    of fn's values.
+    """
+    step = max(1, SAMPLE_POINTS // per)
+    out = None
+    # one empty call when n is 0, so the result still has fn's value shape
+    for lo in range(0, max(n, 1), step):
+        hi = min(lo + step, n)
+        X = points(lo, hi)
+        vals = np.asarray(fn(X.reshape(-1, X.shape[-1]), *args))
+        vals = vals.reshape(hi - lo, per, *vals.shape[1:])
+        if out is None:
+            out = np.empty((n, per, *vals.shape[2:]), dtype=vals.dtype)
+        out[lo:hi] = vals
+    return out
 
 
 @dataclass
@@ -64,10 +104,12 @@ class TransportProblem:
     """Linear transport beta . grad(u) = f (or u_t + div(beta u) = f).
 
     Field callables are vectorized over points: velocity maps (N, d) ->
-    (N, d); forcing/inflow/exact map (points, t) -> (N,). forcing None means
-    zero. div_velocity None declares the field divergence-free; otherwise it
-    maps (N, d) -> (N,). constant_velocity enables sharing one local
-    operator across all elements of a uniform mesh.
+    (N, d); forcing/inflow/exact map (points, t) -> (N,). They must be
+    pointwise, each value depending on its own point alone: the operators
+    evaluate them in blocks of at most SAMPLE_POINTS points. forcing None
+    means zero. div_velocity None declares the field divergence-free;
+    otherwise it maps (N, d) -> (N,). constant_velocity enables sharing one
+    local operator across all elements of a uniform mesh.
     """
 
     dim: int
@@ -136,13 +178,15 @@ class LocalOperators:
         """fn(points, *args) at the volume quadrature points (the nodes with
         nodes=True) of every element, or of the given elements. The result
         has shape (n_elements, n_points) plus the trailing shape of fn's
-        values."""
+        values. fn is called on element blocks (evaluate_blocked)."""
         mesh, basis = self.mesh, self.basis
         centers = mesh.centers if elements is None else mesh.centers[elements]
         ref = basis.ref_nodes if nodes else basis.quad_ref
-        X = centers[:, None, :] + mesh.half * ref[None]
-        vals = np.asarray(fn(X.reshape(-1, mesh.dim), *args))
-        return vals.reshape(len(centers), len(ref), *vals.shape[1:])
+        return evaluate_blocked(
+            fn, args,
+            lambda lo, hi: centers[lo:hi, None, :] + mesh.half * ref[None],
+            len(centers), len(ref),
+        )
 
     def solve_cells(self, rhs, out=None, workers=1):
         """Batched application of the factorized local operators.
@@ -213,15 +257,13 @@ class TransportOperators(LocalOperators):
         if problem.dim != d:
             raise AssemblyError("problem/mesh dimension mismatch")
 
-        # face geometry and velocity data, per normal axis
-        self.face_pts = []
+        # velocity data at face quadrature points, per normal axis
         self.bn = []       # beta . e_a at face quadrature points
         self.abs_bn = []
         self.sgn = []
         for a in range(d):
-            pts = mesh.face_quad_points(a, basis)
-            v = problem.velocity(pts.reshape(-1, d)).reshape(pts.shape)
-            self.face_pts.append(pts)
+            v = self._sample_faces(problem.velocity, (), a,
+                                   np.arange(mesh.n_faces_axis[a]))
             self.bn.append(v[:, :, a].copy())
             self.abs_bn.append(np.abs(self.bn[a]))
             self.sgn.append(np.sign(self.bn[a]))
@@ -258,6 +300,16 @@ class TransportOperators(LocalOperators):
         n = 1 if self.shared else mesh.n_el
         self.a_inv = assemble_inverses(self.element_matrix, n, basis.n_p)
         self._inflow_cache = {}
+
+    def _sample_faces(self, fn, args, axis, faces):
+        """fn(points, *args) at the quadrature points of the given faces of
+        one axis, evaluated in blocks (evaluate_blocked)."""
+        mesh, basis = self.mesh, self.basis
+        return evaluate_blocked(
+            fn, args,
+            lambda lo, hi: mesh.face_quad_points(axis, basis, faces[lo:hi]),
+            len(faces), basis.n_fq,
+        )
 
     # -- assembly -----------------------------------------------------------
 
@@ -306,17 +358,15 @@ class TransportOperators(LocalOperators):
         """Write the L2 projection of the inflow data onto inflow faces.
 
         The projections are cached per time value: every pass of a solve
-        rebuilds the trace at the same t.
+        rebuilds the trace at the same t. The inflow faces' quadrature
+        points are formed only on a cache miss and not kept.
         """
         proj = self._inflow_cache.get(t)
         if proj is None:
-            basis = self.basis
             proj = []
             for a, fid, _els, _side in self.inflow_blocks:
-                pts = self.face_pts[a][fid]
-                g = self.problem.inflow(pts.reshape(-1, self.mesh.dim), t)
-                g = np.asarray(g).reshape(len(fid), basis.n_fq)
-                proj.append(g @ basis.face_proj.T)
+                g = self._sample_faces(self.problem.inflow, (t,), a, fid)
+                proj.append(g @ self.basis.face_proj.T)
             self._inflow_cache = {t: proj}
         for (a, fid, _els, _side), g in zip(self.inflow_blocks, proj):
             trace.data[a][fid] = g
@@ -369,7 +419,7 @@ class TransportOperators(LocalOperators):
         self.inflow_trace(trace_out, t)
         for a, fid, els, side in self.outflow_blocks:
             nid = basis.face_node_ids[(a, side)]
-            trace_out.data[a][fid] = u[els][:, nid]
+            trace_out.data[a][fid] = u[els[:, None], nid]
 
     def pass_norms(self, t, u):
         # the transport norms live in ehdg.driver, where perfbench/tracer.py

@@ -146,6 +146,16 @@ class TestFaceQuadPoints:
             from_minus = lo_m[:, None, :] + (ref[None] + 1.0) * m.half
             assert np.allclose(pts[fid], from_minus, atol=1e-13)
 
+    @pytest.mark.parametrize("dim,nel", [(2, (3, 2)), (3, (2, 3, 4))])
+    def test_face_subset(self, dim, nel):
+        m = build_mesh(dim, nel, [(0.0, 1.0)] * dim)
+        b = TensorBasis(dim, 2)
+        for a in range(dim):
+            every = m.face_quad_points(a, b)
+            faces = np.array([m.n_faces_axis[a] - 1, 0, 3, 2])
+            assert np.array_equal(m.face_quad_points(a, b, faces), every[faces])
+            assert m.face_quad_points(a, b, faces[:0]).shape == (0, b.n_fq, dim)
+
     def test_points_inside_tangential_extent(self):
         m = build_mesh(2, (4, 2), [(0, 2), (0, 1)])
         b = TensorBasis(2, 1)

@@ -176,6 +176,13 @@ class TestConvergenceStudy:
         with pytest.raises(ValueError):
             convergence_study(case, [4], [1])
 
+    def test_time_step_without_step_count(self):
+        # transport2d-smooth has no default step count, so a dt alone
+        # leaves the march without a length
+        with pytest.raises(ValueError, match="steps must be positive for a "
+                                             "time-stepping solve, got None"):
+            convergence_study(catalog("transport2d-smooth"), [4], [1], dt=0.01)
+
     def test_p_series_reset_between_orders(self):
         case = catalog("transport2d-smooth")
         cfg = IterationConfig(tol=1e-11)
