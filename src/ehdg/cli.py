@@ -265,10 +265,7 @@ def cmd_solve(cfg):
         _write_steps_csv(_out(cfg, "steps.csv"), ops.dt, counts, errors)
     with open(_out(cfg, "convergence.csv"), "w") as fh:
         logs[-1].write_csv(fh)
-    if case.kind == "shallow":
-        fields = list(zip(("phi", "u", "v"), ops.split(state)))
-    else:
-        fields = [("u", state)]
+    fields = list(zip(ops.fields, ops.split(state)))
     write_field_dump(_out(cfg, "field.txt"), cfg, ops.mesh, ops.basis, fields)
     if ops.dt is None:
         summary, err_label = f"{counts[0]} iterations", "error"

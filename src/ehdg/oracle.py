@@ -16,9 +16,12 @@ fixed-point driver runs on; the oracle keeps their outflow and wall trace
 entries zero whenever it calls ops.rhs, so those faces lift nothing.
 
 One prober and one direct solve serve both physics; what differs sits in
-the _PHYSICS table. Its rules are written out here, not taken from the
-operators' rhs, and no iteration is involved, so agreement with the
-fixed-point driver is a genuine check.
+the _PHYSICS table. The flux jump is stated once per physics, as what each
+side's state adds to it (side) and the trace's coefficient (trace_weight):
+the residual, the probed rows and each face's own block all read these
+two. The rules are written out here, not taken from the operators' rhs,
+and no iteration is involved, so agreement with the fixed-point driver is
+a genuine check.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import TensorBasis
-from .driver import iterate_to_fixed_point, volume_l2
+from .driver import solve, volume_l2
 from .mesh import build_mesh
 from .problems import build_case
 from .shallow import ShallowOperators
@@ -88,35 +91,30 @@ class GlobalTraceSystem:
 
 # -- per-physics rules ----------------------------------------------------------
 #
-# Namespaces of plain functions of the operators. jump: the flux jump on one
-# axis's interior faces; lift: a unit trace on face f lifted from one side;
-# row: the weighted jump rows on face g that a local change dU drives; own:
-# face f's own weight (None where no flux crosses); correction: what the
-# outflow (wall) trace rule adds to ops.element_matrix once it is condensed
-# into the local equations; closure: the traces set after a solve. The rest
-# serves direct_solve and verify_cell.
+# Namespaces of plain functions of the operators. side: what the state rows
+# U on side s of faces g (axis b) add to the flux jump at the face
+# quadrature points; trace_weight: the trace's coefficient in that jump
+# (zero everywhere on a face no flux crosses); lift: a unit trace on face f
+# lifted from one side; correction: what the outflow (wall) trace rule adds
+# to ops.element_matrix once it is condensed into the local equations;
+# closure: the traces set after a solve. The rest serves direct_solve and
+# verify_cell.
 
 
 class _Transport:
-    def jump(ops, u, trace, axis):
-        basis = ops.basis
-        fid, minus, plus = ops._int_faces[axis]
-        um = u[minus] @ basis.face_restrict[(axis, 1)].T
-        up = u[plus] @ basis.face_restrict[(axis, 0)].T
-        uh = trace.data[axis][fid] @ basis.face_eval.T
-        bn, ab = ops.bn[axis][fid], ops.abs_bn[axis][fid]
-        return bn * (um - up) + ab * (um + up - 2.0 * uh)
+    def side(ops, b, g, s, U):
+        # side 1 is the minus element, whose outward normal is +e_b
+        bn, ab = ops.bn[b][g], ops.abs_bn[b][g]
+        factor = (bn + ab) if s == 1 else (ab - bn)
+        return factor * (U @ ops.basis.face_restrict[(b, s)].T)
+
+    def trace_weight(ops, b, g):
+        return -2.0 * ops.abs_bn[b][g]
 
     def lift(ops, a, f, side):
         basis = ops.basis
         lw = ops.mesh.face_jac[a] * basis.face_quad_w * ops.abs_bn[a][f]
         return basis.face_restrict[(a, side)].T @ (lw[:, None] * basis.face_eval)
-
-    def row(ops, b, g, s, dU):
-        bn, ab = ops.bn[b][g], ops.abs_bn[b][g]
-        factor = (bn + ab) if s == 1 else (ab - bn)
-        dq = ops.basis.face_restrict[(b, s)] @ dU
-        return (ops.basis.face_quad_w * factor)[:, None] * dq
 
     def correction(ops, els):
         # the outflow trace is the interior solution itself, so the upwind
@@ -132,26 +130,18 @@ class _Transport:
             C[sel] -= np.matmul(R.T, w[:, :, None] * R)
         return C
 
-    def own(ops, a, f):
-        if not np.any(ops.abs_bn[a][f]):
-            return None
-        w, F = ops.basis.face_quad_w, ops.basis.face_eval
-        return -2.0 * ops.mesh.face_jac[a] * (
-            F.T @ ((w * ops.abs_bn[a][f])[:, None] * F)
-        )
-
     def closure(ops, u, trace):
         # outflow faces copy the interior solution; a face no flux crosses
         # takes the mean of its two sides
         nid = ops.basis.face_node_ids
         for a, fid, els, side in ops.outflow_blocks:
-            trace.data[a][fid] = u[els][:, nid[(a, side)]]
+            trace.data[a][fid] = u[els[:, None], nid[(a, side)]]
         for a in range(ops.mesh.dim):
             fid, minus, plus = ops._int_faces[a]
             dead = ~np.any(ops.abs_bn[a][fid], axis=1)
             if np.any(dead):
-                lo = u[minus[dead]][:, nid[(a, 1)]]
-                hi = u[plus[dead]][:, nid[(a, 0)]]
+                lo = u[minus[dead][:, None], nid[(a, 1)]]
+                hi = u[plus[dead][:, None], nid[(a, 0)]]
                 trace.data[a][fid[dead]] = 0.5 * (lo + hi)
 
     boundary_data = TransportOperators.inflow_trace
@@ -164,19 +154,16 @@ class _Transport:
 
 
 class _Shallow:
-    def jump(ops, state, trace, axis):
-        basis = ops.basis
-        fid, minus, plus = ops._int_faces[axis]
-        phi, u, v = ops.split(state)
-        vel = u if axis == 0 else v
-        R_hi = basis.face_restrict[(axis, 1)]
-        R_lo = basis.face_restrict[(axis, 0)]
-        pm = phi[minus] @ R_hi.T
-        pp = phi[plus] @ R_lo.T
-        vm = vel[minus] @ R_hi.T
-        vp = vel[plus] @ R_lo.T
-        ph = trace.data[axis][fid] @ basis.face_eval.T
-        return ops.phi_mean * (vm - vp) + ops.root_phi * (pm + pp - 2.0 * ph)
+    def side(ops, b, g, s, U):
+        # the continuity flux sqrt(PHI) phi + PHI theta.n of one side
+        R = ops.basis.face_restrict[(b, s)]
+        phi, u, v = ops.split(U)
+        vel = u if b == 0 else v
+        vsig = 1.0 if s == 1 else -1.0
+        return ops.root_phi * (phi @ R.T) + vsig * ops.phi_mean * (vel @ R.T)
+
+    def trace_weight(ops, b, g):
+        return -2.0 * ops.root_phi
 
     def lift(ops, a, f, side):
         basis, n_p = ops.basis, ops.n_p
@@ -188,14 +175,6 @@ class _Shallow:
         drhs[(a + 1) * n_p : (a + 2) * n_p] = -ops.phi_mean * nsig * lifted
         return drhs
 
-    def row(ops, b, g, s, dU):
-        n_p, R = ops.n_p, ops.basis.face_restrict[(b, s)]
-        dphi = R @ dU[:n_p]
-        dvel = R @ dU[(b + 1) * n_p : (b + 2) * n_p]
-        vsig = 1.0 if s == 1 else -1.0
-        djump = ops.phi_mean * vsig * dvel + ops.root_phi * dphi
-        return ops.basis.face_quad_w[:, None] * djump
-
     def correction(ops, els):
         # the wall rule phihat = phi + sqrt(PHI) theta.n cancels the
         # continuity flux and turns the momentum flux <PHI phihat n_a, w>
@@ -204,34 +183,24 @@ class _Shallow:
         PHI, rp = ops.phi_mean, ops.root_phi
         C = np.zeros((len(els), 3 * n_p, 3 * n_p))
         phi = slice(0, n_p)
-        for a in range(2):
+        for (a, s), (_fid, bels, nsig) in ops._wall_faces.items():
             vel = slice((a + 1) * n_p, (a + 2) * n_p)
-            for s in (0, 1):
-                _fid, bels, nsig = ops.mesh.boundary_faces(a, s)
-                wall = np.isin(els, bels)
-                R = basis.face_restrict[(a, s)]
-                E = ops.mesh.face_jac[a] * (R.T @ (basis.face_quad_w[:, None] * R))
-                C[wall, phi, phi] -= rp * E
-                C[wall, phi, vel] -= nsig * PHI * E
-                C[wall, vel, phi] += nsig * PHI * E
-                C[wall, vel, vel] += PHI * rp * E
+            wall = np.isin(els, bels)
+            R = basis.face_restrict[(a, s)]
+            E = ops.mesh.face_jac[a] * (R.T @ (basis.face_quad_w[:, None] * R))
+            C[wall, phi, phi] -= rp * E
+            C[wall, phi, vel] -= nsig * PHI * E
+            C[wall, vel, phi] += nsig * PHI * E
+            C[wall, vel, vel] += PHI * rp * E
         return C
-
-    def own(ops, a, f):
-        w, F = ops.basis.face_quad_w, ops.basis.face_eval
-        return -2.0 * ops.root_phi * ops.mesh.face_jac[a] * (F.T @ (w[:, None] * F))
 
     def closure(ops, state, trace):
         # the one-sided wall rule phihat = phi + sqrt(PHI) theta.n
         phi, u, v = ops.split(state)
-        for a in range(2):
+        for (a, side), (bfid, els, osign) in ops._wall_faces.items():
             vel = u if a == 0 else v
-            for side in (0, 1):
-                bfid, els, osign = ops.mesh.boundary_faces(a, side)
-                nid = ops.basis.face_node_ids[(a, side)]
-                trace.data[a][bfid] = (
-                    phi[els][:, nid] + ops.root_phi * osign * vel[els][:, nid]
-                )
+            at = els[:, None], ops.basis.face_node_ids[(a, side)]
+            trace.data[a][bfid] = phi[at] + ops.root_phi * osign * vel[at]
 
     def boundary_data(ops, trace, t):
         pass
@@ -257,33 +226,41 @@ _PHYSICS = {TransportOperators: _Transport, ShallowOperators: _Shallow}
 # -- one verification path ---------------------------------------------------------
 
 
+def _jump(ops, state, trace, axis):
+    """The flux jump at the quadrature points of one axis's interior faces:
+    both sides' contributions plus the trace's."""
+    rules = _PHYSICS[type(ops)]
+    fid, minus, plus = ops._int_faces[axis]
+    uh = trace.data[axis][fid] @ ops.basis.face_eval.T
+    return (rules.side(ops, axis, fid, 1, state[minus])
+            + rules.side(ops, axis, fid, 0, state[plus])
+            + rules.trace_weight(ops, axis, fid) * uh)
+
+
+def _moments(ops, axis, q):
+    """<q, mu>_e against every face basis function mu, for face-quadrature
+    values q along the last axis of an axis-normal face."""
+    basis = ops.basis
+    return ops.mesh.face_jac[axis] * ((basis.face_quad_w * q) @ basis.face_eval)
+
+
 def jump_moments(ops, state, trace):
     """Conservation residual moments <jump, mu>_e on every interior face,
     in the unknown order of the dense trace system."""
-    jump, mesh, basis = _PHYSICS[type(ops)].jump, ops.mesh, ops.basis
-    parts = [
-        mesh.face_jac[a]
-        * ((basis.face_quad_w * jump(ops, state, trace, a)) @ basis.face_eval)
-        for a in range(mesh.dim)
-    ]
-    return np.concatenate([p.ravel() for p in parts])
+    return np.concatenate([
+        _moments(ops, a, _jump(ops, state, trace, a)).ravel()
+        for a in range(ops.mesh.dim)
+    ])
 
 
-def flux_jump_residual(ops, state, trace, per_face=False):
+def flux_jump_residual(ops, state, trace):
     """Skeleton L2 norm of the numerical-flux jump (the continuity-flux jump
-    for shallow water) over interior faces.
-
-    With per_face=True returns the array of face L2 norms instead.
-    """
-    jump, mesh, basis = _PHYSICS[type(ops)].jump, ops.mesh, ops.basis
-    total, per = 0.0, []
+    for shallow water) over interior faces."""
+    mesh, w = ops.mesh, ops.basis.face_quad_w
+    total = 0.0
     for a in range(mesh.dim):
-        j = jump(ops, state, trace, a)
-        face_sq = mesh.face_jac[a] * np.sum(basis.face_quad_w * j * j, axis=1)
-        total += float(np.sum(face_sq))
-        per.append(np.sqrt(face_sq))
-    if per_face:
-        return np.concatenate(per)
+        j = _jump(ops, state, trace, a)
+        total += mesh.face_jac[a] * float(np.sum(w * j * j))
     return float(np.sqrt(total))
 
 
@@ -311,7 +288,6 @@ def assemble_trace_system(ops, state_prev=None, t=0.0):
     rules = _PHYSICS[type(ops)]
     mesh, basis = ops.mesh, ops.basis
     index = check_dense_size(mesh, basis)
-    F = basis.face_eval
     a_inv = assemble_inverses(lambda els: condensed_matrices(ops, els),
                               mesh.n_el, ops.state_width)
 
@@ -320,28 +296,31 @@ def assemble_trace_system(ops, state_prev=None, t=0.0):
     state0 = condensed_solve(ops, a_inv, trace0, ops.source(t, state_prev))
     r0 = jump_moments(ops, state0, trace0)
 
+    # column j of face f is the jump moments of a unit trace e_j on f: the
+    # sides' moments of the local change it drives in its two elements,
+    # and the trace's own term on f
     N = index.n_unknowns
     T = np.zeros((N, N))
     for a in range(mesh.dim):
         fid_arr, minus_arr, plus_arr = ops._int_faces[a]
         for i, f in enumerate(fid_arr):
             cols = index.rows(a, f)
-            own = rules.own(ops, a, f)
-            if own is None:
+            weight = rules.trace_weight(ops, a, f)
+            if not np.any(weight):
                 # no flux crosses this face; pin its (irrelevant) trace
                 T[cols, cols] = np.eye(basis.n_face)
                 continue
             for el, side in ((minus_arr[i], 1), (plus_arr[i], 0)):
-                dU = a_inv[el] @ rules.lift(ops, a, f, side)
+                dU = (a_inv[el] @ rules.lift(ops, a, f, side)).T
                 for b in range(mesh.dim):
                     for s in (0, 1):
                         g = ops.fidx[(b, s)][el]
                         plane = g // mesh.n_perp[b]
                         if plane == 0 or plane == mesh.nel[b]:
                             continue
-                        wq = rules.row(ops, b, g, s, dU)
-                        T[index.rows(b, g), cols] += mesh.face_jac[b] * (F.T @ wq)
-            T[cols, cols] += own
+                        dq = rules.side(ops, b, g, s, dU)
+                        T[index.rows(b, g), cols] += _moments(ops, b, dq).T
+            T[cols, cols] += _moments(ops, a, weight * basis.face_eval.T).T
     return GlobalTraceSystem(index=index, matrix=T, rhs=-r0, a_inv=a_inv)
 
 
@@ -362,8 +341,9 @@ def direct_solve(ops, state_prev=None, t=0.0):
 def verify_cell(case, nel, p, dt, config):
     """The checks of `ehdg verify` on one cell, as (name, ok, detail).
 
-    The fixed-point solve under config (steady, or one step from the case's
-    initial state) is compared with direct_solve on the same operators. The
+    The fixed-point solve under config (driver.solve: steady, or one step
+    from the case's initial state) is compared with direct_solve on the
+    same operators. The
     dense-solve size is checked on the mesh and basis before any operator
     is assembled.
     """
@@ -372,9 +352,7 @@ def verify_cell(case, nel, p, dt, config):
     ops, state0 = build_case(case, nel, p, dt)
     rules = _PHYSICS[type(ops)]
     t = 0.0 if ops.dt is None else ops.dt
-    s_it, tr_it, log = iterate_to_fixed_point(
-        ops, config, u0=state0, t=t, state_prev=state0
-    )
+    s_it, tr_it, [log] = solve(ops, config, state0)
     s_dir, tr_dir, _sys = direct_solve(ops, state0, t)
     rel = rules.norm(ops, s_it - s_dir) / max(rules.norm(ops, s_dir), 1e-300)
     j_it = flux_jump_residual(ops, s_it, tr_it)

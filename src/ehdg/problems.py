@@ -232,18 +232,14 @@ def build_case(case, nel, p, dt=None):
     mesh = meshes.build_mesh(case.dim, nel, case.bounds)
     basis = TensorBasis(case.dim, p)
     dt = dt if dt is not None else case.dt_default
-    exact = case.problem.exact
-    if case.kind == "shallow":
-        ops = ShallowOperators(mesh, basis, case.problem, dt)
-        state0 = (ops.zero_state() if exact is None
-                  else ops.interpolate(exact, 0.0))
-    else:
-        ops = TransportOperators(mesh, basis, case.problem, dt=dt)
-        if dt is None:
-            return ops, None
-        state0 = (ops.zero_state() if exact is None
-                  else ops.interpolate_exact(0.0))
-    return ops, state0
+    operators = (ShallowOperators if case.kind == "shallow"
+                 else TransportOperators)
+    ops = operators(mesh, basis, case.problem, dt)
+    if ops.dt is None:
+        return ops, None
+    if case.problem.exact is None:
+        return ops, ops.zero_state()
+    return ops, ops.interpolate(case.problem.exact, 0.0)
 
 
 def run_cell(case, nel, p, config, dt=None, steps=None):

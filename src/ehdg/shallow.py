@@ -97,14 +97,14 @@ class ShallowOperators(LocalOperators):
     Wall faces read the lagged trace like any other face.
     """
 
+    fields = ("phi", "u", "v")
+
     def __init__(self, mesh, basis, problem, dt):
         if mesh.dim != 2 or problem.dim != 2:
             raise AssemblyError("shallow water operators are 2D")
-        if dt is None or dt <= 0:
-            raise AssemblyError("shallow water needs a positive time step")
-        n_p = basis.n_p
-        super().__init__(mesh, basis, problem, float(dt), 3 * n_p)
-        self.n_p = n_p
+        if dt is None:
+            raise AssemblyError("shallow water needs a time step")
+        super().__init__(mesh, basis, problem, float(dt))
         self.phi_mean = float(problem.phi_mean)
         self.root_phi = float(np.sqrt(self.phi_mean))
 
@@ -124,16 +124,13 @@ class ShallowOperators(LocalOperators):
                     R.T @ (basis.face_quad_w[:, None] * R)
                 )
 
-        self.fidx = {
-            (a, s): mesh.face_index(a, s) for a in range(2) for s in (0, 1)
-        }
         # (face_ids, elements, outward_sign) of each wall plane, by (a, side)
         self._wall_faces = {
             (a, s): mesh.boundary_faces(a, s) for a in range(2) for s in (0, 1)
         }
         self.shared = problem.coriolis_beta == 0.0
         n = 1 if self.shared else mesh.n_el
-        self.a_inv = assemble_inverses(self.element_matrix, n, 3 * n_p)
+        self.a_inv = assemble_inverses(self.element_matrix, n, self.state_width)
 
     # -- assembly -----------------------------------------------------------
 
@@ -181,22 +178,6 @@ class ShallowOperators(LocalOperators):
         A[:, sl[2], sl[1]] += PHI * Mc
         A[:, sl[2], sl[2]] += diag_m[None]
         return A
-
-    # -- state helpers --------------------------------------------------------
-
-    def split(self, state):
-        n_p = self.n_p
-        return state[:, :n_p], state[:, n_p : 2 * n_p], state[:, 2 * n_p :]
-
-    def interpolate(self, fields, t=0.0):
-        """Nodal interpolation of (pts, t) -> (N, 3) exact-style callables."""
-        vals = self.sample(fields, t, nodes=True)
-        state = self.zero_state()
-        phi, u, v = self.split(state)
-        phi[:] = vals[:, :, 0]
-        u[:] = vals[:, :, 1]
-        v[:] = vals[:, :, 2]
-        return state
 
     # -- per-iteration pieces -------------------------------------------------
 

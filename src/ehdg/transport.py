@@ -21,6 +21,7 @@ assembly of local inverses.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -148,23 +149,36 @@ class LocalOperators:
 
     An instance holds the explicit inverses of its element-local operators
     (a_inv: one per element, or one shared by all) and the face data of its
-    trace rule. The base class supplies the state width and zero state,
-    the batched local solve, the interior-face lists, trace construction
-    and the sampling of case callables at element points. Each physics
-    supplies element_matrix(elements), source(t, state_prev),
-    rhs(trace, source), update_trace(state, trace_out, t) and
+    trace rule. A state row is the nodal values of each of the class's
+    fields in turn. The base class supplies the state width, zero state,
+    field split and nodal interpolation, the batched local solve, the
+    element-to-face index and interior-face lists, trace construction and
+    the sampling of case callables at element points. Each physics names
+    its fields and supplies element_matrix(elements), source(t,
+    state_prev), rhs(trace, source), update_trace(state, trace_out, t) and
     pass_norms(t, state), and sets shared and a_inv (assemble_inverses);
     the driver calls nothing else.
+
+    dt is None (steady) or the backward-Euler step, positive and finite.
     """
 
-    def __init__(self, mesh, basis, problem, dt, state_width):
+    fields = ("u",)
+
+    def __init__(self, mesh, basis, problem, dt):
+        if dt is not None and not (dt > 0 and math.isfinite(dt)):
+            raise AssemblyError(
+                f"the time step must be positive and finite, got {dt}")
         self.mesh = mesh
         self.basis = basis
         self.problem = problem
         self.dt = dt
-        self.state_width = state_width
+        self.n_p = basis.n_p
+        self.state_width = len(self.fields) * basis.n_p
         self.mass_phys = mesh.jac * basis.mass_ref
         self.load_vec = mesh.jac * (basis.eval_vol.T * basis.quad_w)
+        # element -> face index of each element's side s face, per axis
+        self.fidx = {(a, s): mesh.face_index(a, s)
+                     for a in range(mesh.dim) for s in (0, 1)}
         # (face_ids, minus_elements, plus_elements) per axis
         self._int_faces = [mesh.interior_faces(a) for a in range(mesh.dim)]
         # element worker pool of solve_cells and its worker count
@@ -173,6 +187,22 @@ class LocalOperators:
 
     def zero_state(self):
         return np.zeros((self.mesh.n_el, self.state_width))
+
+    def split(self, state):
+        """The column blocks of state rows, one per field, as views."""
+        n = self.n_p
+        return tuple(state[:, i * n : (i + 1) * n]
+                     for i in range(len(self.fields)))
+
+    def interpolate(self, fn, t=0.0):
+        """Nodal interpolant of fn(points, t), whose values are (N,) for
+        one field and (N, n_fields) otherwise, in the order of fields."""
+        vals = self.sample(fn, t, nodes=True)
+        vals = vals.reshape(self.mesh.n_el, self.n_p, len(self.fields))
+        state = self.zero_state()
+        for i, part in enumerate(self.split(state)):
+            part[:] = vals[:, :, i]
+        return state
 
     def sample(self, fn, *args, nodes=False, elements=None):
         """fn(points, *args) at the volume quadrature points (the nodes with
@@ -252,7 +282,7 @@ class TransportOperators(LocalOperators):
     """
 
     def __init__(self, mesh, basis, problem, dt=None):
-        super().__init__(mesh, basis, problem, dt, basis.n_p)
+        super().__init__(mesh, basis, problem, dt)
         d = mesh.dim
         if problem.dim != d:
             raise AssemblyError("problem/mesh dimension mismatch")
@@ -268,17 +298,12 @@ class TransportOperators(LocalOperators):
             self.abs_bn.append(np.abs(self.bn[a]))
             self.sgn.append(np.sign(self.bn[a]))
 
-        # element -> face index maps and the element-side |beta.n| face
-        # weights of the trace lift and the skeleton norm
-        self.fidx = {}
-        self.lift_w = {}
-        for a in range(d):
-            for s in (0, 1):
-                fi = mesh.face_index(a, s)
-                self.fidx[(a, s)] = fi
-                self.lift_w[(a, s)] = (
-                    mesh.face_jac[a] * basis.face_quad_w * self.abs_bn[a][fi]
-                )
+        # the element-side |beta.n| face weights of the trace lift and the
+        # skeleton norm
+        self.lift_w = {
+            (a, s): mesh.face_jac[a] * basis.face_quad_w * self.abs_bn[a][fi]
+            for (a, s), fi in self.fidx.items()
+        }
 
         # boundary classification
         self.inflow_blocks = []       # (axis, face_ids, elements, side)
@@ -427,7 +452,8 @@ class TransportOperators(LocalOperators):
         return driver.TransportNorms(self, t, u)
 
     def interpolate_exact(self, t=0.0):
-        """Nodal interpolant of the exact solution."""
+        """Nodal interpolant of the exact solution (perfbench/gate.py
+        calls it by this name)."""
         if self.problem.exact is None:
             raise ValueError("problem has no exact solution")
-        return self.sample(self.problem.exact, t, nodes=True)
+        return self.interpolate(self.problem.exact, t)

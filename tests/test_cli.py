@@ -186,7 +186,7 @@ def test_verify_refuses_oversized_oracle_before_iterating(monkeypatch,
     def no_operators(*_args, **_kwargs):
         raise AssertionError("verify assembled before the oracle size check")
 
-    monkeypatch.setattr(oracle_mod, "iterate_to_fixed_point", no_solve)
+    monkeypatch.setattr(oracle_mod, "solve", no_solve)
     monkeypatch.setattr(LocalOperators, "__init__", no_operators)
     rc = main(["verify", "case=transport3d-steady", "nel=16", "p=1"])
     assert rc == 1

@@ -25,6 +25,7 @@ from ehdg.driver import (
 )
 from ehdg.mesh import build_mesh
 from ehdg.oracle import (
+    _PHYSICS,
     MAX_DENSE_UNKNOWNS,
     OracleSizeError,
     assemble_trace_system,
@@ -188,6 +189,14 @@ class TestProbedSystem:
                 assert np.abs(col - system.matrix[:, j]).max() <= 1e-12 * scale
 
 
+def test_every_physics_defines_the_same_rules():
+    names = [{n for n in vars(rules) if not n.startswith("_")}
+             for rules in _PHYSICS.values()]
+    assert len(names) == 2 and names[0] == names[1], names
+    assert {"side", "trace_weight", "lift", "correction",
+            "closure"} <= names[0]
+
+
 class TestJumpResidual:
     def test_inconsistent_trace_has_large_jumps(self, rng):
         case = catalog("transport2d-smooth")
@@ -210,14 +219,6 @@ class TestJumpResidual:
             u = rng.standard_normal((mesh.n_el, basis.n_p))
             trace = ops.initial_trace(u)
             assert flux_jump_residual(ops, u, trace) < 1e-12
-
-    def test_per_face_layout(self):
-        ops = operators(catalog("transport2d-smooth"), 4, 1)
-        u_dir, trace_dir, _system = direct_solve(ops)
-        per = flux_jump_residual(ops, u_dir, trace_dir, per_face=True)
-        assert per.shape == (2 * 4 * 3,)
-        assert np.all(per >= 0.0)
-        assert float(per.max()) < 1e-11
 
 
 def _no_operators(monkeypatch):

@@ -631,3 +631,47 @@ class TestValidation:
         assert np.allclose(u, interp_scalar(mesh, basis, lambda q: q[:, 0]))
         with pytest.raises(Exception):
             ops.interpolate_exact(0.0)
+
+
+class TestContract:
+    """The LocalOperators rules both physics share: the time step, the
+    field split and nodal interpolation."""
+
+    @staticmethod
+    def build(physics, dt):
+        from ehdg.problems import catalog
+        from ehdg.shallow import ShallowOperators
+
+        if physics == "transport":
+            case = catalog("transport3d-gaussian")
+            kind = TransportOperators
+        else:
+            case = catalog("shallow-standing-wave")
+            kind = ShallowOperators
+        mesh = build_mesh(case.dim, 2, case.bounds)
+        return kind(mesh, TensorBasis(case.dim, 1), case.problem, dt), case
+
+    @pytest.mark.parametrize("physics", ["transport", "shallow"])
+    @pytest.mark.parametrize("dt", [-0.01, 0.0, math.nan, math.inf])
+    def test_time_step_must_be_positive_and_finite(self, physics, dt):
+        with pytest.raises(AssemblyError, match="positive and finite"):
+            self.build(physics, dt)
+
+    def test_transport_interpolate_is_interpolate_exact(self):
+        ops, case = self.build("transport", 0.01)
+        assert np.array_equal(ops.interpolate(case.problem.exact, 0.3),
+                              ops.interpolate_exact(0.3))
+
+    @pytest.mark.parametrize("physics", ["transport", "shallow"])
+    def test_split_of_interpolate_gives_each_field(self, physics):
+        ops, case = self.build(physics, 0.01)
+        mesh, basis = ops.mesh, ops.basis
+        X = mesh.centers[:, None, :] + mesh.half * basis.ref_nodes[None]
+        vals = case.problem.exact(X.reshape(-1, mesh.dim), 0.3)
+        vals = vals.reshape(mesh.n_el, basis.n_p, len(ops.fields))
+        state = ops.interpolate(case.problem.exact, 0.3)
+        assert state.shape == (mesh.n_el, ops.state_width)
+        parts = ops.split(state)
+        assert len(parts) == len(ops.fields)
+        for i, part in enumerate(parts):
+            assert np.array_equal(part, vals[:, :, i])
