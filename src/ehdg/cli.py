@@ -303,9 +303,13 @@ def cmd_study(cfg):
     nels = cfg.nels if cfg.nels is not None else defaults[0]
     ps = cfg.ps if cfg.ps is not None else defaults[1]
     dt, steps = _time_levels(cfg, case)
-    rows = convergence_study(
-        case, nels, ps, config=iteration_config(cfg), dt=dt, n_steps=steps,
-    )
+    config = iteration_config(cfg)
+    try:
+        rows = convergence_study(case, nels, ps, config=config, dt=dt,
+                                 n_steps=steps)
+    except ValueError as err:
+        # a study's ValueErrors refuse its arguments (a repeated mesh)
+        raise UsageError(str(err)) from None
     os.makedirs(cfg.outdir, exist_ok=True)
     path = os.path.join(cfg.outdir, f"{cfg.case}-study.csv")
     with open(path, "w") as fh:

@@ -90,67 +90,17 @@ def trace_diff_norm(mesh, basis, t1, t2):
     return float(np.sqrt(total))
 
 
+# The transport norms live on the operators (LocalOperators.error_eval and
+# skeleton_norm). These two names only call them: the benchmark tracer in
+# perfbench/tracer.py wraps them by name.
+
+
 def transport_error_eval(ops, t):
-    if ops.problem.exact is None:
-        return None
-    mesh, basis = ops.mesh, ops.basis
-    ue = ops.sample(ops.problem.exact, t)
-
-    def err(u):
-        dv = u @ basis.eval_vol.T - ue
-        return float(np.sqrt(mesh.jac * np.sum(basis.quad_w * dv * dv)))
-
-    return err
+    return ops.error_eval(t)
 
 
 def transport_skeleton_norm(ops, u):
-    """|beta.n|-weighted skeleton norm of an element field, summed over all
-    element boundaries (interior faces contribute from both sides).
-
-    Face values are read from the face nodes alone (the other GLL basis
-    functions vanish on the face) and weighted by ops.lift_w.
-    """
-    basis = ops.basis
-    total = 0.0
-    for (a, s), w in ops.lift_w.items():
-        vals = u[:, basis.face_node_ids[(a, s)]] @ basis.face_eval.T
-        total += np.sum(w * vals * vals)
-    return float(np.sqrt(total))
-
-
-class TransportNorms:
-    """The per-pass norms of a transport solve at one time level
-    (TransportOperators.pass_norms).
-
-    The exact solution is evaluated at the volume quadrature points once.
-    Each pass maps the new iterate to quadrature-point values once; the
-    error and the successive difference are both taken from those values,
-    which are kept for the next pass. The two (n_el, n_q) value buffers
-    swap roles every pass, as u and u_next do.
-    """
-
-    def __init__(self, ops, t, u):
-        self.ops = ops
-        exact = ops.problem.exact
-        self.ue = None if exact is None else ops.sample(exact, t)
-        self.vals = u @ ops.basis.eval_vol.T
-        self.work = np.empty_like(self.vals)
-
-    def __call__(self, u_new, _u_old):
-        mesh, basis = self.ops.mesh, self.ops.basis
-        v, dv = self.work, self.vals
-        np.matmul(u_new, basis.eval_vol.T, out=v)
-        np.subtract(v, dv, out=dv)
-        np.multiply(dv, dv, out=dv)
-        succ = float(np.sqrt(mesh.jac * np.sum(dv @ basis.quad_w)))
-        err = float("nan")
-        if self.ue is not None:
-            # the expression of transport_error_eval, so the error (and the
-            # error-difference stopping test) is bit-identical to it
-            np.subtract(v, self.ue, out=dv)
-            err = float(np.sqrt(mesh.jac * np.sum(basis.quad_w * dv * dv)))
-        self.vals, self.work = v, dv
-        return err, succ, transport_skeleton_norm(self.ops, u_new)
+    return ops.skeleton_norm(u)
 
 
 def _check_finite(k, err, succ, exact_known):

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import TensorBasis
-from .driver import solve, volume_l2
+from .driver import solve
 from .mesh import build_mesh
 from .problems import build_case
 from .shallow import ShallowOperators
@@ -146,9 +146,6 @@ class _Transport:
 
     boundary_data = TransportOperators.inflow_trace
 
-    def norm(ops, u):
-        return volume_l2(ops.mesh, ops.basis, u)
-
     def extra_checks(ops, state0, state):
         return []
 
@@ -204,9 +201,6 @@ class _Shallow:
 
     def boundary_data(ops, trace, t):
         pass
-
-    def norm(ops, state):
-        return ops.diff_norm(state, 0.0)
 
     def extra_checks(ops, state0, state):
         # scaled by the integral of |phi0|, not by |mass0|: a zero-mean
@@ -343,9 +337,9 @@ def verify_cell(case, nel, p, dt, config):
 
     The fixed-point solve under config (driver.solve: steady, or one step
     from the case's initial state) is compared with direct_solve on the
-    same operators. The
-    dense-solve size is checked on the mesh and basis before any operator
-    is assembled.
+    same operators, in their energy norm (ops.diff_norm). The dense-solve
+    size is checked on the mesh and basis before any operator is
+    assembled.
     """
     check_dense_size(build_mesh(case.dim, nel, case.bounds),
                      TensorBasis(case.dim, p))
@@ -354,7 +348,7 @@ def verify_cell(case, nel, p, dt, config):
     t = 0.0 if ops.dt is None else ops.dt
     s_it, tr_it, [log] = solve(ops, config, state0)
     s_dir, tr_dir, _sys = direct_solve(ops, state0, t)
-    rel = rules.norm(ops, s_it - s_dir) / max(rules.norm(ops, s_dir), 1e-300)
+    rel = ops.diff_norm(s_it, s_dir) / max(ops.diff_norm(s_dir, 0.0), 1e-300)
     j_it = flux_jump_residual(ops, s_it, tr_it)
     j_dir = flux_jump_residual(ops, s_dir, tr_dir)
     return [

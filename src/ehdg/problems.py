@@ -196,10 +196,15 @@ def convergence_study(case, nel_list, p_list, config=None, dt=None,
 
     Each point is one run_cell: steady cases solve once per mesh; transient
     cases march n_steps of dt and report the final-time error with the
-    summed iteration count.
+    summed iteration count. A mesh may appear once in nel_list: an order
+    between two equal meshes is undefined.
     """
     if case.problem.exact is None:
         raise ValueError(f"case {case.identifier} has no exact solution")
+    for i, nel in enumerate(nel_list):
+        if nel in nel_list[:i]:
+            raise ValueError(f"nel {nel} appears more than once in the "
+                             "mesh list")
     config = config or IterationConfig()
     rows = []
     for p in p_list:

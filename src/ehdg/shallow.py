@@ -22,6 +22,7 @@ flux vanish there identically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -104,9 +105,14 @@ class ShallowOperators(LocalOperators):
             raise AssemblyError("shallow water operators are 2D")
         if dt is None:
             raise AssemblyError("shallow water needs a time step")
+        phi_mean = float(problem.phi_mean)
+        if not (phi_mean > 0 and math.isfinite(phi_mean)):
+            raise AssemblyError("the mean geopotential phi_mean must be "
+                                f"positive and finite, got {phi_mean}")
         super().__init__(mesh, basis, problem, float(dt))
-        self.phi_mean = float(problem.phi_mean)
-        self.root_phi = float(np.sqrt(self.phi_mean))
+        self.phi_mean = phi_mean
+        self.root_phi = float(np.sqrt(phi_mean))
+        self.energy = (1.0, phi_mean, phi_mean)
 
         # grad-against-test matrices S_a[i, j] = (phi_j, d phi_i / d x_a)_K
         self.S = []
@@ -123,6 +129,16 @@ class ShallowOperators(LocalOperators):
                 self.Eface[(a, s)] = mesh.face_jac[a] * (
                     R.T @ (basis.face_quad_w[:, None] * R)
                 )
+
+        # the trace lift: sqrt(PHI) into the continuity row, and -PHI n
+        # into the momentum row of the face's normal axis a, with n the
+        # outward normal component (-1 on side 0, +1 on side 1)
+        self.lift_w, self.lift_coef = {}, {}
+        for a, s in self.fidx:
+            n = (-1.0, 1.0)[s]
+            self.lift_w[(a, s)] = mesh.face_jac[a] * basis.face_quad_w
+            self.lift_coef[(a, s)] = ((0, self.root_phi),
+                                      (1 + a, -(phi_mean * n)))
 
         # (face_ids, elements, outward_sign) of each wall plane, by (a, side)
         self._wall_faces = {
@@ -206,24 +222,6 @@ class ShallowOperators(LocalOperators):
             r2 += wind[1]
         return out
 
-    def rhs(self, trace, source):
-        """Right-hand sides of every local solve: source (see source())
-        plus the lift of the given trace field."""
-        mesh, basis = self.mesh, self.basis
-        PHI, rp = self.phi_mean, self.root_phi
-        out = source.copy()
-        r0, r1, r2 = self.split(out)
-        for a in range(2):
-            mom = r1 if a == 0 else r2
-            for s in (0, 1):
-                ph_q = trace.data[a][self.fidx[(a, s)]] @ basis.face_eval.T
-                w = mesh.face_jac[a] * basis.face_quad_w
-                lifted = (w * ph_q) @ basis.face_restrict[(a, s)]
-                nsig = -1.0 if s == 0 else 1.0
-                r0 += rp * lifted
-                mom -= PHI * nsig * lifted
-        return out
-
     def update_trace(self, state, trace_out, t=0.0):
         """phihat = {phi} + sqrt(PHI){theta.n} inside, one-sided on walls.
 
@@ -244,67 +242,6 @@ class ShallowOperators(LocalOperators):
                 bfid, els, osign = self._wall_faces[(a, side)]
                 at = els[:, None], basis.face_node_ids[(a, side)]
                 trace_out.data[a][bfid] = phi[at] + rp * osign * vel[at]
-
-    # -- norms ----------------------------------------------------------------
-
-    def pass_norms(self, t, state):
-        """The per-pass (error, successive difference, skeleton norm) of a
-        solve at time t, from error_eval, diff_norm and skeleton_norm."""
-        err = self.error_eval(t)
-
-        def norms(s_new, s_old):
-            e = float("nan") if err is None else err(s_new)
-            return e, self.diff_norm(s_new, s_old), self.skeleton_norm(s_new)
-
-        return norms
-
-    def error_eval(self, t):
-        if self.problem.exact is None:
-            return None
-        mesh, basis = self.mesh, self.basis
-        ex = self.sample(self.problem.exact, t)
-        PHI, jac, w = self.phi_mean, mesh.jac, basis.quad_w
-        Ev = basis.eval_vol
-
-        def err(state):
-            phi, u, v = self.split(state)
-            dp = phi @ Ev.T - ex[:, :, 0]
-            du = u @ Ev.T - ex[:, :, 1]
-            dv = v @ Ev.T - ex[:, :, 2]
-            s = np.sum(w * (dp * dp + PHI * (du * du + dv * dv)))
-            return float(np.sqrt(jac * s))
-
-        return err
-
-    def diff_norm(self, s1, s2):
-        mesh, basis = self.mesh, self.basis
-        phi, u, v = self.split(s1 - s2)
-        Ev, w = basis.eval_vol, basis.quad_w
-        s = np.sum(
-            w
-            * (
-                (phi @ Ev.T) ** 2
-                + self.phi_mean * ((u @ Ev.T) ** 2 + (v @ Ev.T) ** 2)
-            )
-        )
-        return float(np.sqrt(mesh.jac * s))
-
-    def skeleton_norm(self, state):
-        """Trace-energy norm over all element boundaries (both sides of
-        every interior face contribute)."""
-        mesh, basis = self.mesh, self.basis
-        phi, u, v = self.split(state)
-        total = 0.0
-        for a in range(2):
-            for s in (0, 1):
-                R, w = basis.face_restrict[(a, s)], basis.face_quad_w
-                pq = phi @ R.T
-                uq = u @ R.T
-                vq = v @ R.T
-                total += mesh.face_jac[a] * np.sum(
-                    w * (pq * pq + self.phi_mean * (uq * uq + vq * vq))
-                )
-        return float(np.sqrt(total))
 
     def total_mass(self, state):
         phi, _u, _v = self.split(state)

@@ -27,7 +27,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import driver
 from .mesh import INFLOW, classify_boundary_face
 
 # elements per block of the batched local solve, and the most elements one
@@ -152,17 +151,25 @@ class LocalOperators:
     trace rule. A state row is the nodal values of each of the class's
     fields in turn. The base class supplies the state width, zero state,
     field split and nodal interpolation, the batched local solve, the
-    element-to-face index and interior-face lists, trace construction and
-    the sampling of case callables at element points. Each physics names
-    its fields and supplies element_matrix(elements), source(t,
-    state_prev), rhs(trace, source), update_trace(state, trace_out, t) and
-    pass_norms(t, state), and sets shared and a_inv (assemble_inverses);
-    the driver calls nothing else.
+    element-to-face index and interior-face lists, trace construction, the
+    sampling of case callables at element points, the trace lift (rhs) and
+    the norms. Each physics names its fields, supplies
+    element_matrix(elements), source(t, state_prev) and
+    update_trace(state, trace_out, t), sets shared and a_inv
+    (assemble_inverses), and describes its lift and norms as data:
+
+      energy       per-field weights of the energy norm, in field order;
+      lift_w       element-side face weights, by (axis, side);
+      lift_coef    (field, coefficient) pairs, by (axis, side): each field
+                   takes coefficient times the lifted trace.
+
+    The driver calls nothing else.
 
     dt is None (steady) or the backward-Euler step, positive and finite.
     """
 
     fields = ("u",)
+    energy = (1.0,)
 
     def __init__(self, mesh, basis, problem, dt):
         if dt is not None and not (dt > 0 and math.isfinite(dt)):
@@ -271,6 +278,118 @@ class LocalOperators:
         self.update_trace(state, tr, t)
         return tr
 
+    def rhs(self, trace, source):
+        """Right-hand sides of every local solve: source (see source())
+        plus the lift of the given trace field, one face at a time."""
+        basis = self.basis
+        out = source.copy()
+        parts = self.split(out)
+        for (a, s), w in self.lift_w.items():
+            uh_q = trace.data[a][self.fidx[(a, s)]] @ basis.face_eval.T
+            lifted = (w * uh_q) @ basis.face_restrict[(a, s)]
+            for i, c in self.lift_coef[(a, s)]:
+                # a coefficient of one adds the lift itself, not a copy
+                part = parts[i]
+                part += lifted if c == 1.0 else c * lifted
+            # released before the next face's lift is formed
+            del lifted
+        return out
+
+    # -- norms: the energy norm, sum_i energy[i] ||field_i||^2 --------------
+
+    def _energy_norm(self, squares):
+        """sqrt(jac * sum_i energy[i] squares[i]), from each field's
+        quadrature sum of squared values."""
+        total = sum(e * sq for e, sq in zip(self.energy, squares))
+        return float(np.sqrt(self.mesh.jac * total))
+
+    def _volume_norm(self, state, ue=None):
+        """Energy norm over the element volumes of state, less the
+        quadrature-point values ue when given."""
+        basis = self.basis
+        squares = []
+        for i, part in enumerate(self.split(state)):
+            dv = part @ basis.eval_vol.T
+            if ue is not None:
+                dv -= ue[:, :, i]
+            squares.append(np.sum(basis.quad_w * dv * dv))
+        return self._energy_norm(squares)
+
+    def _exact_values(self, t):
+        """The exact solution at the volume quadrature points, one field
+        per last index, or None when the problem has none."""
+        if self.problem.exact is None:
+            return None
+        ue = self.sample(self.problem.exact, t)
+        return ue.reshape(self.mesh.n_el, -1, len(self.fields))
+
+    def error_eval(self, t):
+        """The error of a state against the exact solution at time t, as a
+        callable; None when the problem has no exact solution. The exact
+        solution is sampled once."""
+        ue = self._exact_values(t)
+        if ue is None:
+            return None
+        return lambda state: self._volume_norm(state, ue)
+
+    def diff_norm(self, s1, s2):
+        """Energy norm of s1 - s2 over the element volumes."""
+        return self._volume_norm(s1 - s2)
+
+    def skeleton_norm(self, state):
+        """Energy norm over all element boundaries under the lift_w face
+        weights (both sides of every interior face contribute).
+
+        Face values are read from the face nodes alone: the other GLL
+        basis functions vanish on the face.
+        """
+        basis = self.basis
+        parts = self.split(state)
+        total = 0.0
+        for (a, s), w in self.lift_w.items():
+            nid = basis.face_node_ids[(a, s)]
+            for e, part in zip(self.energy, parts):
+                vals = part[:, nid] @ basis.face_eval.T
+                total += e * np.sum(w * vals * vals)
+        return float(np.sqrt(total))
+
+    def pass_norms(self, t, state):
+        """The per-pass norms of a solve at time t started from state: a
+        callable (s_new, s_old) -> (error, successive difference, skeleton
+        norm), the error nan without an exact solution.
+
+        The exact solution is sampled once. Each pass maps each field of
+        the new iterate to quadrature-point values once; the error and the
+        successive difference are both taken from those values, which are
+        kept for the next pass. One value buffer per field and one spare
+        rotate, so s_old is not read.
+        """
+        basis = self.basis
+        Ev, w = basis.eval_vol, basis.quad_w
+        ue = self._exact_values(t)
+        vals = [part @ Ev.T for part in self.split(state)]
+        spare = np.empty_like(vals[0])
+
+        def norms(s_new, _s_old):
+            nonlocal spare
+            succ, err = [], []
+            for i, part in enumerate(self.split(s_new)):
+                v, dv = spare, vals[i]
+                np.matmul(part, Ev.T, out=v)
+                np.subtract(v, dv, out=dv)
+                np.multiply(dv, dv, out=dv)
+                succ.append(np.sum(dv @ w))
+                if ue is not None:
+                    # the expression of error_eval, so the error (and the
+                    # error-difference stopping test) is bit-identical to it
+                    np.subtract(v, ue[:, :, i], out=dv)
+                    err.append(np.sum(w * dv * dv))
+                vals[i], spare = v, dv
+            e = float("nan") if ue is None else self._energy_norm(err)
+            return e, self._energy_norm(succ), self.skeleton_norm(s_new)
+
+        return norms
+
 
 class TransportOperators(LocalOperators):
     """Assembled element-local operators plus face data for one problem.
@@ -299,11 +418,12 @@ class TransportOperators(LocalOperators):
             self.sgn.append(np.sign(self.bn[a]))
 
         # the element-side |beta.n| face weights of the trace lift and the
-        # skeleton norm
+        # skeleton norm; the one field takes the lift whole
         self.lift_w = {
             (a, s): mesh.face_jac[a] * basis.face_quad_w * self.abs_bn[a][fi]
             for (a, s), fi in self.fidx.items()
         }
+        self.lift_coef = {key: ((0, 1.0),) for key in self.lift_w}
 
         # boundary classification
         self.inflow_blocks = []       # (axis, face_ids, elements, side)
@@ -410,17 +530,6 @@ class TransportOperators(LocalOperators):
             out += (state_prev @ self.mass_phys.T) / self.dt
         return out
 
-    def rhs(self, trace, source):
-        """Right-hand sides of every local solve: source (see source())
-        plus the lift of the given trace field."""
-        basis = self.basis
-        out = source.copy()
-        for a in range(self.mesh.dim):
-            for s in (0, 1):
-                uh_q = trace.data[a][self.fidx[(a, s)]] @ basis.face_eval.T
-                out += (self.lift_w[(a, s)] * uh_q) @ basis.face_restrict[(a, s)]
-        return out
-
     def update_trace(self, u, trace_out, t=0.0):
         """Rebuild the skeleton trace from element solutions.
 
@@ -445,11 +554,6 @@ class TransportOperators(LocalOperators):
         for a, fid, els, side in self.outflow_blocks:
             nid = basis.face_node_ids[(a, side)]
             trace_out.data[a][fid] = u[els[:, None], nid]
-
-    def pass_norms(self, t, u):
-        # the transport norms live in ehdg.driver, where perfbench/tracer.py
-        # wraps transport_skeleton_norm and its siblings by name
-        return driver.TransportNorms(self, t, u)
 
     def interpolate_exact(self, t=0.0):
         """Nodal interpolant of the exact solution (perfbench/gate.py

@@ -234,6 +234,15 @@ def test_study_writes_rate_table(tmp_path):
     assert float(rows[1][4]) < float(rows[0][4])
 
 
+def test_study_repeated_mesh_is_usage_error(tmp_path, capsys):
+    rc = main(["study", "case=transport2d-smooth", "nels=2,2", "ps=1",
+               f"outdir={tmp_path}"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: nel 2 appears more than once")
+    assert not list(tmp_path.iterdir())
+
+
 # the keys of one small cell, as solve and study spell them
 _CELL_KEYS = {"solve": ["nel=4", "p=1"], "study": ["nels=4", "ps=1"]}
 

@@ -1,10 +1,10 @@
 """One fixed-point pass: step-constant work hoisted, norms fused.
 
 The pass takes its right-hand sides as source(t, state_prev) plus a trace
-lift, rebuilds the trace from face-node reads, and logs the transport norms
-from quadrature-point values it keeps between passes. Each piece is checked
-here against the direct form it replaced, kept in this file as a
-reference.
+lift, rebuilds the trace from face-node reads, and logs the energy norms of
+both physics from quadrature-point values it keeps between passes. Each
+piece is checked here against the direct form it replaced, kept in this
+file as a reference.
 """
 
 import dataclasses
@@ -22,7 +22,6 @@ from ehdg.driver import (
     ConvergenceFailure,
     IterationConfig,
     iterate_to_fixed_point,
-    transport_error_eval,
     volume_l2,
 )
 from ehdg.mesh import build_mesh
@@ -60,6 +59,64 @@ def reference_skeleton_norm(ops, u):
             w = ops.abs_bn[a][ops.fidx[(a, s)]]
             total += mesh.face_jac[a] * np.sum(
                 basis.face_quad_w * w * vals * vals
+            )
+    return float(np.sqrt(total))
+
+
+def reference_transport_error(ops, t):
+    mesh, basis = ops.mesh, ops.basis
+    ue = ops.sample(ops.problem.exact, t)
+
+    def err(u):
+        dv = u @ basis.eval_vol.T - ue
+        return float(np.sqrt(mesh.jac * np.sum(basis.quad_w * dv * dv)))
+
+    return err
+
+
+def reference_shallow_error(ops, t):
+    mesh, basis = ops.mesh, ops.basis
+    ex = ops.sample(ops.problem.exact, t)
+    PHI, jac, w = ops.phi_mean, mesh.jac, basis.quad_w
+    Ev = basis.eval_vol
+
+    def err(state):
+        phi, u, v = ops.split(state)
+        dp = phi @ Ev.T - ex[:, :, 0]
+        du = u @ Ev.T - ex[:, :, 1]
+        dv = v @ Ev.T - ex[:, :, 2]
+        s = np.sum(w * (dp * dp + PHI * (du * du + dv * dv)))
+        return float(np.sqrt(jac * s))
+
+    return err
+
+
+def reference_shallow_volume_norm(ops, state):
+    mesh, basis = ops.mesh, ops.basis
+    phi, u, v = ops.split(state)
+    Ev, w = basis.eval_vol, basis.quad_w
+    s = np.sum(
+        w
+        * (
+            (phi @ Ev.T) ** 2
+            + ops.phi_mean * ((u @ Ev.T) ** 2 + (v @ Ev.T) ** 2)
+        )
+    )
+    return float(np.sqrt(mesh.jac * s))
+
+
+def reference_shallow_skeleton_norm(ops, state):
+    mesh, basis = ops.mesh, ops.basis
+    phi, u, v = ops.split(state)
+    total = 0.0
+    for a in range(2):
+        for s in (0, 1):
+            R, w = basis.face_restrict[(a, s)], basis.face_quad_w
+            pq = phi @ R.T
+            uq = u @ R.T
+            vq = v @ R.T
+            total += mesh.face_jac[a] * np.sum(
+                w * (pq * pq + ops.phi_mean * (uq * uq + vq * vq))
             )
     return float(np.sqrt(total))
 
@@ -136,30 +193,76 @@ def record_iterates(ops):
     return seen
 
 
-@pytest.mark.parametrize("dim", [2, 3])
-@pytest.mark.parametrize("p", [1, 2, 3, 4])
-@pytest.mark.parametrize("transient", [False, True])
-def test_fused_norms_match_direct_norms(dim, p, transient):
+def norm_cell(physics, dim, p, transient):
+    """A small cell of a fused-norm check: (ops, t, u0, state_prev,
+    references, exact_error). references are the direct (error, volume
+    norm, skeleton norm) forms; exact_error says whether the logged error
+    must equal the reference's bit for bit."""
+    if physics == "shallow":
+        # the standing wave at PHI = 2, so that the velocity weights show
+        case = catalog("shallow-standing-wave")
+        problem = dataclasses.replace(case.problem, phi_mean=2.0)
+        ops = ShallowOperators(build_mesh(2, 3, case.bounds),
+                               TensorBasis(2, p), problem, 1e-3)
+        prev = ops.interpolate(problem.exact, 0.0)
+        refs = (reference_shallow_error(ops, ops.dt),
+                lambda s: reference_shallow_volume_norm(ops, s),
+                lambda s: reference_shallow_skeleton_norm(ops, s))
+        return ops, ops.dt, prev, prev, refs, False
     ops = transport_ops(dim, p, 3 if dim == 2 else 2,
                         dt=0.05 if transient else None)
-    mesh, basis = ops.mesh, ops.basis
-    t, u0, prev = 0.0, None, None
+    t, prev = 0.0, None
     if transient:
         prev = ops.interpolate_exact(0.0)
-        t, u0 = 0.05, prev
+        t = 0.05
+    refs = (reference_transport_error(ops, t),
+            lambda u: volume_l2(ops.mesh, ops.basis, u),
+            lambda u: reference_skeleton_norm(ops, u))
+    return ops, t, prev, prev, refs, True
+
+
+NORM_CELLS = [
+    pytest.param("transport", dim, p, transient, id=f"{transient}-{p}-{dim}")
+    for transient in (False, True) for p in (1, 2, 3, 4) for dim in (2, 3)
+] + [
+    pytest.param("shallow", 2, p, True, id=f"shallow-{p}")
+    for p in (1, 2, 3, 4)
+]
+
+
+@pytest.mark.parametrize("physics,dim,p,transient", NORM_CELLS)
+def test_fused_norms_match_direct_norms(physics, dim, p, transient):
+    ops, t, u0, prev, refs, exact_error = norm_cell(physics, dim, p,
+                                                    transient)
+    err, volume_norm, skeleton_norm = refs
     seen = record_iterates(ops)
+    # a tolerance no pass meets, so every cell runs all five passes
     _u, _tr, log = iterate_to_fixed_point(
-        ops, IterationConfig(max_iters=5), u0=u0, t=t, state_prev=prev)
+        ops, IterationConfig(tol=1e-30, max_iters=5), u0=u0, t=t,
+        state_prev=prev)
     assert log.iterations == 5
-    err = transport_error_eval(ops, t)
     previous = [np.zeros_like(seen[0]) if u0 is None else u0] + seen[:-1]
+    error_eval = ops.error_eval(t)
     for k, (u, u_prev) in enumerate(zip(seen, previous)):
         # tolerance fixed beforehand: 1e-12 of the iterate's own L2 norm
-        tol = 1e-12 * volume_l2(mesh, basis, u)
-        assert log.errors[k] == err(u)
-        assert abs(log.successive[k]
-                   - volume_l2(mesh, basis, u - u_prev)) <= tol
-        assert abs(log.skeleton[k] - reference_skeleton_norm(ops, u)) <= tol
+        tol = 1e-12 * volume_norm(u)
+        assert log.errors[k] == error_eval(u)
+        if exact_error:
+            assert log.errors[k] == err(u)
+        else:
+            assert abs(log.errors[k] - err(u)) <= tol
+        assert abs(log.successive[k] - volume_norm(u - u_prev)) <= tol
+        assert abs(log.skeleton[k] - skeleton_norm(u)) <= tol
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_transport_norms_are_bit_identical_to_direct_forms(dim, p, rng):
+    # the oracle's gap and the logged errors keep their digits
+    ops = transport_ops(dim, p, 3 if dim == 2 else 2)
+    u = rng.standard_normal((ops.mesh.n_el, ops.basis.n_p))
+    assert ops.diff_norm(u, 0) == volume_l2(ops.mesh, ops.basis, u)
+    assert ops.error_eval(0.3)(u) == reference_transport_error(ops, 0.3)(u)
 
 
 # -- face-node trace rebuild -------------------------------------------------------

@@ -190,3 +190,20 @@ class TestConvergenceStudy:
         assert len(rows) == 4
         assert math.isnan(rows[0].order) and math.isnan(rows[2].order)
         assert rows[2].p == 2 and 2.5 < rows[3].order < 3.6
+
+    def test_repeated_mesh_is_refused_before_solving(self, monkeypatch):
+        # an order between two equal meshes divides by log(1)
+        def solved(*args, **kwargs):
+            raise AssertionError("run_cell called")
+
+        monkeypatch.setattr("ehdg.problems.run_cell", solved)
+        with pytest.raises(ValueError, match="nel 4 appears more than once"):
+            convergence_study(catalog("transport2d-smooth"), [4, 8, 4], [1])
+
+    def test_decreasing_meshes_give_the_same_order(self):
+        case = catalog("transport2d-smooth")
+        up = convergence_study(case, [2, 4], [1])
+        down = convergence_study(case, [4, 2], [1])
+        assert [r.nel for r in down] == [4, 2]
+        assert math.isnan(down[0].order)
+        assert math.isclose(down[1].order, up[1].order, rel_tol=1e-12)

@@ -7,6 +7,7 @@ its physical consequence: the normal continuity flux vanishes identically.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -433,3 +434,21 @@ class TestValidation:
         with pytest.raises(AssemblyError):
             ShallowOperators(mesh, TensorBasis(3, 1),
                              ShallowProblem(phi_mean=1.0), dt=0.1)
+
+    @pytest.mark.parametrize("phi_mean", [-1.0, math.nan, math.inf, 0.0])
+    def test_rejects_nonpositive_or_non_finite_mean_geopotential(
+            self, phi_mean, monkeypatch):
+        # refused by name before any assembly: no numpy warning, and no
+        # element matrix is built
+        def assembled(self, elements):
+            raise AssertionError("element_matrix called")
+
+        monkeypatch.setattr(ShallowOperators, "element_matrix", assembled)
+        mesh = build_mesh(2, 2, [(0, 1), (0, 1)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(AssemblyError,
+                               match="mean geopotential phi_mean must be "
+                                     "positive and finite"):
+                ShallowOperators(mesh, TensorBasis(2, 1),
+                                 ShallowProblem(phi_mean=phi_mean), 1e-3)
