@@ -379,7 +379,8 @@ def cmd_tables(cfg):
 
 
 def _write_table(cfg, table):
-    steps = cfg.steps if cfg.steps is not None else TABLE2_STEPS
+    # table 1 is steady: its cells take no step count
+    steps = None if table == "1" else cfg.steps or TABLE2_STEPS
     path = os.path.join(cfg.outdir, f"table{table}-iterations.csv")
     with open(path, "w") as fh:
         fh.write("case,nel,p,iterations\n" if table == "1"

@@ -178,6 +178,13 @@ def iterate_to_fixed_point(ops, config, u0=None, t=0.0, state_prev=None):
     return u, trace, log
 
 
+def check_steps(steps):
+    """Refuse a time-stepping solve without a positive step count."""
+    if steps is None or steps < 1:
+        raise ValueError("steps must be positive for a time-stepping solve, "
+                         f"got {steps}")
+
+
 def solve(ops, config, state0=None, steps=1):
     """Run a case: one steady solve, or `steps` backward-Euler steps.
 
@@ -196,9 +203,7 @@ def solve(ops, config, state0=None, steps=1):
     if ops.dt is None:
         state, trace, log = iterate_to_fixed_point(ops, config, u0=state0)
         return state, trace, [log]
-    if steps is None or steps < 1:
-        raise ValueError("steps must be positive for a time-stepping solve, "
-                         f"got {steps}")
+    check_steps(steps)
     state, logs = state0, []
     for m in range(steps):
         state, trace, log = iterate_to_fixed_point(

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import mesh as meshes
 from .basis import TensorBasis
-from .driver import ConvergenceFailure, IterationConfig, solve
+from .driver import ConvergenceFailure, IterationConfig, check_steps, solve
 from .shallow import ShallowOperators, ShallowProblem
 from .transport import TransportOperators, TransportProblem
 
@@ -251,12 +251,18 @@ def run_cell(case, nel, p, config, dt=None, steps=None):
     """Build one cell of a sweep and solve it; returns (ops, logs).
 
     dt falls back to the case's default step (build_case) and steps to the
-    case's default step count; a steady cell does not read steps. A level
-    that stops at the pass cap raises ConvergenceFailure naming the cell
-    and the level.
+    case's default step count. A steps on a steady cell, or a stepping
+    cell without a positive one, raises ValueError before anything is
+    built; a level that stops at the pass cap raises ConvergenceFailure
+    naming the cell and the level.
     """
-    ops, state0 = build_case(case, nel, p, dt)
     steps = steps if steps is not None else case.n_steps_default
+    if dt is not None or case.dt_default is not None:
+        check_steps(steps)
+    elif steps is not None:
+        raise ValueError(f"{case.identifier} is steady without a dt, so "
+                         f"steps={steps} would be ignored")
+    ops, state0 = build_case(case, nel, p, dt)
     _state, _trace, logs = solve(ops, config, state0, steps)
     if not logs[-1].converged:
         raise ConvergenceFailure(

@@ -69,7 +69,18 @@ class ContractionReport:
 
 
 def contraction_constants(h, dt, p, phi_mean, friction=0.0):
-    """Contraction bound: numerator, denominator, ratio, validity."""
+    """Contraction bound: numerator, denominator, ratio, validity.
+
+    Every argument must be finite, h, dt and phi_mean positive, p at least
+    1 and friction at least 0; ValueError names the one that is not.
+    """
+    for name, value, rule, ok in (
+            ("h", h, "positive", h > 0), ("dt", dt, "positive", dt > 0),
+            ("phi_mean", phi_mean, "positive", phi_mean > 0),
+            ("p", p, "at least 1", p >= 1),
+            ("friction", friction, "at least 0", friction >= 0)):
+        if not (ok and math.isfinite(value)):
+            raise ValueError(f"{name} must be finite and {rule}, got {value}")
     rp = np.sqrt(phi_mean)
     a_const = max((phi_mean + rp) / 2.0, (1.0 + rp) / 2.0)
     lead = h / (dt * (p + 1) * (p + 2))
@@ -79,17 +90,8 @@ def contraction_constants(h, dt, p, phi_mean, friction=0.0):
     )
     c_ratio = a_const / b_const if b_const > 0 else np.inf
     valid = b_const > 0 and c_ratio < 1.0
-    return ContractionReport(
-        a_const=a_const,
-        b_const=b_const,
-        c_ratio=c_ratio,
-        valid=valid,
-        h=h,
-        dt=dt,
-        p=p,
-        phi_mean=phi_mean,
-        friction=friction,
-    )
+    return ContractionReport(a_const, b_const, c_ratio, valid,
+                             h, dt, p, phi_mean, friction)
 
 
 class ShallowOperators(LocalOperators):
@@ -139,6 +141,8 @@ class ShallowOperators(LocalOperators):
             self.lift_w[(a, s)] = mesh.face_jac[a] * basis.face_quad_w
             self.lift_coef[(a, s)] = ((0, self.root_phi),
                                       (1 + a, -(phi_mean * n)))
+        # the wind stress loads the two momentum rows
+        self.load = (problem.wind, (1, 2))
 
         # (face_ids, elements, outward_sign) of each wall plane, by (a, side)
         self._wall_faces = {
@@ -196,31 +200,6 @@ class ShallowOperators(LocalOperators):
         return A
 
     # -- per-iteration pieces -------------------------------------------------
-
-    def load_wind(self, t=0.0):
-        if self.problem.wind is None:
-            return None
-        tau = self.sample(self.problem.wind, t)
-        return tau[:, :, 0] @ self.load_vec.T, tau[:, :, 1] @ self.load_vec.T
-
-    def source(self, t=0.0, state_prev=None):
-        """Trace-independent part of every local right-hand side: the
-        previous state's mass terms and the wind load. It is fixed for a
-        whole solve at one time level."""
-        if state_prev is None:
-            raise ValueError("shallow water rhs needs the previous state")
-        PHI, dt = self.phi_mean, self.dt
-        out = self.zero_state()
-        r0, r1, r2 = self.split(out)
-        p_prev, u_prev, v_prev = self.split(state_prev)
-        r0 += (p_prev @ self.mass_phys.T) / dt
-        r1 += PHI * (u_prev @ self.mass_phys.T) / dt
-        r2 += PHI * (v_prev @ self.mass_phys.T) / dt
-        wind = self.load_wind(t)
-        if wind is not None:
-            r1 += wind[0]
-            r2 += wind[1]
-        return out
 
     def update_trace(self, state, trace_out, t=0.0):
         """phihat = {phi} + sqrt(PHI){theta.n} inside, one-sided on walls.

@@ -152,13 +152,15 @@ class LocalOperators:
     fields in turn. The base class supplies the state width, zero state,
     field split and nodal interpolation, the batched local solve, the
     element-to-face index and interior-face lists, trace construction, the
-    sampling of case callables at element points, the trace lift (rhs) and
-    the norms. Each physics names its fields, supplies
-    element_matrix(elements), source(t, state_prev) and
-    update_trace(state, trace_out, t), sets shared and a_inv
-    (assemble_inverses), and describes its lift and norms as data:
+    sampling of case callables at element points, the source, the trace
+    lift (rhs) and the norms. Each physics names its fields, supplies
+    element_matrix(elements) and update_trace(state, trace_out, t), sets
+    shared and a_inv (assemble_inverses), and gives as data:
 
-      energy       per-field weights of the energy norm, in field order;
+      energy       per-field weights of the backward-Euler time term, in
+                   field order; they define the energy norm;
+      load         (fn, load_fields): load field j takes the load of value
+                   j of fn(points, t); fn None loads nothing;
       lift_w       element-side face weights, by (axis, side);
       lift_coef    (field, coefficient) pairs, by (axis, side): each field
                    takes coefficient times the lifted trace.
@@ -277,6 +279,27 @@ class LocalOperators:
         tr = self.new_trace()
         self.update_trace(state, tr, t)
         return tr
+
+    def source(self, t=0.0, state_prev=None):
+        """Trace-independent part of every local right-hand side, fixed for
+        a whole solve at one time level: the load of each load field at
+        time t plus, for a time step, each field's backward-Euler term
+        energy[i] * mass . state_prev_i / dt."""
+        if self.dt is not None and state_prev is None:
+            raise ValueError("a time step needs the previous state")
+        out = self.zero_state()
+        parts = self.split(out)
+        fn, load_fields = self.load
+        if fn is not None:
+            vals = self.sample(fn, t).reshape(len(out), -1, len(load_fields))
+            for j, i in enumerate(load_fields):
+                part = parts[i]
+                part += vals[:, :, j] @ self.load_vec.T
+        if self.dt is not None:
+            for e, part, prev in zip(self.energy, parts,
+                                     self.split(state_prev)):
+                part += e * (prev @ self.mass_phys.T) / self.dt
+        return out
 
     def rhs(self, trace, source):
         """Right-hand sides of every local solve: source (see source())
@@ -424,6 +447,7 @@ class TransportOperators(LocalOperators):
             for (a, s), fi in self.fidx.items()
         }
         self.lift_coef = {key: ((0, 1.0),) for key in self.lift_w}
+        self.load = (problem.forcing, (0,))
 
         # boundary classification
         self.inflow_blocks = []       # (axis, face_ids, elements, side)
@@ -442,6 +466,10 @@ class TransportOperators(LocalOperators):
             raise AssemblyError("problem has inflow faces but no inflow data")
 
         self.shared = bool(problem.constant_velocity)
+        # element 0's operator serves every element only if beta.n does
+        if self.shared and any(np.any(bn != bn[0]) for bn in self.bn):
+            raise AssemblyError("constant_velocity is declared, but beta.n "
+                                "is not the same on every face")
         n = 1 if self.shared else mesh.n_el
         self.a_inv = assemble_inverses(self.element_matrix, n, basis.n_p)
         self._inflow_cache = {}
@@ -493,12 +521,6 @@ class TransportOperators(LocalOperators):
 
     # -- per-iteration pieces ------------------------------------------------
 
-    def load_vector(self, t=0.0):
-        """(f, v)_K load for every element at time t."""
-        if self.problem.forcing is None:
-            return None
-        return self.sample(self.problem.forcing, t) @ self.load_vec.T
-
     def inflow_trace(self, trace, t=0.0):
         """Write the L2 projection of the inflow data onto inflow faces.
 
@@ -515,20 +537,6 @@ class TransportOperators(LocalOperators):
             self._inflow_cache = {t: proj}
         for (a, fid, _els, _side), g in zip(self.inflow_blocks, proj):
             trace.data[a][fid] = g
-
-    def source(self, t=0.0, state_prev=None):
-        """Trace-independent part of every local right-hand side: the load
-        plus, for a transient step, mass . state_prev / dt. It is fixed for
-        a whole solve at one time level."""
-        out = self.zero_state()
-        load = self.load_vector(t)
-        if load is not None:
-            out += load
-        if self.dt is not None:
-            if state_prev is None:
-                raise ValueError("transient rhs needs the previous state")
-            out += (state_prev @ self.mass_phys.T) / self.dt
-        return out
 
     def update_trace(self, u, trace_out, t=0.0):
         """Rebuild the skeleton trace from element solutions.

@@ -36,3 +36,23 @@ def test_driver_reads_only_the_operator_contract():
     reads = set(re.findall(r"\bops\.(\w+)", inspect.getsource(ehdg.driver)))
     assert reads, "no ops reads found"
     assert reads <= contract, sorted(reads - contract)
+
+
+def test_each_physics_writes_only_its_own_rules():
+    # the shared rules live once, in LocalOperators; a physics supplies
+    # element_matrix and update_trace and names its load as data
+    from ehdg.problems import build_case, catalog
+    from ehdg.shallow import ShallowOperators
+    from ehdg.transport import LocalOperators, TransportOperators
+
+    shared = ("source", "rhs", "pass_norms", "error_eval", "diff_norm",
+              "skeleton_norm", "solve_cells", "split", "interpolate")
+    for physics in (TransportOperators, ShallowOperators):
+        assert issubclass(physics, LocalOperators)
+        copies = [name for name in shared if name in physics.__dict__]
+        assert not copies, (physics.__name__, copies)
+        for name in ("element_matrix", "update_trace"):
+            assert name in physics.__dict__, (physics.__name__, name)
+    for ident in ("transport2d-smooth", "shallow-standing-wave"):
+        ops, _state0 = build_case(catalog(ident), 2, 1)
+        assert "load" in vars(ops), ident

@@ -139,9 +139,8 @@ def reference_update_trace(ops, u, trace_out, t=0.0):
 def reference_transport_rhs(ops, trace, t=0.0, state_prev=None):
     basis = ops.basis
     out = np.zeros((ops.mesh.n_el, basis.n_p))
-    load = ops.load_vector(t)
-    if load is not None:
-        out += load
+    if ops.problem.forcing is not None:
+        out += ops.sample(ops.problem.forcing, t) @ ops.load_vec.T
     if ops.dt is not None:
         out += (state_prev @ ops.mass_phys.T) / ops.dt
     for a in range(ops.mesh.dim):
@@ -160,10 +159,10 @@ def reference_shallow_rhs(ops, trace, t, state_prev):
     r0 += (p_prev @ ops.mass_phys.T) / dt
     r1 += PHI * (u_prev @ ops.mass_phys.T) / dt
     r2 += PHI * (v_prev @ ops.mass_phys.T) / dt
-    wind = ops.load_wind(t)
-    if wind is not None:
-        r1 += wind[0]
-        r2 += wind[1]
+    if ops.problem.wind is not None:
+        tau = ops.sample(ops.problem.wind, t)
+        r1 += tau[:, :, 0] @ ops.load_vec.T
+        r2 += tau[:, :, 1] @ ops.load_vec.T
     for a in range(2):
         mom = r1 if a == 0 else r2
         for s in (0, 1):

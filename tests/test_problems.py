@@ -11,6 +11,7 @@ from ehdg.problems import (
     case_identifiers,
     catalog,
     convergence_study,
+    run_cell,
 )
 
 FD_H = 1e-6
@@ -182,6 +183,24 @@ class TestConvergenceStudy:
         with pytest.raises(ValueError, match="steps must be positive for a "
                                              "time-stepping solve, got None"):
             convergence_study(catalog("transport2d-smooth"), [4], [1], dt=0.01)
+
+    @pytest.mark.parametrize("identifier, dt, steps, message", [
+        # a steady cell does not read steps
+        ("transport2d-smooth", None, 3, "would be ignored"),
+        # a dt alone leaves the march without a length
+        ("transport2d-smooth", 0.01, None,
+         "steps must be positive for a time-stepping solve, got None"),
+        ("transport3d-gaussian", None, 0,
+         "steps must be positive for a time-stepping solve, got 0"),
+    ])
+    def test_run_cell_refuses_steps_before_building(
+            self, identifier, dt, steps, message, monkeypatch):
+        def built(*args, **kwargs):
+            raise AssertionError("build_case called")
+
+        monkeypatch.setattr("ehdg.problems.build_case", built)
+        with pytest.raises(ValueError, match=message):
+            run_cell(catalog(identifier), 4, 1, IterationConfig(), dt, steps)
 
     def test_p_series_reset_between_orders(self):
         case = catalog("transport2d-smooth")

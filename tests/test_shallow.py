@@ -418,6 +418,25 @@ class TestContractionConstants:
         r2 = contraction_constants(h=0.25, dt=small, p=2, phi_mean=1.0)
         assert r2.c_ratio < r1.c_ratio
 
+    @pytest.mark.parametrize("name, value, message", [
+        ("h", 0.0, "h must be finite and positive"),
+        ("h", math.inf, "h must be finite and positive"),
+        ("dt", 0.0, "dt must be finite and positive"),
+        ("dt", -1e-3, "dt must be finite and positive"),
+        ("phi_mean", -1.0, "phi_mean must be finite and positive"),
+        ("phi_mean", math.nan, "phi_mean must be finite and positive"),
+        ("p", 0, "p must be finite and at least 1"),
+        ("friction", -0.1, "friction must be finite and at least 0"),
+        ("friction", math.nan, "friction must be finite and at least 0"),
+    ])
+    def test_refuses_invalid_arguments_by_name(self, name, value, message):
+        args = dict(h=0.25, dt=1e-3, p=1, phi_mean=1.0, friction=0.0)
+        args[name] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                contraction_constants(**args)
+
 
 class TestValidation:
     def test_requires_time_step(self):

@@ -350,14 +350,15 @@ class TestLift:
                                atol=1e-12)
 
     def test_load_vector_integrates_forcing(self):
-        # (f, phi_i) for f = 1 is the row sum of the physical mass matrix
+        # (f, phi_i) for f = 1 is the row sum of the physical mass matrix;
+        # a steady source is the load alone
         prob = rotating_problem(
             inflow=lambda pts, t=0.0: np.zeros(len(pts)),
             forcing=lambda pts, t=0.0: np.ones(len(pts)))
         mesh = build_mesh(2, 2, [(0, 1), (0, 1)])
         basis = TensorBasis(2, 3)
         ops = TransportOperators(mesh, basis, prob)
-        load = ops.load_vector()
+        load = ops.source()
         expect = (mesh.jac * basis.mass_ref).sum(axis=1)
         assert np.allclose(load, np.tile(expect, (mesh.n_el, 1)), atol=1e-13)
 
@@ -616,6 +617,20 @@ class TestValidation:
         with pytest.raises(AssemblyError):
             TransportOperators(
                 build_mesh(2, 2, [(0, 1), (0, 1)]), TensorBasis(2, 1), prob)
+
+    def test_declared_constant_velocity_must_be_constant(self, monkeypatch):
+        # sharing element 0's operator under the rotating field would solve
+        # the wrong system; it is refused before any assembly
+        def assembled(self, elements):
+            raise AssertionError("element_matrix called")
+
+        monkeypatch.setattr(TransportOperators, "element_matrix", assembled)
+        zero = lambda pts, t=0.0: np.zeros(len(pts))
+        prob = rotating_problem(inflow=zero)
+        prob.constant_velocity = True
+        with pytest.raises(AssemblyError, match="constant_velocity"):
+            TransportOperators(build_mesh(2, 4, [(0, 1), (0, 1)]),
+                               TensorBasis(2, 2), prob)
 
     def test_interpolate_exact_requires_exact(self):
         mesh = build_mesh(2, 2, [(0, 1), (0, 1)])
