@@ -10,6 +10,7 @@ from .driver import (
     solve,
 )
 from .mesh import MeshError
+from .operators import AssemblyError, LocalOperators
 from .oracle import (
     OracleSizeError,
     assemble_trace_system,
@@ -19,7 +20,7 @@ from .oracle import (
 )
 from .problems import build_case, catalog, convergence_study, run_cell
 from .shallow import ShallowOperators
-from .transport import AssemblyError, LocalOperators, TransportOperators
+from .transport import TransportOperators
 
 __all__ = [
     "AssemblyError",

@@ -200,7 +200,6 @@ def _nel(cfg):
 
 
 def _out(cfg, suffix):
-    os.makedirs(cfg.outdir, exist_ok=True)
     nel = "x".join(str(n) for n in cfg.nel)
     return os.path.join(cfg.outdir, f"{cfg.case}-p{cfg.p}-nel{nel}-{suffix}")
 
@@ -310,7 +309,6 @@ def cmd_study(cfg):
     except ValueError as err:
         # a study's ValueErrors refuse its arguments (a repeated mesh)
         raise UsageError(str(err)) from None
-    os.makedirs(cfg.outdir, exist_ok=True)
     path = os.path.join(cfg.outdir, f"{cfg.case}-study.csv")
     with open(path, "w") as fh:
         fh.write("case,p,nel,h,error,order,iterations\n")
@@ -370,7 +368,6 @@ def cmd_tables(cfg):
     if cfg.table == "1" and cfg.steps is not None:
         raise UsageError("tables does not read steps= with table=1; "
                          "only table 2 steps")
-    os.makedirs(cfg.outdir, exist_ok=True)
     wrote = [_write_table(cfg, t) for t in ("1", "2")
              if cfg.table in (t, "both")]
     for path in wrote:
@@ -464,6 +461,11 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         cfg = parse_config(args.command, args.config, args.overrides)
+        # before any work, so an unusable outdir costs no solve
+        try:
+            os.makedirs(cfg.outdir, exist_ok=True)
+        except OSError as err:
+            raise UsageError(f"cannot create outdir: {err}") from None
         return _COMMANDS[cfg.command][0](cfg)
     except (UsageError, MeshError, OracleSizeError) as err:
         # a mesh that cannot be built or a verify cell too large for the

@@ -85,7 +85,7 @@ def volume_l2(mesh, basis, u):
 def trace_diff_norm(mesh, basis, t1, t2):
     total = 0.0
     for a in range(mesh.dim):
-        dq = (t1.data[a] - t2.data[a]) @ basis.face_eval.T
+        dq = (t1[a] - t2[a]) @ basis.face_eval.T
         total += mesh.face_jac[a] * np.sum(basis.face_quad_w * dq * dq)
     return float(np.sqrt(total))
 

@@ -33,9 +33,10 @@ import numpy as np
 from .basis import TensorBasis
 from .driver import solve
 from .mesh import build_mesh
+from .operators import assemble_inverses
 from .problems import build_case
 from .shallow import ShallowOperators
-from .transport import TransportOperators, assemble_inverses
+from .transport import TransportOperators
 
 MAX_DENSE_UNKNOWNS = 20000
 
@@ -65,9 +66,8 @@ class _TraceIndex:
         for a in range(self.mesh.dim):
             n_int = (self.mesh.nel[a] - 1) * self.mesh.n_perp[a]
             block = vec[self.offs[a] : self.offs[a] + n_int * nf]
-            trace.data[a][self.mesh.n_perp[a] : self.mesh.n_perp[a] + n_int] = (
-                block.reshape(n_int, nf)
-            )
+            lo = self.mesh.n_perp[a]
+            trace[a][lo : lo + n_int] = block.reshape(n_int, nf)
 
 
 def check_dense_size(mesh, basis):
@@ -135,14 +135,14 @@ class _Transport:
         # takes the mean of its two sides
         nid = ops.basis.face_node_ids
         for a, fid, els, side in ops.outflow_blocks:
-            trace.data[a][fid] = u[els[:, None], nid[(a, side)]]
+            trace[a][fid] = u[els[:, None], nid[(a, side)]]
         for a in range(ops.mesh.dim):
             fid, minus, plus = ops._int_faces[a]
             dead = ~np.any(ops.abs_bn[a][fid], axis=1)
             if np.any(dead):
                 lo = u[minus[dead][:, None], nid[(a, 1)]]
                 hi = u[plus[dead][:, None], nid[(a, 0)]]
-                trace.data[a][fid[dead]] = 0.5 * (lo + hi)
+                trace[a][fid[dead]] = 0.5 * (lo + hi)
 
     boundary_data = TransportOperators.inflow_trace
 
@@ -197,7 +197,7 @@ class _Shallow:
         for (a, side), (bfid, els, osign) in ops._wall_faces.items():
             vel = u if a == 0 else v
             at = els[:, None], ops.basis.face_node_ids[(a, side)]
-            trace.data[a][bfid] = phi[at] + ops.root_phi * osign * vel[at]
+            trace[a][bfid] = phi[at] + ops.root_phi * osign * vel[at]
 
     def boundary_data(ops, trace, t):
         pass
@@ -225,7 +225,7 @@ def _jump(ops, state, trace, axis):
     both sides' contributions plus the trace's."""
     rules = _PHYSICS[type(ops)]
     fid, minus, plus = ops._int_faces[axis]
-    uh = trace.data[axis][fid] @ ops.basis.face_eval.T
+    uh = trace[axis][fid] @ ops.basis.face_eval.T
     return (rules.side(ops, axis, fid, 1, state[minus])
             + rules.side(ops, axis, fid, 0, state[plus])
             + rules.trace_weight(ops, axis, fid) * uh)

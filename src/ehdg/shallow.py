@@ -28,7 +28,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .transport import AssemblyError, LocalOperators, assemble_inverses
+from .operators import AssemblyError, LocalOperators
 
 
 @dataclass
@@ -103,7 +103,7 @@ class ShallowOperators(LocalOperators):
     fields = ("phi", "u", "v")
 
     def __init__(self, mesh, basis, problem, dt):
-        if mesh.dim != 2 or problem.dim != 2:
+        if mesh.dim != 2:
             raise AssemblyError("shallow water operators are 2D")
         if dt is None:
             raise AssemblyError("shallow water needs a time step")
@@ -148,9 +148,7 @@ class ShallowOperators(LocalOperators):
         self._wall_faces = {
             (a, s): mesh.boundary_faces(a, s) for a in range(2) for s in (0, 1)
         }
-        self.shared = problem.coriolis_beta == 0.0
-        n = 1 if self.shared else mesh.n_el
-        self.a_inv = assemble_inverses(self.element_matrix, n, self.state_width)
+        self._assemble(problem.coriolis_beta == 0.0)
 
     # -- assembly -----------------------------------------------------------
 
@@ -215,12 +213,12 @@ class ShallowOperators(LocalOperators):
             fid, minus, plus = self._int_faces[a]
             hi = minus[:, None], basis.face_node_ids[(a, 1)]
             lo = plus[:, None], basis.face_node_ids[(a, 0)]
-            trace_out.data[a][fid] = (0.5 * (phi[hi] + phi[lo])
-                                      + 0.5 * rp * (vel[hi] - vel[lo]))
+            trace_out[a][fid] = (0.5 * (phi[hi] + phi[lo])
+                                 + 0.5 * rp * (vel[hi] - vel[lo]))
             for side in (0, 1):
                 bfid, els, osign = self._wall_faces[(a, side)]
                 at = els[:, None], basis.face_node_ids[(a, side)]
-                trace_out.data[a][bfid] = phi[at] + rp * osign * vel[at]
+                trace_out[a][bfid] = phi[at] + rp * osign * vel[at]
 
     def total_mass(self, state):
         phi, _u, _v = self.split(state)

@@ -512,7 +512,7 @@ def _check_trace_consensus():
     for a in range(2):
         fid, minus, _plus = mesh.interior_faces(a)
         nodal = u[minus][:, basis.face_node_ids[(a, 1)]]
-        if not np.allclose(tr.data[a][fid], nodal, atol=1e-12):
+        if not np.allclose(tr[a][fid], nodal, atol=1e-12):
             return False
     return True
 
@@ -526,7 +526,7 @@ def _check_sign_zero_average_and_symmetry():
         u = rng.standard_normal((mesh.n_el, basis.n_p))
         tr = ops0.initial_trace(u)
         mean = 0.5 * (u[minus][:, ids[(0, 1)]] + u[plus][:, ids[(0, 0)]])
-        if not np.allclose(tr.data[0][fid], mean, atol=1e-12):
+        if not np.allclose(tr[0][fid], mean, atol=1e-12):
             return False
     # flipping the normal velocity mirrors which side is taken
     _m, _b, ops_r = _rotating_ops(nel=2, p=1, beta=(1.0, 0.5))
@@ -537,9 +537,9 @@ def _check_sign_zero_average_and_symmetry():
         tr_l = ops_l.initial_trace(u)
         take_minus = u[minus][:, ids[(0, 1)]]
         take_plus = u[plus][:, ids[(0, 0)]]
-        if not np.allclose(tr_r.data[0][fid], take_minus, atol=1e-12):
+        if not np.allclose(tr_r[0][fid], take_minus, atol=1e-12):
             return False
-        if not np.allclose(tr_l.data[0][fid], take_plus, atol=1e-12):
+        if not np.allclose(tr_l[0][fid], take_plus, atol=1e-12):
             return False
     return True
 

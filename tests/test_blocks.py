@@ -12,20 +12,20 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import ehdg.transport as transport
+import ehdg.operators as operators
 from ehdg.basis import TensorBasis
 from ehdg.driver import IterationConfig, solve
 from ehdg.mesh import build_mesh
-from ehdg.oracle import condensed_matrices
-from ehdg.problems import build_case, case_identifiers, catalog
-from ehdg.shallow import ShallowOperators, ShallowProblem
-from ehdg.transport import (
+from ehdg.operators import (
     ASSEMBLY_BYTES,
     ASSEMBLY_CHUNK,
     SAMPLE_POINTS,
     assemble_inverses,
     assembly_chunk,
 )
+from ehdg.oracle import condensed_matrices
+from ehdg.problems import build_case, case_identifiers, catalog
+from ehdg.shallow import ShallowOperators, ShallowProblem
 
 CALLABLES = ("velocity", "div_velocity", "forcing", "inflow", "exact", "wind")
 
@@ -78,7 +78,7 @@ class TestSample:
         ops = case_ops[ident]
         fn = getattr(ops.problem, attr)
         expect = direct_sample(ops, fn, *args, nodes=nodes, elements=elements)
-        monkeypatch.setattr(transport, "SAMPLE_POINTS", budget)
+        monkeypatch.setattr(operators, "SAMPLE_POINTS", budget)
         got = ops.sample(fn, *args, nodes=nodes, elements=elements)
         assert got.shape == expect.shape
         assert np.array_equal(got, expect)
@@ -92,12 +92,12 @@ class TestSample:
             return ops.problem.exact(pts, t)
 
         n_q = ops.basis.n_q
-        monkeypatch.setattr(transport, "SAMPLE_POINTS", 3 * n_q + 1)
+        monkeypatch.setattr(operators, "SAMPLE_POINTS", 3 * n_q + 1)
         ops.sample(exact, 0.0)
         # three elements per block, the last block short
         assert seen == [3 * n_q] * 9
         seen.clear()
-        monkeypatch.setattr(transport, "SAMPLE_POINTS", 1)
+        monkeypatch.setattr(operators, "SAMPLE_POINTS", 1)
         ops.sample(exact, 0.0)
         # a budget below one element's points still takes one element
         assert seen == [n_q] * ops.mesh.n_el
@@ -124,7 +124,7 @@ class TestAssemblyChunks:
         assert assembly_chunk(125) == 67          # 3D p=4 transport
         assert assembly_chunk(75) == 186          # 2D p=4 shallow water
         assert assembly_chunk(25) == ASSEMBLY_CHUNK
-        monkeypatch.setattr(transport, "ASSEMBLY_BYTES", 0)
+        monkeypatch.setattr(operators, "ASSEMBLY_BYTES", 0)
         assert assembly_chunk(125) == 1
 
     @pytest.mark.parametrize("per_chunk", [1, 2, 5])
@@ -135,7 +135,7 @@ class TestAssemblyChunks:
         assert not ops.shared and ops.a_inv.shape[0] == n_el
         condensed = assemble_inverses(
             lambda els: condensed_matrices(ops, els), n_el, width)
-        monkeypatch.setattr(transport, "ASSEMBLY_BYTES",
+        monkeypatch.setattr(operators, "ASSEMBLY_BYTES",
                             per_chunk * 8 * width * width)
         assert assembly_chunk(width) == per_chunk
         assert np.array_equal(
@@ -175,13 +175,13 @@ def test_case_runs_within_the_budget(monkeypatch, ident):
                if getattr(case.problem, attr, None) is not None}
     small = dataclasses.replace(
         case, problem=dataclasses.replace(case.problem, **wrapped))
-    monkeypatch.setattr(transport, "SAMPLE_POINTS", 100)
+    monkeypatch.setattr(operators, "SAMPLE_POINTS", 100)
     _ops, state_b, trace_b, logs_b = run_small(small)
 
     assert set(seen) == set(wrapped)
     assert max(max(calls) for calls in seen.values()) <= 100
     assert np.array_equal(state_b, state)
-    for a, b in zip(trace_b.data, trace.data):
+    for a, b in zip(trace_b, trace):
         assert np.array_equal(a, b)
     for lb, l in zip(logs_b, logs, strict=True):
         for got, want in ((lb.errors, l.errors), (lb.successive, l.successive),

@@ -178,7 +178,7 @@ def test_solve_bad_nel_is_a_usage_error(tmp_path, capsys):
 def test_verify_refuses_oversized_oracle_before_iterating(monkeypatch,
                                                          capsys):
     import ehdg.oracle as oracle_mod
-    from ehdg.transport import LocalOperators
+    from ehdg.operators import LocalOperators
 
     def no_solve(*_args, **_kwargs):
         raise AssertionError("verify iterated before the oracle size check")
@@ -193,6 +193,30 @@ def test_verify_refuses_oversized_oracle_before_iterating(monkeypatch,
     err = capsys.readouterr().err
     assert err.startswith("usage error:")
     assert "exceed the dense-solve guard" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "case=transport2d-smooth", "nel=2", "p=1"],
+    ["study", "case=transport2d-smooth", "nels=2,4", "ps=1"],
+    ["tables", "table=1", "nels=2", "ps=1"],
+])
+def test_outdir_naming_a_file_is_refused_before_any_work(argv, tmp_path,
+                                                         monkeypatch, capsys):
+    import ehdg.cli as cli_mod
+    import ehdg.problems as problems_mod
+
+    def no_case(*_args, **_kwargs):
+        raise AssertionError("a case was built before the outdir check")
+
+    for mod in (cli_mod, problems_mod):
+        for name in ("build_case", "run_cell"):
+            monkeypatch.setattr(mod, name, no_case)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main([*argv, f"outdir={taken}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "outdir" in err
+    assert "Traceback" not in err
 
 
 def test_solve_error_difference_without_exact_exit_1(tmp_path, capsys):

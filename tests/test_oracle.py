@@ -24,6 +24,7 @@ from ehdg.driver import (
     volume_l2,
 )
 from ehdg.mesh import build_mesh
+from ehdg.operators import LocalOperators
 from ehdg.oracle import (
     _PHYSICS,
     MAX_DENSE_UNKNOWNS,
@@ -40,7 +41,7 @@ from ehdg.oracle import (
 )
 from ehdg.problems import catalog
 from ehdg.shallow import ShallowOperators
-from ehdg.transport import LocalOperators, TransportOperators, TransportProblem
+from ehdg.transport import TransportOperators, TransportProblem
 
 from conftest import interp_scalar
 

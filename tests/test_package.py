@@ -1,12 +1,32 @@
 """The package surface: every exported name resolves, once, and is one
-the README documents."""
+the README documents; the operator contract sits in its own module."""
 
+import ast
+import importlib
 import inspect
 import os
 import re
 
 import ehdg
 import ehdg.driver
+import ehdg.operators
+import ehdg.shallow
+
+
+def ehdg_imports(module):
+    """Every ehdg module and module.name that the source of module
+    imports, by full name, function-level imports included."""
+    found = set()
+    for node in ast.walk(ast.parse(inspect.getsource(module))):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                base = "ehdg." + base if base else "ehdg"
+            found.add(base)
+            found.update(f"{base}.{alias.name}" for alias in node.names)
+    return {name for name in found if name.startswith("ehdg.")}
 
 
 def test_all_names_resolve_and_are_unique():
@@ -41,9 +61,10 @@ def test_driver_reads_only_the_operator_contract():
 def test_each_physics_writes_only_its_own_rules():
     # the shared rules live once, in LocalOperators; a physics supplies
     # element_matrix and update_trace and names its load as data
+    from ehdg.operators import LocalOperators
     from ehdg.problems import build_case, catalog
     from ehdg.shallow import ShallowOperators
-    from ehdg.transport import LocalOperators, TransportOperators
+    from ehdg.transport import TransportOperators
 
     shared = ("source", "rhs", "pass_norms", "error_eval", "diff_norm",
               "skeleton_norm", "solve_cells", "split", "interpolate")
@@ -56,3 +77,28 @@ def test_each_physics_writes_only_its_own_rules():
     for ident in ("transport2d-smooth", "shallow-standing-wave"):
         ops, _state0 = build_case(catalog(ident), 2, 1)
         assert "load" in vars(ops), ident
+
+
+def test_the_operator_contract_is_its_own_module():
+    # each physics imports the contract; the contract imports no physics
+    assert ehdg.LocalOperators.__module__ == "ehdg.operators"
+    for module, others in ((ehdg.operators, ("transport", "shallow")),
+                           (ehdg.shallow, ("transport",))):
+        wrong = sorted(
+            name for name in ehdg_imports(module) for other in others
+            if name == f"ehdg.{other}" or name.startswith(f"ehdg.{other}."))
+        assert not wrong, (module.__name__, wrong)
+
+
+def test_readme_names_each_object_where_it_is_defined():
+    # an `ehdg.<module>.<Name>` that the module only imports would still
+    # resolve, so the check is where the class or function is defined
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md")) as fh:
+        refs = set(re.findall(r"`ehdg\.(\w+)\.(\w+)", fh.read()))
+    assert refs
+    wrong = sorted(
+        f"ehdg.{mod}.{name}" for mod, name in refs
+        if getattr(getattr(importlib.import_module(f"ehdg.{mod}"), name, None),
+                   "__module__", None) != f"ehdg.{mod}")
+    assert not wrong, wrong

@@ -43,7 +43,7 @@ def transport_ops(dim, p, nel, dt=None, case=None):
 def random_trace(ops, rng):
     trace = ops.new_trace()
     for a in range(ops.mesh.dim):
-        trace.data[a][:] = rng.standard_normal(trace.data[a].shape)
+        trace[a][:] = rng.standard_normal(trace[a].shape)
     return trace
 
 
@@ -129,11 +129,11 @@ def reference_update_trace(ops, u, trace_out, t=0.0):
         up = u[plus] @ basis.face_restrict[(a, 0)].T
         s = ops.sgn[a][fid]
         uh = 0.5 * ((um + up) + s * (um - up))
-        trace_out.data[a][fid] = uh @ basis.face_proj.T
+        trace_out[a][fid] = uh @ basis.face_proj.T
     ops.inflow_trace(trace_out, t)
     for a, fid, els, side in ops.outflow_blocks:
         nid = basis.face_node_ids[(a, side)]
-        trace_out.data[a][fid] = u[els][:, nid]
+        trace_out[a][fid] = u[els][:, nid]
 
 
 def reference_transport_rhs(ops, trace, t=0.0, state_prev=None):
@@ -145,7 +145,7 @@ def reference_transport_rhs(ops, trace, t=0.0, state_prev=None):
         out += (state_prev @ ops.mass_phys.T) / ops.dt
     for a in range(ops.mesh.dim):
         for s in (0, 1):
-            uh_q = trace.data[a][ops.fidx[(a, s)]] @ basis.face_eval.T
+            uh_q = trace[a][ops.fidx[(a, s)]] @ basis.face_eval.T
             out += (ops.lift_w[(a, s)] * uh_q) @ basis.face_restrict[(a, s)]
     return out
 
@@ -166,7 +166,7 @@ def reference_shallow_rhs(ops, trace, t, state_prev):
     for a in range(2):
         mom = r1 if a == 0 else r2
         for s in (0, 1):
-            ph_q = trace.data[a][ops.fidx[(a, s)]] @ basis.face_eval.T
+            ph_q = trace[a][ops.fidx[(a, s)]] @ basis.face_eval.T
             w = mesh.face_jac[a] * basis.face_quad_w
             lifted = (w * ph_q) @ basis.face_restrict[(a, s)]
             nsig = -1.0 if s == 0 else 1.0
@@ -277,7 +277,7 @@ def test_face_node_update_trace_is_bit_identical(dim, p, rng):
     ops.update_trace(u, got, 0.3)
     reference_update_trace(ops, u, want, 0.3)
     for a in range(dim):
-        assert np.array_equal(got.data[a], want.data[a])
+        assert np.array_equal(got[a], want[a])
 
 
 @pytest.mark.parametrize("nel", [2, 4])
@@ -294,7 +294,7 @@ def test_face_node_update_trace_small_3d_meshes(nel, p, rng):
     reference_update_trace(ops, u, want, 0.3)
     scale = np.abs(u).max()
     for a in range(3):
-        assert np.abs(got.data[a] - want.data[a]).max() <= 1e-14 * scale
+        assert np.abs(got[a] - want[a]).max() <= 1e-14 * scale
 
 
 # -- source / rhs split ---------------------------------------------------------------

@@ -15,14 +15,10 @@ import pytest
 from ehdg.basis import TensorBasis, gauss_quadrature, lagrange_eval
 from ehdg.driver import IterationConfig, solve
 from ehdg.mesh import build_mesh
+from ehdg.operators import AssemblyError
 from ehdg.oracle import condensed_matrices
 from ehdg.problems import catalog
-from ehdg.shallow import (
-    AssemblyError,
-    ShallowOperators,
-    ShallowProblem,
-    contraction_constants,
-)
+from ehdg.shallow import ShallowOperators, ShallowProblem, contraction_constants
 
 from conftest import cardinal_grads, cardinal_values, interp_scalar, tensor_rule
 
@@ -172,7 +168,7 @@ class TestRightHandSide:
         PHI, rp = prob.phi_mean, math.sqrt(prob.phi_mean)
         trace = ops.new_trace()
         for a in range(2):
-            trace.data[a][:] = rng.standard_normal(trace.data[a].shape)
+            trace[a][:] = rng.standard_normal(trace[a].shape)
         prev = rng.standard_normal((mesh.n_el, 3 * basis.n_p))
         got = ops.rhs(trace, ops.source(0.0, prev))
 
@@ -199,7 +195,7 @@ class TestRightHandSide:
                 mom = slice(n_p, 2 * n_p) if a == 0 else slice(2 * n_p, None)
                 for s in (0, 1):
                     fid = ops.fidx[(a, s)][el]
-                    phq = E1 @ trace.data[a][fid]
+                    phq = E1 @ trace[a][fid]
                     ref = np.zeros((nq, 2))
                     ref[:, a] = -1.0 if s == 0 else 1.0
                     ref[:, 1 - a] = x1
@@ -237,7 +233,7 @@ class TestTraceRule:
                 nid = basis.face_node_ids[(a, s)]
                 flux = (
                     PHI * osign * vel[a][els][:, nid]
-                    + rp * (phi[els][:, nid] - tr.data[a][fid])
+                    + rp * (phi[els][:, nid] - tr[a][fid])
                 )
                 assert np.allclose(flux, 0.0, atol=1e-13)
 
@@ -255,7 +251,7 @@ class TestTraceRule:
         for a in range(2):
             fid, minus, _plus = mesh.interior_faces(a)
             nodal = phi[minus][:, basis.face_node_ids[(a, 1)]]
-            assert np.allclose(tr.data[a][fid], nodal, atol=1e-13)
+            assert np.allclose(tr[a][fid], nodal, atol=1e-13)
 
     def test_velocity_jump_enters_with_root_phi_weight(self):
         mesh = build_mesh(2, (2, 1), [(0, 1), (0, 1)])
@@ -269,7 +265,7 @@ class TestTraceRule:
         ops.update_trace(state, tr)
         fid, _m, _p = mesh.interior_faces(0)
         # 0.5 * sqrt(4) * (1 - 3) = -2
-        assert np.allclose(tr.data[0][fid], -2.0, atol=1e-14)
+        assert np.allclose(tr[0][fid], -2.0, atol=1e-14)
 
 
 class TestNorms:

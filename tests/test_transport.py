@@ -22,14 +22,9 @@ from ehdg.basis import TensorBasis, gauss_quadrature, lagrange_eval
 from ehdg.driver import IterationConfig, SUCCESSIVE_DIFFERENCE, volume_l2
 from ehdg.driver import solve
 from ehdg.mesh import MeshError, build_mesh
+from ehdg.operators import ASSEMBLY_CHUNK, AssemblyError
 from ehdg.oracle import condensed_matrices
-from ehdg.transport import (
-    ASSEMBLY_CHUNK,
-    AssemblyError,
-    TraceField,
-    TransportOperators,
-    TransportProblem,
-)
+from ehdg.transport import TransportOperators, TransportProblem
 
 from conftest import cardinal_values, cardinal_grads, tensor_rule, interp_scalar
 
@@ -98,7 +93,7 @@ def assert_solves_agree(ops, state0, steps=3):
     ]
     (s1, t1, logs1), (s2, t2, logs2) = runs
     assert np.array_equal(s1, s2)
-    assert all(np.array_equal(a, b) for a, b in zip(t1.data, t2.data))
+    assert all(np.array_equal(a, b) for a, b in zip(t1, t2))
     assert len(logs1) == len(logs2) == steps
     for a, b in zip(logs1, logs2):
         assert (a.iterations, a.converged) == (b.iterations, b.converged)
@@ -221,7 +216,7 @@ def brute_lift(ops, trace, el):
         fjac = half[1 - a]
         for s in (0, 1):
             fid = ops.fidx[(a, s)][el]
-            gq = E @ trace.data[a][fid]
+            gq = E @ trace[a][fid]
             ref = np.zeros((nq, 2))
             ref[:, a] = -1.0 if s == 0 else 1.0
             ref[:, 1 - a] = x1
@@ -294,7 +289,7 @@ class TestElementMatrix:
         basis = TensorBasis(2, 2)
         ops = TransportOperators(mesh, basis, rotating_problem(
             inflow=lambda pts, t=0.0: np.zeros(len(pts))))
-        trace = TraceField([np.ones_like(d) for d in ops.new_trace().data])
+        trace = [np.ones_like(d) for d in ops.new_trace()]
         rhs = ops.rhs(trace, ops.source())
         A = ops.element_matrix(np.arange(mesh.n_el))
         ones = np.ones(basis.n_p)
@@ -343,7 +338,7 @@ class TestLift:
         ops = TransportOperators(mesh, TensorBasis(2, 2), prob)
         trace = ops.new_trace()
         for a in range(2):
-            trace.data[a][:] = rng.standard_normal(trace.data[a].shape)
+            trace[a][:] = rng.standard_normal(trace[a].shape)
         rhs = ops.rhs(trace, ops.source())
         for el in (0, 4, 8):
             assert np.allclose(rhs[el], brute_lift(ops, trace, el),
@@ -367,9 +362,11 @@ class TestTraceField:
     def test_zeros_shapes(self):
         mesh = build_mesh(2, (3, 2), [(0, 1), (0, 1)])
         basis = TensorBasis(2, 2)
-        tr = TraceField.zeros(mesh, basis)
-        assert tr.data[0].shape == (mesh.n_faces_axis[0], basis.n_face)
-        assert tr.data[1].shape == (mesh.n_faces_axis[1], basis.n_face)
+        ops = TransportOperators(mesh, basis, constant_problem(
+            (1.0, 0.0), inflow=lambda pts, t=0.0: np.zeros(len(pts))))
+        tr = ops.new_trace()
+        assert tr[0].shape == (mesh.n_faces_axis[0], basis.n_face)
+        assert tr[1].shape == (mesh.n_faces_axis[1], basis.n_face)
 
 
 def two_element_setup(bvec, inflow=None):
@@ -388,9 +385,9 @@ class TestUpwindTrace:
         u[0], u[1] = 3.0, 8.0
         tr = ops.new_trace()
         ops.update_trace(u, tr)
-        assert np.allclose(tr.data[0][1], 3.0)  # interior plane
-        assert np.allclose(tr.data[0][2], 8.0)  # outflow copies interior
-        assert np.allclose(tr.data[0][0], 0.0)  # inflow projection of g
+        assert np.allclose(tr[0][1], 3.0)  # interior plane
+        assert np.allclose(tr[0][2], 8.0)  # outflow copies interior
+        assert np.allclose(tr[0][0], 0.0)  # inflow projection of g
 
     def test_reversed_velocity_picks_other_side(self):
         zero = lambda pts, t=0.0: np.zeros(len(pts))
@@ -398,8 +395,8 @@ class TestUpwindTrace:
         u[0], u[1] = 3.0, 8.0
         tr = ops.new_trace()
         ops.update_trace(u, tr)
-        assert np.allclose(tr.data[0][1], 8.0)
-        assert np.allclose(tr.data[0][0], 3.0)  # now outflow on the left
+        assert np.allclose(tr[0][1], 8.0)
+        assert np.allclose(tr[0][0], 3.0)  # now outflow on the left
 
     def test_tangential_velocity_averages(self):
         zero = lambda pts, t=0.0: np.zeros(len(pts))
@@ -407,10 +404,10 @@ class TestUpwindTrace:
         u[0], u[1] = 3.0, 8.0
         tr = ops.new_trace()
         ops.update_trace(u, tr)
-        assert np.allclose(tr.data[0][1], 5.5)
+        assert np.allclose(tr[0][1], 5.5)
         # beta.n = 0 on the x boundaries: characteristic, interior copy
-        assert np.allclose(tr.data[0][0], 3.0)
-        assert np.allclose(tr.data[0][2], 8.0)
+        assert np.allclose(tr[0][0], 3.0)
+        assert np.allclose(tr[0][2], 8.0)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -432,7 +429,7 @@ class TestUpwindTrace:
             expect = b
         else:
             expect = 0.5 * (a + b)
-        assert np.allclose(tr.data[0][1], expect, atol=1e-12)
+        assert np.allclose(tr[0][1], expect, atol=1e-12)
 
     def test_continuous_polynomial_is_reproduced(self):
         # a globally continuous degree-p field has a single-valued trace;
@@ -449,7 +446,7 @@ class TestUpwindTrace:
         for a in range(2):
             fid, minus, _plus = mesh.interior_faces(a)
             nodal = u[minus][:, basis.face_node_ids[(a, 1)]]
-            assert np.allclose(tr.data[a][fid], nodal, atol=1e-12)
+            assert np.allclose(tr[a][fid], nodal, atol=1e-12)
 
     def test_inflow_projection_reproduces_polynomial_data(self):
         g = lambda pts, t=0.0: 3.0 * pts[:, 1] - 1.0
@@ -462,7 +459,7 @@ class TestUpwindTrace:
         nid = basis.face_node_ids[(0, 0)]
         X = mesh.centers[els][:, None, :] + mesh.half * basis.ref_nodes[nid][None]
         expect = g(X.reshape(-1, 2)).reshape(len(els), basis.n_face)
-        assert np.allclose(tr.data[0][fid], expect, atol=1e-13)
+        assert np.allclose(tr[0][fid], expect, atol=1e-13)
 
 
 class TestSolves:
@@ -671,6 +668,25 @@ class TestContract:
     def test_time_step_must_be_positive_and_finite(self, physics, dt):
         with pytest.raises(AssemblyError, match="positive and finite"):
             self.build(physics, dt)
+
+    @pytest.mark.parametrize("physics", ["transport", "shallow"])
+    def test_basis_dimension_must_match_the_mesh(self, physics, monkeypatch):
+        # a 3D basis on a 2D mesh is refused before any face or assembly work
+        from ehdg.mesh import StructuredMesh
+        from ehdg.shallow import ShallowOperators, ShallowProblem
+
+        def boom(*args):
+            raise AssertionError("face or assembly work started")
+
+        monkeypatch.setattr(StructuredMesh, "face_index", boom)
+        mesh = build_mesh(2, 2, [(0, 1), (0, 1)])
+        if physics == "transport":
+            kind, prob = TransportOperators, constant_problem([1.0, 1.0])
+        else:
+            kind, prob = ShallowOperators, ShallowProblem(phi_mean=1.0)
+        monkeypatch.setattr(kind, "element_matrix", boom)
+        with pytest.raises(AssemblyError, match="dimension mismatch"):
+            kind(mesh, TensorBasis(3, 1), prob, 0.1)
 
     def test_transport_interpolate_is_interpolate_exact(self):
         ops, case = self.build("transport", 0.01)
