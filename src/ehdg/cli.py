@@ -149,10 +149,11 @@ _KEYS = {
 }
 
 
-def parse_kv_lines(lines, origin):
+def parse_kv_lines(lines, origin, comments=True):
+    """key=value pairs of lines; with comments, '#' starts a comment."""
     pairs = {}
     for i, line in enumerate(lines, start=1):
-        text = line.split("#", 1)[0].strip()
+        text = (line.split("#", 1)[0] if comments else line).strip()
         if not text:
             continue
         if "=" not in text:
@@ -174,12 +175,14 @@ def parse_config(command, config_path=None, overrides=()):
                 pairs.update(parse_kv_lines(fh, config_path))
         except OSError as err:
             raise UsageError(f"cannot read config file: {err}")
-    pairs.update(parse_kv_lines(overrides, "argument"))
-    cfg = RunConfig(command=command, workers=default_workers())
+    pairs.update(parse_kv_lines(overrides, "argument", comments=False))
+    cfg = RunConfig(command=command)
     for key, raw in pairs.items():
         if key not in _COMMANDS[command][1].split():
             raise UsageError(f"{command} does not read {key}=")
         setattr(cfg, key, _KEYS[key](key, raw))
+    if "workers" not in pairs:
+        cfg.workers = default_workers()
     return cfg
 
 

@@ -79,42 +79,27 @@ class StructuredMesh:
         return self.perp_of[axis] + self.n_perp[axis] * plane
 
     def interior_faces(self, axis):
-        """(face_ids, minus_elements, plus_elements) for one axis."""
-        n_perp = self.n_perp[axis]
-        planes = np.arange(1, self.nel[axis])
-        perp = np.arange(n_perp)
-        fid = (perp[None, :] + n_perp * planes[:, None]).ravel()
-        minus = self._element_at(axis, planes - 1, perp)
-        plus = self._element_at(axis, planes, perp)
-        return fid, minus, plus
+        """(face_ids, minus_elements, plus_elements) for one axis, by
+        ascending face id: the high face of every element below the last
+        plane, whose plus element is one axis stride further on."""
+        minus = np.flatnonzero(self.plane_of[axis] < self.nel[axis] - 1)
+        fid = self.face_index(axis, 1)[minus]
+        order = np.argsort(fid)
+        minus = minus[order]
+        return fid[order], minus, minus + int(np.prod(self.nel[:axis]))
 
     def boundary_faces(self, axis, domain_side):
-        """(face_ids, elements, outward_sign) for one boundary plane.
+        """(face_ids, elements, outward_sign) for one boundary plane, by
+        ascending face id: the side-domain_side faces of the elements on
+        the first (domain_side 0) or last plane.
 
         outward_sign is the sign of the adjacent element's outward normal
         along the axis: -1 on the low plane, +1 on the high plane.
         """
-        n_perp = self.n_perp[axis]
-        perp = np.arange(n_perp)
-        plane = 0 if domain_side == 0 else self.nel[axis]
-        fid = perp + n_perp * plane
-        el_plane = 0 if domain_side == 0 else self.nel[axis] - 1
-        els = self._element_at(axis, np.array([el_plane]), perp)
+        plane = 0 if domain_side == 0 else self.nel[axis] - 1
+        els = np.flatnonzero(self.plane_of[axis] == plane)
         sign = -1.0 if domain_side == 0 else 1.0
-        return fid, els.ravel(), sign
-
-    def _element_at(self, axis, planes, perp):
-        """Element flat indices from axis-plane and perp indices (outer grid)."""
-        d = self.dim
-        other = [b for b in range(d) if b != axis]
-        coords = np.zeros((len(planes), len(perp), d), dtype=int)
-        rem = perp.copy()
-        for b in other:
-            coords[:, :, b] = (rem % self.nel[b])[None, :]
-            rem = rem // self.nel[b]
-        coords[:, :, axis] = planes[:, None]
-        strides = np.cumprod([1] + list(self.nel[:-1]))
-        return (coords * strides).sum(axis=2).reshape(len(planes) * len(perp))
+        return self.face_index(axis, domain_side)[els], els, sign
 
     def face_quad_points(self, axis, basis, faces=None):
         """Physical quadrature points of the given faces of one axis (flat

@@ -88,13 +88,13 @@ class LocalOperators:
     trace rule. A state row is the nodal values of each of the class's
     fields in turn. The base class supplies the state width, zero state,
     field split and nodal interpolation, the batched local solve, the
-    element-to-face index and interior-face lists, trace construction, the
-    sampling of case callables at element points, the source, the trace
-    lift (rhs) and the norms. A trace holds, per face-normal axis a, the
-    (n_faces_axis[a], n_face) nodal values of every face of that axis.
-    Each physics names its fields, supplies element_matrix(elements) and
-    update_trace(state, trace_out, t), ends its __init__ with
-    _assemble(shared), and gives as data:
+    element-to-face index, the interior-face and boundary-face tables,
+    trace construction, the sampling of case callables at element points,
+    the source, the trace lift (rhs) and the norms. A trace holds, per
+    face-normal axis a, the (n_faces_axis[a], n_face) nodal values of
+    every face of that axis. Each physics names its fields, supplies
+    element_matrix(elements) and update_trace(state, trace_out, t), ends
+    its __init__ with _assemble(shared), and gives as data:
 
       energy       per-field weights of the backward-Euler time term, in
                    field order; they define the energy norm;
@@ -132,8 +132,10 @@ class LocalOperators:
         # element -> face index of each element's side s face, per axis
         self.fidx = {(a, s): mesh.face_index(a, s)
                      for a in range(mesh.dim) for s in (0, 1)}
-        # (face_ids, minus_elements, plus_elements) per axis
+        # (face_ids, minus_elements, plus_elements) per axis, and
+        # (face_ids, elements, outward_sign) per boundary plane (a, s)
         self._int_faces = [mesh.interior_faces(a) for a in range(mesh.dim)]
+        self._bnd_faces = {key: mesh.boundary_faces(*key) for key in self.fidx}
         # element worker pool of solve_cells and its worker count
         self._pool = None
         self._pool_workers = None

@@ -47,27 +47,27 @@ class OracleSizeError(Exception):
 
 class _TraceIndex:
     def __init__(self, mesh, basis):
-        self.mesh, self.basis = mesh, basis
-        # unknown offsets per axis; only flux-active faces get unknowns
-        self.offs, self.n_unknowns = [], 0
+        self.n_face = basis.n_face
+        # per axis, face id -> its first unknown, -1 on boundary faces; the
+        # interior faces get unknowns axis by axis, by ascending face id
+        self.first, self.n_unknowns = [], 0
         for a in range(mesh.dim):
-            self.offs.append(self.n_unknowns)
-            self.n_unknowns += (mesh.nel[a] - 1) * mesh.n_perp[a] * basis.n_face
+            fid = mesh.interior_faces(a)[0]
+            first = np.full(mesh.n_faces_axis[a], -1)
+            first[fid] = self.n_unknowns + self.n_face * np.arange(len(fid))
+            self.first.append(first)
+            self.n_unknowns += len(fid) * self.n_face
 
     def rows(self, axis, fid):
-        """Slice of unknown/row indices for one interior face."""
-        nf = self.basis.n_face
-        local = (fid - self.mesh.n_perp[axis]) * nf
-        start = self.offs[axis] + local
-        return slice(start, start + nf)
+        """Slice of unknown/row indices for one face, None on a boundary
+        face."""
+        start = self.first[axis][fid]
+        return None if start < 0 else slice(start, start + self.n_face)
 
     def scatter(self, vec, trace):
-        nf = self.basis.n_face
-        for a in range(self.mesh.dim):
-            n_int = (self.mesh.nel[a] - 1) * self.mesh.n_perp[a]
-            block = vec[self.offs[a] : self.offs[a] + n_int * nf]
-            lo = self.mesh.n_perp[a]
-            trace[a][lo : lo + n_int] = block.reshape(n_int, nf)
+        for a, first in enumerate(self.first):
+            fid = np.flatnonzero(first >= 0)
+            trace[a][fid] = vec[first[fid][:, None] + np.arange(self.n_face)]
 
 
 def check_dense_size(mesh, basis):
@@ -180,7 +180,7 @@ class _Shallow:
         PHI, rp = ops.phi_mean, ops.root_phi
         C = np.zeros((len(els), 3 * n_p, 3 * n_p))
         phi = slice(0, n_p)
-        for (a, s), (_fid, bels, nsig) in ops._wall_faces.items():
+        for (a, s), (_fid, bels, nsig) in ops._bnd_faces.items():
             vel = slice((a + 1) * n_p, (a + 2) * n_p)
             wall = np.isin(els, bels)
             R = basis.face_restrict[(a, s)]
@@ -194,7 +194,7 @@ class _Shallow:
     def closure(ops, state, trace):
         # the one-sided wall rule phihat = phi + sqrt(PHI) theta.n
         phi, u, v = ops.split(state)
-        for (a, side), (bfid, els, osign) in ops._wall_faces.items():
+        for (a, side), (bfid, els, osign) in ops._bnd_faces.items():
             vel = u if a == 0 else v
             at = els[:, None], ops.basis.face_node_ids[(a, side)]
             trace[a][bfid] = phi[at] + ops.root_phi * osign * vel[at]
@@ -309,11 +309,11 @@ def assemble_trace_system(ops, state_prev=None, t=0.0):
                 for b in range(mesh.dim):
                     for s in (0, 1):
                         g = ops.fidx[(b, s)][el]
-                        plane = g // mesh.n_perp[b]
-                        if plane == 0 or plane == mesh.nel[b]:
+                        rows = index.rows(b, g)
+                        if rows is None:
                             continue
                         dq = rules.side(ops, b, g, s, dU)
-                        T[index.rows(b, g), cols] += _moments(ops, b, dq).T
+                        T[rows, cols] += _moments(ops, b, dq).T
             T[cols, cols] += _moments(ops, a, weight * basis.face_eval.T).T
     return GlobalTraceSystem(index=index, matrix=T, rhs=-r0, a_inv=a_inv)
 

@@ -116,21 +116,27 @@ class ShallowOperators(LocalOperators):
         self.root_phi = float(np.sqrt(phi_mean))
         self.energy = (1.0, phi_mean, phi_mean)
 
-        # grad-against-test matrices S_a[i, j] = (phi_j, d phi_i / d x_a)_K
-        self.S = []
-        for a in range(2):
-            self.S.append(
-                (mesh.jac / mesh.half[a])
-                * (basis.eval_grad[a].T @ (basis.quad_w[:, None] * basis.eval_vol))
-            )
-        # face mass E[(a, s)][i, j] = <phi_j, phi_i>_face
-        self.Eface = {}
-        for a in range(2):
-            for s in (0, 1):
-                R = basis.face_restrict[(a, s)]
-                self.Eface[(a, s)] = mesh.face_jac[a] * (
-                    R.T @ (basis.face_quad_w[:, None] * R)
-                )
+        # the element-independent part of every local matrix: time,
+        # friction, pressure gradient, divergence and the continuity face
+        # terms, with S[a][i, j] = (phi_j, d phi_i / d x_a)_K and the face
+        # mass E[a, s][i, j] = <phi_j, phi_i>_face. In each sum the face
+        # terms come first, in fidx order (outward normal -1 on side 0)
+        S = [(mesh.jac / mesh.half[a])
+             * (basis.eval_grad[a].T @ (basis.quad_w[:, None] * basis.eval_vol))
+             for a in range(2)]
+        E = {}
+        for a, s in self.fidx:
+            R = basis.face_restrict[(a, s)]
+            E[a, s] = mesh.face_jac[a] * (R.T @ (basis.face_quad_w[:, None] * R))
+        PHI, rp, dt, M = phi_mean, self.root_phi, self.dt, self.mass_phys
+        div = [-(PHI * E[a, 0]) + PHI * E[a, 1] - PHI * S[a] for a in range(2)]
+        mom = PHI * (1.0 / dt + problem.friction) * M
+        zero = np.zeros_like(M)
+        self._constant_block = np.block([
+            [sum(rp * E[key] for key in self.fidx) + M / dt, div[0], div[1]],
+            [-PHI * S[0], mom, zero],
+            [-PHI * S[1], zero, mom],
+        ])
 
         # the trace lift: sqrt(PHI) into the continuity row, and -PHI n
         # into the momentum row of the face's normal axis a, with n the
@@ -144,10 +150,6 @@ class ShallowOperators(LocalOperators):
         # the wind stress loads the two momentum rows
         self.load = (problem.wind, (1, 2))
 
-        # (face_ids, elements, outward_sign) of each wall plane, by (a, side)
-        self._wall_faces = {
-            (a, s): mesh.boundary_faces(a, s) for a in range(2) for s in (0, 1)
-        }
         self._assemble(problem.coriolis_beta == 0.0)
 
     # -- assembly -----------------------------------------------------------
@@ -164,37 +166,14 @@ class ShallowOperators(LocalOperators):
         return basis.weighted_products([(("val", "val"), w)])
 
     def element_matrix(self, elements):
+        """The constant block plus the Coriolis coupling -+PHI Mc of the
+        two momentum rows."""
         els = np.asarray(elements)
-        n_p = self.n_p
-        PHI, rp, dt = self.phi_mean, self.root_phi, self.dt
-        gam = self.problem.friction
-        M, Sx, Sy = self.mass_phys, self.S[0], self.S[1]
-
-        A = np.zeros((len(els), 3 * n_p, 3 * n_p))
-        sl = [slice(0, n_p), slice(n_p, 2 * n_p), slice(2 * n_p, 3 * n_p)]
-
-        a00 = M / dt
-        a01 = -PHI * Sx
-        a02 = -PHI * Sy
-        for a in range(2):
-            for s in (0, 1):
-                E = self.Eface[(a, s)]
-                nsig = -1.0 if s == 0 else 1.0
-                A[:, sl[0], sl[0]] += rp * E
-                tgt = sl[1] if a == 0 else sl[2]
-                A[:, sl[0], tgt] += nsig * (PHI * E)
-        A[:, sl[0], sl[0]] += a00[None]
-        A[:, sl[0], sl[1]] += a01[None]
-        A[:, sl[0], sl[2]] += a02[None]
-
+        n_p, PHI = self.n_p, self.phi_mean
+        A = np.repeat(self._constant_block[None], len(els), axis=0)
         Mc = self._coriolis_mass(els)
-        diag_m = PHI * (1.0 / dt + gam) * M
-        A[:, sl[1], sl[0]] += (-PHI * Sx)[None]
-        A[:, sl[1], sl[1]] += diag_m[None]
-        A[:, sl[1], sl[2]] -= PHI * Mc
-        A[:, sl[2], sl[0]] += (-PHI * Sy)[None]
-        A[:, sl[2], sl[1]] += PHI * Mc
-        A[:, sl[2], sl[2]] += diag_m[None]
+        A[:, n_p:2 * n_p, 2 * n_p:] -= PHI * Mc
+        A[:, 2 * n_p:, n_p:2 * n_p] += PHI * Mc
         return A
 
     # -- per-iteration pieces -------------------------------------------------
@@ -216,7 +195,7 @@ class ShallowOperators(LocalOperators):
             trace_out[a][fid] = (0.5 * (phi[hi] + phi[lo])
                                  + 0.5 * rp * (vel[hi] - vel[lo]))
             for side in (0, 1):
-                bfid, els, osign = self._wall_faces[(a, side)]
+                bfid, els, osign = self._bnd_faces[(a, side)]
                 at = els[:, None], basis.face_node_ids[(a, side)]
                 trace_out[a][bfid] = phi[at] + rp * osign * vel[at]
 

@@ -85,16 +85,14 @@ class TransportOperators(LocalOperators):
         # boundary classification
         self.inflow_blocks = []       # (axis, face_ids, elements, side)
         self.outflow_blocks = []      # (axis, face_ids, elements, side)
-        for a in range(d):
-            for side in (0, 1):
-                fid, els, osign = mesh.boundary_faces(a, side)
-                labels = classify_boundary_face(osign * self.bn[a][fid])
-                inflow = labels == INFLOW
-                # characteristic faces take the outflow rule
-                for blocks, sel in ((self.inflow_blocks, inflow),
-                                    (self.outflow_blocks, ~inflow)):
-                    if sel.any():
-                        blocks.append((a, fid[sel], els[sel], side))
+        for (a, side), (fid, els, osign) in self._bnd_faces.items():
+            labels = classify_boundary_face(osign * self.bn[a][fid])
+            inflow = labels == INFLOW
+            # characteristic faces take the outflow rule
+            for blocks, sel in ((self.inflow_blocks, inflow),
+                                (self.outflow_blocks, ~inflow)):
+                if sel.any():
+                    blocks.append((a, fid[sel], els[sel], side))
         if problem.inflow is None and self.inflow_blocks:
             raise AssemblyError("problem has inflow faces but no inflow data")
 

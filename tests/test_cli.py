@@ -88,6 +88,22 @@ def test_bad_workers_env_exit_1(monkeypatch, capsys):
     assert "EHDG_WORKERS" in capsys.readouterr().err
 
 
+def test_workers_key_leaves_the_env_unread(monkeypatch):
+    monkeypatch.setenv("EHDG_WORKERS", "abc")
+    assert parse_config("solve", overrides=["workers=2"]).workers == 2
+
+
+def test_hash_in_a_token_is_part_of_the_value(tmp_path):
+    # '#' starts a comment in a -c file only
+    rc = main(["solve", "case=transport2d-smooth", "nel=2", "p=1",
+               f"outdir={tmp_path}/run#1"])
+    assert rc == 0
+    assert (tmp_path / "run#1").is_dir()
+    assert not (tmp_path / "run").exists()
+    with pytest.raises(UsageError, match="unknown case"):
+        parse_config("solve", overrides=["case=transport2d-smooth#x"])
+
+
 # -- solve ----------------------------------------------------------------------
 
 

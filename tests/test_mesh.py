@@ -120,6 +120,47 @@ class TestFaceIndexing:
             seen.extend(m.boundary_faces(a, 1)[0].tolist())
             assert sorted(seen) == list(range(m.n_faces_axis[a]))
 
+    @pytest.mark.parametrize("nel", [(3, 1), (1, 4), (4, 3), (2, 1, 3),
+                                     (1, 3, 2), (3, 2, 1), (1, 1, 1)])
+    def test_face_lists_in_face_id_order(self, nel):
+        # brute force over (plane, perp) as the module docstring numbers
+        # them: the oracle numbers its unknowns in this order
+        dim = len(nel)
+        m = build_mesh(dim, nel, [(0.0, 1.0)] * dim)
+        strides = np.cumprod((1,) + nel[:-1])
+        for a in range(dim):
+            other = [b for b in range(dim) if b != a]
+            n_perp = math.prod(nel[b] for b in other)
+
+            def element(plane, perp):
+                coords = [0] * dim
+                coords[a] = plane
+                for b in other:
+                    perp, coords[b] = divmod(perp, nel[b])
+                return int(np.dot(coords, strides))
+
+            def ints(values):
+                return np.array(values, dtype=np.intp)
+
+            faces = [(perp + n_perp * plane, element(plane - 1, perp),
+                      element(plane, perp))
+                     for plane in range(1, nel[a]) for perp in range(n_perp)]
+            want = ints(faces).reshape(-1, 3).T
+            for got, expect in zip(m.interior_faces(a), want):
+                assert got.dtype == expect.dtype
+                assert np.array_equal(got, expect)
+            for side in (0, 1):
+                plane = (0, nel[a])[side]
+                fid, els, sign = m.boundary_faces(a, side)
+                want_fid = ints([perp + n_perp * plane
+                                 for perp in range(n_perp)])
+                want_els = ints([element(min(plane, nel[a] - 1), perp)
+                                 for perp in range(n_perp)])
+                for got, expect in ((fid, want_fid), (els, want_els)):
+                    assert got.dtype == expect.dtype
+                    assert np.array_equal(got, expect)
+                assert type(sign) is float and sign == (-1.0, 1.0)[side]
+
 
 class TestFaceQuadPoints:
     @pytest.mark.parametrize("dim,nel", [(2, (3, 2)), (3, (2, 2, 2))])

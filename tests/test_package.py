@@ -1,10 +1,12 @@
 """The package surface: every exported name resolves, once, and is one
-the README documents; the operator contract sits in its own module."""
+the README documents; the operator contract sits in its own module, and
+only the mesh decodes face ids."""
 
 import ast
 import importlib
 import inspect
 import os
+import pkgutil
 import re
 
 import ehdg
@@ -102,3 +104,15 @@ def test_readme_names_each_object_where_it_is_defined():
         if getattr(getattr(importlib.import_module(f"ehdg.{mod}"), name, None),
                    "__module__", None) != f"ehdg.{mod}")
     assert not wrong, wrong
+
+
+def test_only_the_mesh_decodes_face_ids():
+    # the face numbering (plane, perp) is read in ehdg.mesh alone; every
+    # other module goes through face_index and the face lists
+    modules = [m.name for m in pkgutil.iter_modules(ehdg.__path__)]
+    assert "mesh" in modules and "oracle" in modules
+    readers = sorted(
+        name for name in modules if name != "mesh"
+        and re.search(r"\b(n_perp|perp_of|plane_of)\b", inspect.getsource(
+            importlib.import_module(f"ehdg.{name}"))))
+    assert not readers, readers
