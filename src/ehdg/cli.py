@@ -3,8 +3,7 @@
 Configuration is plain key=value text, either in a file (one pair per line,
 '#' comments) or as trailing command-line tokens; the tokens win. Each
 command accepts only the keys it reads (_COMMANDS). Outputs
-are CSV files plus plain-text field dumps, deterministic for a fixed worker
-count.
+are CSV files plus plain-text field dumps, deterministic for a fixed input.
 
 Exit codes: 0 success, 1 usage error, 2 non-convergence, 3 verification
 failure.
@@ -27,6 +26,7 @@ from .driver import (
     solve,
 )
 from .mesh import MeshError
+from .operators import usable_cpus
 from .oracle import OracleSizeError, verify_cell
 from .problems import (
     build_case,
@@ -57,24 +57,15 @@ class RunConfig:
     stopping: str = ERROR_DIFFERENCE
     tol: float = 1e-10
     max_iters: int | None = None
-    workers: int = 1
     outdir: str = "."
     nels: tuple | None = None
     ps: tuple | None = None
     table: str = "both"
 
 
-def default_workers():
-    env = os.environ.get("EHDG_WORKERS")
-    if env is not None:
-        try:
-            w = int(env)
-        except ValueError:
-            raise UsageError(f"EHDG_WORKERS must be an integer, got {env!r}")
-        if w < 1:
-            raise UsageError("EHDG_WORKERS must be >= 1")
-        return w
-    return os.cpu_count() or 1
+# the thread count of the solve_cells pool; kept because perfbench/gate.py
+# reads it for its run manifest
+default_workers = usable_cpus
 
 
 # -- key=value parsing ---------------------------------------------------------
@@ -141,7 +132,6 @@ _KEYS = {
     "stopping": _stopping,
     "tol": _positive_float,
     "max_iters": _positive_int,
-    "workers": _positive_int,
     "outdir": lambda key, raw: raw,
     "nels": _int_list,
     "ps": _int_list,
@@ -181,8 +171,6 @@ def parse_config(command, config_path=None, overrides=()):
         if key not in _COMMANDS[command][1].split():
             raise UsageError(f"{command} does not read {key}=")
         setattr(cfg, key, _KEYS[key](key, raw))
-    if "workers" not in pairs:
-        cfg.workers = default_workers()
     return cfg
 
 
@@ -191,7 +179,6 @@ def iteration_config(cfg):
         tol=cfg.tol,
         stopping=cfg.stopping,
         max_iters=cfg.max_iters,
-        workers=cfg.workers,
     )
 
 
@@ -299,8 +286,6 @@ _STUDY_DEFAULTS = {
 
 def cmd_study(cfg):
     case = catalog(cfg.case)
-    if case.problem.exact is None:
-        raise UsageError(f"case {cfg.case} has no exact solution to study")
     defaults = _STUDY_DEFAULTS.get(cfg.case, ((4, 8, 16), (1, 2)))
     nels = cfg.nels if cfg.nels is not None else defaults[0]
     ps = cfg.ps if cfg.ps is not None else defaults[1]
@@ -310,7 +295,8 @@ def cmd_study(cfg):
         rows = convergence_study(case, nels, ps, config=config, dt=dt,
                                  n_steps=steps)
     except ValueError as err:
-        # a study's ValueErrors refuse its arguments (a repeated mesh)
+        # a study's ValueErrors refuse its arguments (a case without an
+        # exact solution, a repeated mesh)
         raise UsageError(str(err)) from None
     path = os.path.join(cfg.outdir, f"{cfg.case}-study.csv")
     with open(path, "w") as fh:
@@ -348,7 +334,7 @@ TABLE_PS = (1, 2, 3, 4)
 TABLE2_STEPS = 10
 
 
-def _table_cells(table, nels=None, ps=None, workers=1):
+def _table_cells(table, nels=None, ps=None):
     """(case, nel, p, dt, config) of each cell of table "1" or "2", in row
     order; nels and ps replace the table's own sweeps.
 
@@ -360,7 +346,7 @@ def _table_cells(table, nels=None, ps=None, workers=1):
         case = catalog(ident)
         stopping = (SUCCESSIVE_DIFFERENCE if case.problem.exact is None
                     else ERROR_DIFFERENCE)
-        config = IterationConfig(stopping=stopping, workers=workers)
+        config = IterationConfig(stopping=stopping)
         for p in ps or TABLE_PS:
             for n in nels or table_nels:
                 for dt in dts:
@@ -385,8 +371,7 @@ def _write_table(cfg, table):
     with open(path, "w") as fh:
         fh.write("case,nel,p,iterations\n" if table == "1"
                  else "case,nel,p,dt,steps,iterations_per_step\n")
-        for case, n, p, dt, config in _table_cells(table, cfg.nels, cfg.ps,
-                                                   cfg.workers):
+        for case, n, p, dt, config in _table_cells(table, cfg.nels, cfg.ps):
             _ops, logs = run_cell(case, n, p, config, dt, steps)
             # startup steps can differ; table 2 reports the settled count
             count = logs[-1].iterations
@@ -410,7 +395,6 @@ def cmd_verify(cfg):
     config = IterationConfig(
         tol=min(cfg.tol, 1e-12),
         stopping=SUCCESSIVE_DIFFERENCE,
-        workers=cfg.workers,
     )
     checks = verify_cell(catalog(cfg.case), _nel(cfg), cfg.p, cfg.dt, config)
     for name, ok, detail in checks:
@@ -451,11 +435,11 @@ def build_parser():
 # each command and the keys it reads; any other key is a usage error
 _COMMANDS = {
     "solve": (cmd_solve,
-              "case nel p dt steps stopping tol max_iters workers outdir"),
+              "case nel p dt steps stopping tol max_iters outdir"),
     "study": (cmd_study,
-              "case nels ps dt steps stopping tol max_iters workers outdir"),
-    "tables": (cmd_tables, "table nels ps steps workers outdir"),
-    "verify": (cmd_verify, "case nel p dt tol workers"),
+              "case nels ps dt steps stopping tol max_iters outdir"),
+    "tables": (cmd_tables, "table nels ps steps outdir"),
+    "verify": (cmd_verify, "case nel p dt tol"),
 }
 
 

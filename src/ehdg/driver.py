@@ -4,7 +4,7 @@ One pass of the iteration has two phases separated by a barrier: first every
 element solves its local system against the current trace buffer, then the
 trace is rebuilt from the fresh element solutions into a second buffer and
 the buffers swap. Element work is chunked in a fixed order, so norms and
-results are identical for any worker count.
+results are identical whether or not the local solves run on a thread pool.
 
 Stopping modes:
   error-difference      |  ||u_k - u_e|| - ||u_{k-1} - u_e||  | < tol
@@ -38,7 +38,6 @@ class IterationConfig:
     tol: float = 1e-10
     stopping: str = ERROR_DIFFERENCE
     max_iters: Optional[int] = None
-    workers: int = 1
 
     def __post_init__(self):
         if self.stopping not in STOPPING_MODES:
@@ -48,8 +47,6 @@ class IterationConfig:
                              f"got {self.tol}")
         if self.max_iters is not None and self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
 
     def iteration_cap(self, mesh):
         if self.max_iters is not None:
@@ -152,7 +149,7 @@ def iterate_to_fixed_point(ops, config, u0=None, t=0.0, state_prev=None):
     cap = config.iteration_cap(mesh)
     for k in range(1, cap + 1):
         rhs = ops.rhs(trace, source)
-        ops.solve_cells(rhs, out=u_next, workers=config.workers)
+        ops.solve_cells(rhs, out=u_next)
         ops.update_trace(u_next, trace_next, t)
 
         e_k, succ, skel = norms(u_next, u)

@@ -6,12 +6,17 @@ the blocked sampling of case callables, with the budgets on their temporaries.
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 
 # elements per block of the batched local solve, and the most elements one
 # assembly chunk takes
 ASSEMBLY_CHUNK = 256
+# narrowest local operators whose batched solve runs on the thread pool:
+# from width 75 up the pool won or tied in every timed sweep, at 64 and
+# below it lost in some (README, Threads)
+POOL_MIN_WIDTH = 65
 # most bytes of local matrices one assembly chunk builds and inverts: 67
 # elements at 125 x 125 (3D p=4), a full ASSEMBLY_CHUNK at 25 x 25 (2D p=4)
 ASSEMBLY_BYTES = 8 * 2**20
@@ -21,6 +26,11 @@ SAMPLE_POINTS = 2**14
 
 class AssemblyError(Exception):
     pass
+
+
+def usable_cpus():
+    """The CPUs this process may run on, as nproc counts them."""
+    return len(os.sched_getaffinity(0))
 
 
 def assembly_chunk(width):
@@ -136,9 +146,8 @@ class LocalOperators:
         # (face_ids, elements, outward_sign) per boundary plane (a, s)
         self._int_faces = [mesh.interior_faces(a) for a in range(mesh.dim)]
         self._bnd_faces = {key: mesh.boundary_faces(*key) for key in self.fidx}
-        # element worker pool of solve_cells and its worker count
+        # thread pool of solve_cells, built on first use (_executor)
         self._pool = None
-        self._pool_workers = None
 
     def _assemble(self, shared):
         """Set shared and a_inv, the inverses of element_matrix: element
@@ -180,13 +189,13 @@ class LocalOperators:
             len(centers), len(ref),
         )
 
-    def solve_cells(self, rhs, out=None, workers=1):
+    def solve_cells(self, rhs, out=None):
         """Batched application of the factorized local operators.
 
         Elements go in ASSEMBLY_CHUNK blocks, each written to its own rows
-        of out, so the result is the same for any worker count. With
-        workers > 1 and more than one block, the blocks run on the pool of
-        _executor; its threads run the numpy kernels only.
+        of out, so the result is the same whichever thread runs a block.
+        The blocks run on the pool of _executor when there is one; its
+        threads run the numpy kernels only.
         """
         if out is None:
             out = np.empty_like(rhs)
@@ -204,25 +213,32 @@ class LocalOperators:
                 self.a_inv[s:e], rhs[s:e, :, None], out=out[s:e, :, None]
             )
 
-        if workers > 1 and len(chunks) > 1:
-            list(self._executor(workers).map(run, chunks))
+        pool = self._executor(len(chunks))
+        if pool is not None:
+            list(pool.map(run, chunks))
         else:
             for c in chunks:
                 run(c)
         return out
 
-    def _executor(self, workers):
-        """One thread pool for every pass and time level of this operator
-        set, built on first use; a new worker count replaces it and shuts
-        the old one down. Its threads exit when the operators are freed."""
-        if self._pool_workers != workers:
+    def _executor(self, n_chunks):
+        """The thread pool for n_chunks blocks of per-element solves, or
+        None to run them in the calling thread.
+
+        The pool runs when there is more than one block, the process may
+        use more than one CPU and the local operators are at least
+        POOL_MIN_WIDTH wide. It has one thread per usable CPU, is built on
+        first use and serves every later pass and time level of this
+        operator set; its threads exit when the operators are freed.
+        """
+        cpus = usable_cpus()
+        if n_chunks < 2 or cpus < 2 or self.state_width < POOL_MIN_WIDTH:
+            return None
+        if self._pool is None:
             # imported here, so a run without a pool does not load it
             from concurrent import futures
 
-            if self._pool is not None:
-                self._pool.shutdown()
-            self._pool = futures.ThreadPoolExecutor(max_workers=workers)
-            self._pool_workers = workers
+            self._pool = futures.ThreadPoolExecutor(max_workers=cpus)
         return self._pool
 
     def new_trace(self):

@@ -53,7 +53,6 @@ def _smooth2d():
 
     problem = TransportProblem(
         dim=2, velocity=beta, forcing=forcing, inflow=exact, exact=exact,
-        name="transport2d-smooth",
     )
     return ProblemCase(
         identifier="transport2d-smooth", dim=2, kind="transport",
@@ -74,10 +73,7 @@ def _discontinuous2d():
         hump = np.sin(PI * x) ** 6
         return np.where(x == 0.0, 1.0, np.where(x <= 1.0, hump, 0.0))
 
-    problem = TransportProblem(
-        dim=2, velocity=beta, inflow=inflow,
-        name="transport2d-discontinuous",
-    )
+    problem = TransportProblem(dim=2, velocity=beta, inflow=inflow)
     return ProblemCase(
         identifier="transport2d-discontinuous", dim=2, kind="transport",
         bounds=((0.0, 2.0), (0.0, 2.0)), problem=problem,
@@ -102,7 +98,6 @@ def _steady3d():
 
     problem = TransportProblem(
         dim=3, velocity=beta, forcing=forcing, inflow=exact, exact=exact,
-        name="transport3d-steady",
     )
     return ProblemCase(
         identifier="transport3d-steady", dim=3, kind="transport",
@@ -122,9 +117,7 @@ def _standing_wave():
         amp = np.sin(omega * t) / math.sqrt(2.0)
         return np.stack([phi, sx * cy * amp, cx * sy * amp], axis=1)
 
-    problem = ShallowProblem(
-        phi_mean=1.0, exact=exact, name="shallow-standing-wave",
-    )
+    problem = ShallowProblem(phi_mean=1.0, exact=exact)
     return ProblemCase(
         identifier="shallow-standing-wave", dim=2, kind="shallow",
         bounds=((0.0, 1.0), (0.0, 1.0)), problem=problem,
@@ -146,7 +139,7 @@ def _gaussian3d():
 
     problem = TransportProblem(
         dim=3, velocity=beta, inflow=exact, exact=exact,
-        constant_velocity=True, name="transport3d-gaussian",
+        constant_velocity=True,
     )
     return ProblemCase(
         identifier="transport3d-gaussian", dim=3, kind="transport",

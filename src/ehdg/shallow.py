@@ -45,8 +45,8 @@ class ShallowProblem:
     friction: float = 0.0
     wind: Optional[Callable] = None
     exact: Optional[Callable] = None
-    name: str = "shallow"
-    dim: int = 2
+    # a class constant, not a field: the equations are 2D only
+    dim = 2
 
 
 @dataclass

@@ -46,7 +46,6 @@ class TransportProblem:
     exact: Optional[Callable] = None
     div_velocity: Optional[Callable] = None
     constant_velocity: bool = False
-    name: str = "transport"
 
 
 class TransportOperators(LocalOperators):

@@ -58,14 +58,6 @@ def test_parse_config_missing_file():
         parse_config("solve", "/nonexistent/run.cfg")
 
 
-def test_workers_env_honored(monkeypatch):
-    monkeypatch.setenv("EHDG_WORKERS", "3")
-    assert parse_config("solve").workers == 3
-    monkeypatch.setenv("EHDG_WORKERS", "0")
-    with pytest.raises(UsageError, match="EHDG_WORKERS"):
-        parse_config("solve")
-
-
 @pytest.mark.parametrize(
     "token",
     ["p=0", "tol=-1", "tol=nope", "stopping=bogus", "case=unknown-case",
@@ -82,15 +74,15 @@ def test_bad_table_choice_exit_1(capsys):
     assert "table must be 1, 2, or both" in capsys.readouterr().err
 
 
-def test_bad_workers_env_exit_1(monkeypatch, capsys):
-    monkeypatch.setenv("EHDG_WORKERS", "many")
-    assert main(["solve", "case=transport2d-smooth", "nel=4", "p=1"]) == 1
-    assert "EHDG_WORKERS" in capsys.readouterr().err
-
-
-def test_workers_key_leaves_the_env_unread(monkeypatch):
-    monkeypatch.setenv("EHDG_WORKERS", "abc")
-    assert parse_config("solve", overrides=["workers=2"]).workers == 2
+def test_workers_key_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    # the local solves pick their thread pool themselves; no command
+    # takes a worker count
+    monkeypatch.chdir(tmp_path)
+    assert main(["solve", "case=transport2d-smooth", "nel=4", "p=1",
+                 "workers=2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "'workers'" in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_hash_in_a_token_is_part_of_the_value(tmp_path):
@@ -124,7 +116,7 @@ def test_solve_steady_writes_outputs(tmp_path):
 
 
 def test_solve_reruns_byte_identical(tmp_path):
-    args = ["solve", "case=transport2d-smooth", "nel=4", "p=2", "workers=1"]
+    args = ["solve", "case=transport2d-smooth", "nel=4", "p=2"]
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     assert main(args + [f"outdir={out_a}"]) == 0
     assert main(args + [f"outdir={out_b}"]) == 0
@@ -164,7 +156,7 @@ def test_solve_transient_stops_at_failed_step(tmp_path, capsys, case, nel):
 
     # one pass cannot satisfy error-difference stopping, so step 1 fails
     rc = main(["solve", f"case={case}", f"nel={nel}", "p=1", "dt=1e-3",
-               "steps=3", "max_iters=1", "workers=1", f"outdir={tmp_path}"])
+               "steps=3", "max_iters=1", f"outdir={tmp_path}"])
     assert rc == 2
     err = capsys.readouterr().err
     assert "step 1 did not converge within the iteration cap" in err
@@ -280,6 +272,17 @@ def test_study_repeated_mesh_is_usage_error(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("usage error: nel 2 appears more than once")
+    assert not list(tmp_path.iterdir())
+
+
+def test_study_without_exact_solution_is_usage_error(tmp_path, capsys):
+    # a study measures errors against the exact solution, and
+    # transport2d-discontinuous has none
+    rc = main(["study", "case=transport2d-discontinuous", "nels=2,4",
+               "ps=1", f"outdir={tmp_path}"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "no exact solution" in err
     assert not list(tmp_path.iterdir())
 
 

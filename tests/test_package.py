@@ -1,6 +1,6 @@
 """The package surface: every exported name resolves, once, and is one
-the README documents; the operator contract sits in its own module, and
-only the mesh decodes face ids."""
+the README documents; the operator contract sits in its own module, only
+the mesh decodes face ids, and no module reads the environment."""
 
 import ast
 import importlib
@@ -115,4 +115,16 @@ def test_only_the_mesh_decodes_face_ids():
         name for name in modules if name != "mesh"
         and re.search(r"\b(n_perp|perp_of|plane_of)\b", inspect.getsource(
             importlib.import_module(f"ehdg.{name}"))))
+    assert not readers, readers
+
+
+def test_no_module_reads_the_environment():
+    # the library takes its settings from arguments alone (BLAS reads its
+    # own variables), so no knob, a thread count say, comes in that way
+    modules = ["ehdg"] + [f"ehdg.{m.name}"
+                          for m in pkgutil.iter_modules(ehdg.__path__)]
+    readers = sorted(
+        name for name in modules
+        if re.search(r"\b(environb?|getenv)\b",
+                     inspect.getsource(importlib.import_module(name))))
     assert not readers, readers

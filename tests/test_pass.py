@@ -183,8 +183,8 @@ def record_iterates(ops):
     seen = []
     solve = ops.solve_cells
 
-    def recording(rhs, out=None, workers=1):
-        result = solve(rhs, out=out, workers=workers)
+    def recording(rhs, out=None):
+        result = solve(rhs, out=out)
         seen.append(result.copy())
         return result
 
@@ -349,8 +349,7 @@ def test_callables_once_per_time_level(tmp_path, monkeypatch):
         monkeypatch.setattr(problem, name, counted)
     steps = 3
     rc = main(["solve", "case=transport3d-gaussian", "nel=2", "p=2",
-               "dt=0.001", f"steps={steps}", "workers=1",
-               f"outdir={tmp_path}"])
+               "dt=0.001", f"steps={steps}", f"outdir={tmp_path}"])
     assert rc == 0
     levels = [m * 0.001 + 0.001 for m in range(steps)]
     # the t=0 interpolant of the initial state, then one call per step
@@ -361,7 +360,7 @@ def test_callables_once_per_time_level(tmp_path, monkeypatch):
 
 def test_steps_csv_error_is_the_last_logged_error(tmp_path):
     rc = main(["solve", "case=transport2d-smooth", "nel=4", "p=2",
-               "dt=0.01", "steps=2", "workers=1", f"outdir={tmp_path}"])
+               "dt=0.01", "steps=2", f"outdir={tmp_path}"])
     assert rc == 0
     rows = (tmp_path / "transport2d-smooth-p2-nel4-steps.csv").read_text()
     last_step = float(rows.splitlines()[-1].split(",")[3])
@@ -373,7 +372,7 @@ def test_steps_csv_error_is_the_last_logged_error(tmp_path):
 # -- fail fast on non-finite passes ---------------------------------------------
 
 
-def nan_cells(self, rhs, out=None, workers=1):
+def nan_cells(self, rhs, out=None):
     out = np.empty_like(rhs) if out is None else out
     out.fill(np.nan)
     return out

@@ -22,6 +22,7 @@ from ehdg.basis import TensorBasis, gauss_quadrature, lagrange_eval
 from ehdg.driver import IterationConfig, SUCCESSIVE_DIFFERENCE, volume_l2
 from ehdg.driver import solve
 from ehdg.mesh import MeshError, build_mesh
+from ehdg import operators
 from ehdg.operators import ASSEMBLY_CHUNK, AssemblyError
 from ehdg.oracle import condensed_matrices
 from ehdg.transport import TransportOperators, TransportProblem
@@ -51,13 +52,28 @@ def constant_problem(bvec, dim=2, inflow=None, shared=False, exact=None):
 
 def rotating_ops_17x16(dt=None):
     """Per-element p=1 transport operators in more than one
-    ASSEMBLY_CHUNK, so the threaded path of solve_cells splits."""
+    ASSEMBLY_CHUNK, so the pooled path of solve_cells splits."""
     mesh = build_mesh(2, (17, 16), [(0, 1), (0, 1)])
     inflow = lambda pts, t=0.0: np.sin(3.0 * pts[:, 0]) + pts[:, 1]
     ops = TransportOperators(mesh, TensorBasis(2, 1),
                              rotating_problem(inflow=inflow), dt=dt)
     assert ops.a_inv.shape[0] == mesh.n_el > ASSEMBLY_CHUNK
     return ops
+
+
+def counting_executors(monkeypatch):
+    """The list of every thread pool built from now on."""
+    built = []
+
+    class CountingExecutor(futures.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    # solve_cells looks the class up in concurrent.futures when it builds
+    # a pool
+    monkeypatch.setattr(futures, "ThreadPoolExecutor", CountingExecutor)
+    return built
 
 
 def shallow_ops_17x16(dt=1e-3):
@@ -74,24 +90,25 @@ def shallow_ops_17x16(dt=1e-3):
     return ops
 
 
-def assert_worker_counts_agree(ops, rhs):
-    """solve_cells on one operator set, the pool built, replaced and
-    rebuilt, gives the serial result bit for bit."""
-    serial = ops.solve_cells(rhs.copy(), workers=1)
-    for workers in (2, 4, 2):
-        assert np.array_equal(ops.solve_cells(rhs.copy(), workers=workers),
-                              serial)
+def force_pool(monkeypatch, pooled):
+    """Make solve_cells take the pooled path (pooled True) or the serial
+    one, whatever the operator width and the CPUs of this process."""
+    monkeypatch.setattr(operators, "POOL_MIN_WIDTH", 1 if pooled else 10**9)
+    monkeypatch.setattr(operators, "usable_cpus", lambda: 2 if pooled else 1)
 
 
-def assert_solves_agree(ops, state0, steps=3):
-    """A whole solve with workers=1 and workers=2: state, trace and every
-    level's log bit for bit."""
-    runs = [
-        solve(ops, IterationConfig(stopping=SUCCESSIVE_DIFFERENCE,
-                                   workers=workers), state0, steps)
-        for workers in (1, 2)
-    ]
-    (s1, t1, logs1), (s2, t2, logs2) = runs
+def assert_pool_changes_nothing(monkeypatch, ops, rhs, state0, steps=3):
+    """solve_cells and a whole solve (state, trace and every level's log)
+    give the same bits on the serial path and on the pooled one."""
+    runs = []
+    for pooled in (False, True):
+        force_pool(monkeypatch, pooled)
+        cells = ops.solve_cells(rhs.copy())
+        config = IterationConfig(stopping=SUCCESSIVE_DIFFERENCE)
+        runs.append((cells, *solve(ops, config, state0, steps)))
+    assert ops._pool is not None
+    (c1, s1, t1, logs1), (c2, s2, t2, logs2) = runs
+    assert np.array_equal(c1, c2)
     assert np.array_equal(s1, s2)
     assert all(np.array_equal(a, b) for a, b in zip(t1, t2))
     assert len(logs1) == len(logs2) == steps
@@ -504,48 +521,58 @@ class TestSolves:
             assert np.allclose(got[el], np.linalg.solve(A[el], rhs[el]),
                                atol=1e-11)
 
-    def test_workers_do_not_change_results(self, rng):
+    def test_pool_does_not_change_results(self, monkeypatch, rng):
         ops = rotating_ops_17x16(dt=0.05)
         rhs = rng.standard_normal((ops.mesh.n_el, ops.state_width))
-        assert_worker_counts_agree(ops, rhs)
-        assert_solves_agree(ops, rng.standard_normal(rhs.shape))
+        assert_pool_changes_nothing(monkeypatch, ops, rhs,
+                                    rng.standard_normal(rhs.shape))
 
-    def test_shallow_workers_do_not_change_results(self, rng):
+    def test_shallow_pool_does_not_change_results(self, monkeypatch, rng):
         ops = shallow_ops_17x16()
         rhs = rng.standard_normal((ops.mesh.n_el, ops.state_width))
-        assert_worker_counts_agree(ops, rhs)
-        assert_solves_agree(ops, rng.standard_normal(rhs.shape))
+        assert_pool_changes_nothing(monkeypatch, ops, rhs,
+                                    rng.standard_normal(rhs.shape))
 
     def test_one_executor_serves_every_pass(self, monkeypatch, rng):
-        built = []
-
-        class CountingExecutor(futures.ThreadPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                built.append(self)
-
-        # solve_cells looks the class up in concurrent.futures when it
-        # builds a pool
-        monkeypatch.setattr(futures, "ThreadPoolExecutor", CountingExecutor)
+        built = counting_executors(monkeypatch)
+        force_pool(monkeypatch, True)
         ops = shallow_ops_17x16()
         state0 = rng.standard_normal((ops.mesh.n_el, ops.state_width))
-        config = IterationConfig(stopping=SUCCESSIVE_DIFFERENCE, workers=2)
+        config = IterationConfig(stopping=SUCCESSIVE_DIFFERENCE)
         _state, _trace, logs = solve(ops, config, state0, 3)
         assert len(logs) == 3 and all(log.converged for log in logs)
         assert sum(log.iterations for log in logs) > 3
         assert len(built) == 1
-        # a new worker count replaces the pool; the same count reuses it
-        ops.solve_cells(state0, workers=4)
-        ops.solve_cells(state0, workers=4)
-        assert len(built) == 2
 
-    def test_pool_threads_end_with_the_operators(self, rng):
+    @pytest.mark.parametrize("nel, p, beta, cpus, pooled", [
+        ((17, 16), 4, 0.5, 2, True),   # two blocks of 75-wide operators
+        ((17, 16), 1, 0.5, 2, False),  # 12 wide, below POOL_MIN_WIDTH
+        ((16, 16), 4, 0.5, 2, False),  # one block
+        ((17, 16), 4, 0.5, 1, False),  # one usable CPU
+        ((17, 16), 4, 0.0, 2, False),  # one shared operator
+    ])
+    def test_pool_is_built_when_the_rule_says(self, monkeypatch, rng, nel, p,
+                                              beta, cpus, pooled):
+        from ehdg.shallow import ShallowOperators, ShallowProblem
+
+        built = counting_executors(monkeypatch)
+        monkeypatch.setattr(operators, "usable_cpus", lambda: cpus)
+        mesh = build_mesh(2, nel, [(0, 1), (0, 1)])
+        problem = ShallowProblem(phi_mean=1.0, coriolis_f0=1.0,
+                                 coriolis_beta=beta, y_mid=0.5)
+        ops = ShallowOperators(mesh, TensorBasis(2, p), problem, dt=1e-3)
+        rhs = rng.standard_normal((mesh.n_el, ops.state_width))
+        ops.solve_cells(rhs)
+        ops.solve_cells(rhs)
+        assert len(built) == int(pooled)
+
+    def test_pool_threads_end_with_the_operators(self, monkeypatch, rng):
         gc.collect()  # pools of earlier tests held in reference cycles
         known = set(threading.enumerate())
+        force_pool(monkeypatch, True)
         ops = shallow_ops_17x16()
         state0 = rng.standard_normal((ops.mesh.n_el, ops.state_width))
-        solve(ops, IterationConfig(stopping=SUCCESSIVE_DIFFERENCE,
-                                   workers=2), state0, 2)
+        solve(ops, IterationConfig(stopping=SUCCESSIVE_DIFFERENCE), state0, 2)
         started = [t for t in threading.enumerate() if t not in known]
         del ops
         gc.collect()
