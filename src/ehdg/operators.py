@@ -20,6 +20,10 @@ POOL_MIN_WIDTH = 65
 # most bytes of local matrices one assembly chunk builds and inverts: 67
 # elements at 125 x 125 (3D p=4), a full ASSEMBLY_CHUNK at 25 x 25 (2D p=4)
 ASSEMBLY_BYTES = 8 * 2**20
+# most bytes of gathered face traces one element block of the trace lift
+# takes (LocalOperators.rhs): 873 elements at 3D p=4 with folded weights,
+# all 4096 of a 2D p=4 cell with per-face weights
+LIFT_BYTES = 2**20
 # most points one call of a case callable receives (evaluate_blocked)
 SAMPLE_POINTS = 2**14
 
@@ -110,7 +114,8 @@ class LocalOperators:
                    field order; they define the energy norm;
       load         (fn, load_fields): load field j takes the load of value
                    j of fn(points, t); fn None loads nothing;
-      lift_w       element-side face weights, by (axis, side);
+      lift_w       element-side face weights, by (axis, side): one
+                   (n_fq,) row for every face, or one row per element;
       lift_coef    (field, coefficient) pairs, by (axis, side): each field
                    takes coefficient times the lifted trace.
 
@@ -150,11 +155,39 @@ class LocalOperators:
         self._pool = None
 
     def _assemble(self, shared):
-        """Set shared and a_inv, the inverses of element_matrix: element
-        0's alone when shared, every element's otherwise."""
+        """Set shared, a_inv (the inverses of element_matrix: element 0's
+        alone when shared, every element's otherwise) and the stacked trace
+        lift of rhs (_lift_matrix)."""
         self.shared = shared
         n = 1 if shared else self.mesh.n_el
         self.a_inv = assemble_inverses(self.element_matrix, n, self.state_width)
+        self._lift_folded = all(np.ndim(w) == 1 for w in self.lift_w.values())
+        self._lift = self._lift_matrix()
+
+    def _lift_matrix(self):
+        """The stacked trace lift: one row block per face (a, s), in lift_w
+        order, with each lift_coef folded into its field's columns.
+
+        When the weights are one row for every face, the face evaluation
+        and the weights are folded in too: block (a, s) is
+        (face_eval.T * w) @ face_restrict[(a, s)], whose n_face rows take
+        the face's nodal trace. Per-face weights leave block (a, s) as
+        face_restrict[(a, s)], whose n_fq rows take the weighted trace at
+        the face quadrature points.
+        """
+        basis = self.basis
+        blocks = []
+        for key, w in self.lift_w.items():
+            R = basis.face_restrict[key]
+            if self._lift_folded:
+                R = (basis.face_eval.T * w) @ R
+            block = np.zeros((len(R), self.state_width))
+            parts = self.split(block)
+            for i, c in self.lift_coef[key]:
+                part = parts[i]
+                part += c * R
+            blocks.append(block)
+        return np.vstack(blocks)
 
     def zero_state(self):
         return np.zeros((self.mesh.n_el, self.state_width))
@@ -273,19 +306,34 @@ class LocalOperators:
 
     def rhs(self, trace, source):
         """Right-hand sides of every local solve: source (see source())
-        plus the lift of the given trace field, one face at a time."""
-        basis = self.basis
-        out = source.copy()
-        parts = self.split(out)
-        for (a, s), w in self.lift_w.items():
-            uh_q = trace[a][self.fidx[(a, s)]] @ basis.face_eval.T
-            lifted = (w * uh_q) @ basis.face_restrict[(a, s)]
-            for i, c in self.lift_coef[(a, s)]:
-                # a coefficient of one adds the lift itself, not a copy
-                part = parts[i]
-                part += lifted if c == 1.0 else c * lifted
-            # released before the next face's lift is formed
-            del lifted
+        plus the lift of the given trace field.
+
+        The lift is one product with the stacked lift matrix
+        (_lift_matrix) per block of elements. A block gathers each
+        element's face traces side by side in lift_w order, as nodal values
+        when the weights are folded in and as weighted values at the face
+        quadrature points otherwise, then multiplies them by the matrix.
+        The gathered traces of a block take at most LIFT_BYTES, so the
+        temporaries do not grow with the mesh.
+        """
+        L, keys, n_el = self._lift, list(self.lift_w), self.mesh.n_el
+        rows = len(L) // len(keys)
+        step = max(1, LIFT_BYTES // (8 * len(L)))
+        gathered = np.empty((min(step, n_el), len(L)))
+        out = np.empty_like(source)
+        for lo in range(0, n_el, step):
+            hi = min(lo + step, n_el)
+            g = gathered[: hi - lo]
+            for j, (a, s) in enumerate(keys):
+                faces = trace[a][self.fidx[(a, s)][lo:hi]]
+                col = g[:, j * rows : (j + 1) * rows]
+                if self._lift_folded:
+                    col[:] = faces
+                else:
+                    np.matmul(faces, self.basis.face_eval.T, out=col)
+                    col *= self.lift_w[(a, s)][lo:hi]
+            np.matmul(g, L, out=out[lo:hi])
+            out[lo:hi] += source[lo:hi]
         return out
 
     # -- norms: the energy norm, sum_i energy[i] ||field_i||^2 --------------

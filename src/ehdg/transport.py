@@ -10,9 +10,11 @@ element solutions (upwind average on interior faces, boundary rules on the
 domain boundary). A transient step adds backward-Euler mass terms on both
 sides.
 
-Face trace data lives at face GLL nodes; the upwind average is formed
-pointwise at face quadrature points and L2-projected back onto the face
-polynomial space. The shared contract is ehdg.operators.LocalOperators.
+Face trace data lives at face GLL nodes. Where beta.n has one sign on a
+whole face, the upwind trace is the upwind element's face polynomial, a
+copy of its face nodes; only on mixed-sign faces is the upwind average
+formed pointwise at face quadrature points and L2-projected back onto the
+face polynomial space. The shared contract is ehdg.operators.LocalOperators.
 """
 
 from __future__ import annotations
@@ -72,15 +74,6 @@ class TransportOperators(LocalOperators):
             self.abs_bn.append(np.abs(self.bn[a]))
             self.sgn.append(np.sign(self.bn[a]))
 
-        # the element-side |beta.n| face weights of the trace lift and the
-        # skeleton norm; the one field takes the lift whole
-        self.lift_w = {
-            (a, s): mesh.face_jac[a] * basis.face_quad_w * self.abs_bn[a][fi]
-            for (a, s), fi in self.fidx.items()
-        }
-        self.lift_coef = {key: ((0, 1.0),) for key in self.lift_w}
-        self.load = (problem.forcing, (0,))
-
         # boundary classification
         self.inflow_blocks = []       # (axis, face_ids, elements, side)
         self.outflow_blocks = []      # (axis, face_ids, elements, side)
@@ -100,6 +93,32 @@ class TransportOperators(LocalOperators):
         if shared and any(np.any(bn != bn[0]) for bn in self.bn):
             raise AssemblyError("constant_velocity is declared, but beta.n "
                                 "is not the same on every face")
+        # the element-side |beta.n| face weights of the trace lift and the
+        # skeleton norm, one row for every face when beta.n is the same on
+        # every face; the one field takes the lift whole
+        self.lift_w = {
+            (a, s): (mesh.face_jac[a] * basis.face_quad_w
+                     * (self.abs_bn[a][0] if shared else self.abs_bn[a][fi]))
+            for (a, s), fi in self.fidx.items()
+        }
+        self.lift_coef = {key: ((0, 1.0),) for key in self.lift_w}
+        self.load = (problem.forcing, (0,))
+
+        # interior faces on which beta.n has one sign at every face
+        # quadrature point, as (axis, face_ids, upwind elements, side);
+        # the rest, (face_ids, minus, plus) per axis, are mixed-sign
+        self.upwind_blocks = []
+        self._mixed_faces = []
+        for a, (fid, minus, plus) in enumerate(self._int_faces):
+            sgn = self.sgn[a][fid]
+            from_minus = np.all(sgn > 0, axis=1)
+            from_plus = np.all(sgn < 0, axis=1)
+            for sel, els, side in ((from_minus, minus, 1),
+                                   (from_plus, plus, 0)):
+                if sel.any():
+                    self.upwind_blocks.append((a, fid[sel], els[sel], side))
+            mixed = ~(from_minus | from_plus)
+            self._mixed_faces.append((fid[mixed], minus[mixed], plus[mixed]))
         self._inflow_cache = {}
         self._assemble(shared)
 
@@ -170,16 +189,19 @@ class TransportOperators(LocalOperators):
     def update_trace(self, u, trace_out, t=0.0):
         """Rebuild the skeleton trace from element solutions.
 
-        Interior faces take the upwind average, formed pointwise at the face
-        quadrature points and projected onto the face space. Each side's
-        face values are read from its face nodes alone: the other GLL basis
-        functions vanish on the face. Inflow faces take the boundary data
-        projection; outflow and characteristic faces copy the interior
-        trace.
+        An interior face on which beta.n has one sign at every face
+        quadrature point takes its upwind element's face nodes, as outflow
+        and characteristic boundary faces take their element's: the upwind
+        value is then a face polynomial, and the other GLL basis functions
+        vanish on the face. Only mixed-sign interior faces form the upwind
+        average pointwise at the face quadrature points and project it
+        onto the face space. Inflow faces take the boundary data
+        projection.
         """
-        mesh, basis = self.mesh, self.basis
-        for a in range(mesh.dim):
-            fid, minus, plus = self._int_faces[a]
+        basis = self.basis
+        for a, (fid, minus, plus) in enumerate(self._mixed_faces):
+            if not len(fid):
+                continue
             nid_hi = basis.face_node_ids[(a, 1)]
             nid_lo = basis.face_node_ids[(a, 0)]
             um = u[minus[:, None], nid_hi] @ basis.face_eval.T
@@ -188,7 +210,7 @@ class TransportOperators(LocalOperators):
             uh = 0.5 * ((um + up) + s * (um - up))
             trace_out[a][fid] = uh @ basis.face_proj.T
         self.inflow_trace(trace_out, t)
-        for a, fid, els, side in self.outflow_blocks:
+        for a, fid, els, side in self.upwind_blocks + self.outflow_blocks:
             nid = basis.face_node_ids[(a, side)]
             trace_out[a][fid] = u[els[:, None], nid]
 

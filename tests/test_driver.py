@@ -232,6 +232,30 @@ class TestTransient:
                    for a, b in zip(trace, ref_trace))
 
 
+# The reduced cells of the four benchmark workloads, as its correctness gate
+# solves them (case, nel, p, dt, stopping; tol 1e-12), with their pass
+# counts. A change that moves a count, even at round-off, shows here and not
+# only in the benchmark.
+GATE_CELLS = {
+    "steady3d": ("transport3d-steady", 2, 4, None, ERROR_DIFFERENCE, 46),
+    "gaussian3d": ("transport3d-gaussian", 2, 4, 1e-3, ERROR_DIFFERENCE, 5),
+    "wave2d": ("shallow-standing-wave", 8, 4, 1e-4, ERROR_DIFFERENCE, 3),
+    "disc2d": ("transport2d-discontinuous", 8, 4, None,
+               SUCCESSIVE_DIFFERENCE, 101),
+}
+
+
+@pytest.mark.parametrize("cell", sorted(GATE_CELLS))
+def test_benchmark_gate_cells_keep_their_pass_counts(cell):
+    case, nel, p, dt, stopping, passes = GATE_CELLS[cell]
+    ops, s0 = build_case(catalog(case), nel, p, dt)
+    cfg = IterationConfig(stopping=stopping, tol=1e-12)
+    _u, _trace, log = iterate_to_fixed_point(
+        ops, cfg, u0=s0, t=0.0 if dt is None else dt, state_prev=s0)
+    assert log.converged
+    assert log.iterations == passes
+
+
 class TestNorms:
     def test_volume_l2_zero(self):
         mesh = build_mesh(2, 2, [(0, 1), (0, 1)])

@@ -265,11 +265,19 @@ def test_transport_norms_are_bit_identical_to_direct_forms(dim, p, rng):
 
 
 # -- face-node trace rebuild -------------------------------------------------------
+#
+# The pass reads face nodes where the references evaluate and project at the
+# face quadrature points, and sums the trace lift in another order, so the
+# two agree to round-off rather than bit for bit.
+
+
+def assert_round_off(got, want, scale):
+    assert np.abs(got - want).max() <= 1e-14 * scale
 
 
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
-def test_face_node_update_trace_is_bit_identical(dim, p, rng):
+def test_face_node_update_trace_matches_reference(dim, p, rng):
     case = "transport2d-smooth" if dim == 2 else "transport3d-gaussian"
     ops = transport_ops(dim, p, 8, case=case)
     u = rng.standard_normal((ops.mesh.n_el, ops.basis.n_p))
@@ -277,24 +285,59 @@ def test_face_node_update_trace_is_bit_identical(dim, p, rng):
     ops.update_trace(u, got, 0.3)
     reference_update_trace(ops, u, want, 0.3)
     for a in range(dim):
-        assert np.array_equal(got[a], want[a])
+        assert_round_off(got[a], want[a], np.abs(u).max())
 
 
 @pytest.mark.parametrize("nel", [2, 4])
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
 def test_face_node_update_trace_small_3d_meshes(nel, p, rng):
-    # the two face products differ in their inner dimension (n_face against
-    # n_p, the extra terms being exact zeros); OpenBLAS's small-matrix
-    # kernel may sum them in another order, so on these few faces the
-    # rebuild is equal to round-off rather than bit for bit
     ops = transport_ops(3, p, nel, case="transport3d-gaussian")
     u = rng.standard_normal((ops.mesh.n_el, ops.basis.n_p))
     got, want = ops.new_trace(), ops.new_trace()
     ops.update_trace(u, got, 0.3)
     reference_update_trace(ops, u, want, 0.3)
-    scale = np.abs(u).max()
     for a in range(3):
-        assert np.abs(got[a] - want[a]).max() <= 1e-14 * scale
+        assert_round_off(got[a], want[a], np.abs(u).max())
+
+
+def sheared_transport(nel, p, power):
+    """beta = (x(1 - x)(y - 1/2)^power, 1) on the unit square. Every y-face
+    is one-signed and the boundary x-faces are characteristic. The interior
+    x-faces of the middle row are mixed: beta.n changes sign across y = 1/2
+    (power 1) or touches zero there (power 2), at the middle one of an odd
+    number of face quadrature points; the other interior x-faces are
+    one-signed."""
+    from ehdg.transport import TransportProblem
+
+    def velocity(X):
+        x, y = X[:, 0], X[:, 1]
+        return np.stack([x * (1 - x) * (y - 0.5) ** power, np.ones_like(x)],
+                        axis=1)
+
+    problem = TransportProblem(
+        dim=2, velocity=velocity,
+        inflow=lambda X, t=0.0: np.sin(3 * X[:, 0]),
+        div_velocity=lambda X: (1 - 2 * X[:, 0]) * (X[:, 1] - 0.5) ** power)
+    mesh = build_mesh(2, nel, [(0, 1), (0, 1)])
+    return TransportOperators(mesh, TensorBasis(2, p), problem)
+
+
+@pytest.mark.parametrize("power", [1, 2])
+@pytest.mark.parametrize("p", [1, 3])
+def test_update_trace_on_one_signed_and_mixed_faces(p, power, rng):
+    ops = sheared_transport(3, p, power)
+    assert ops.upwind_blocks
+    assert any(len(fid) for fid, _minus, _plus in ops._mixed_faces)
+    u = rng.standard_normal((ops.mesh.n_el, ops.basis.n_p))
+    got, want = ops.new_trace(), ops.new_trace()
+    ops.update_trace(u, got, 0.0)
+    reference_update_trace(ops, u, want, 0.0)
+    for a in range(2):
+        assert_round_off(got[a], want[a], np.abs(u).max())
+    # a one-signed face is its upwind element's face polynomial, copied
+    for a, fid, els, side in ops.upwind_blocks:
+        nid = ops.basis.face_node_ids[(a, side)]
+        assert np.array_equal(got[a][fid], u[els][:, nid])
 
 
 # -- source / rhs split ---------------------------------------------------------------
@@ -302,26 +345,60 @@ def test_face_node_update_trace_small_3d_meshes(nel, p, rng):
 
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("transient", [False, True])
-def test_transport_rhs_of_source_is_bit_identical(dim, transient, rng):
+def test_transport_rhs_of_source_matches_reference(dim, transient, rng):
     dt = 0.05 if transient else None
     ops = transport_ops(dim, 3, 3 if dim == 2 else 2, dt=dt)
     prev = rng.standard_normal((ops.mesh.n_el, ops.basis.n_p))
     prev = prev if transient else None
     trace = random_trace(ops, rng)
     got = ops.rhs(trace, ops.source(0.4, prev))
-    assert np.array_equal(got, reference_transport_rhs(ops, trace, 0.4, prev))
+    want = reference_transport_rhs(ops, trace, 0.4, prev)
+    assert_round_off(got, want, np.abs(want).max())
 
 
-def test_shallow_rhs_of_source_is_bit_identical(rng):
+def shallow_ops(nel, p):
     from test_shallow import synthetic_problem
 
-    mesh = build_mesh(2, 3, [(0, 1), (0, 1)])
-    ops = ShallowOperators(mesh, TensorBasis(2, 3), synthetic_problem(),
-                           dt=0.37)
-    prev = rng.standard_normal((mesh.n_el, 3 * ops.n_p))
+    mesh = build_mesh(2, nel, [(0, 1), (0, 1)])
+    return ShallowOperators(mesh, TensorBasis(2, p), synthetic_problem(),
+                            dt=0.37)
+
+
+def test_shallow_rhs_of_source_matches_reference(rng):
+    ops = shallow_ops(3, 3)
+    prev = rng.standard_normal((ops.mesh.n_el, 3 * ops.n_p))
     trace = random_trace(ops, rng)
     got = ops.rhs(trace, ops.source(0.2, prev))
-    assert np.array_equal(got, reference_shallow_rhs(ops, trace, 0.2, prev))
+    want = reference_shallow_rhs(ops, trace, 0.2, prev)
+    assert_round_off(got, want, np.abs(want).max())
+
+
+@pytest.mark.parametrize("form", ["shared", "shallow", "per-element"])
+def test_rhs_in_several_lift_blocks(form, monkeypatch, rng):
+    # both forms of the stacked lift: folded weights (a shared transport
+    # operator, shallow water) and per-face weights (per-element transport),
+    # over a budget that splits the elements into blocks with a remainder
+    from ehdg import operators
+
+    if form == "shared":
+        ops = transport_ops(3, 2, 5, dt=0.05, case="transport3d-gaussian")
+        assert ops.shared
+    elif form == "shallow":
+        ops = shallow_ops(9, 2)
+    else:
+        ops = transport_ops(2, 3, 9, dt=0.05)
+        assert not ops.shared
+    assert ops._lift_folded == (form != "per-element")
+    monkeypatch.setattr(operators, "LIFT_BYTES", 8 * len(ops._lift) * 7)
+    assert ops.mesh.n_el % 7 and ops.mesh.n_el > 7
+    prev = rng.standard_normal((ops.mesh.n_el, ops.state_width))
+    trace = random_trace(ops, rng)
+    got = ops.rhs(trace, ops.source(0.2, prev))
+    if form == "shallow":
+        want = reference_shallow_rhs(ops, trace, 0.2, prev)
+    else:
+        want = reference_transport_rhs(ops, trace, 0.2, prev)
+    assert_round_off(got, want, np.abs(want).max())
 
 
 def test_source_is_reused_not_modified(rng):
