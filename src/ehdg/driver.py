@@ -123,12 +123,19 @@ def iterate_to_fixed_point(ops, config, u0=None, t=0.0, state_prev=None):
     compare iterate k against iterate k-1 with the initial guess standing
     in at k=1, so they can fire on the first pass.
 
-    Work that does not change within the solve is done once before the
-    first pass: the exact solution at the quadrature points (inside the
-    norms) and the trace-independent part of the right-hand side
+    An error-difference test without an exact solution raises ValueError
+    before any work. Work that does not change within the solve is done
+    once before the first pass: the exact solution's coordinates (inside
+    the norms) and the trace-independent part of the right-hand side
     (ops.source). A non-finite error or successive difference raises
     ConvergenceFailure at once.
     """
+    exact_known = ops.problem.exact is not None
+    if config.stopping == ERROR_DIFFERENCE and not exact_known:
+        raise ValueError(
+            "error-difference stopping needs an exact solution; "
+            "use successive-difference or trace-residual"
+        )
     mesh = ops.mesh
     u = ops.zero_state() if u0 is None else np.array(u0)
     trace = ops.initial_trace(u, t)
@@ -136,12 +143,6 @@ def iterate_to_fixed_point(ops, config, u0=None, t=0.0, state_prev=None):
     u_next = np.empty_like(u)
 
     norms = ops.pass_norms(t, u)
-    exact_known = ops.problem.exact is not None
-    if config.stopping == ERROR_DIFFERENCE and not exact_known:
-        raise ValueError(
-            "error-difference stopping needs an exact solution; "
-            "use successive-difference or trace-residual"
-        )
     source = ops.source(t, state_prev)
     log = ConvergenceLog(stopping=config.stopping, tol=config.tol)
     e_prev = float("nan")

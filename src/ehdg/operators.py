@@ -144,6 +144,14 @@ class LocalOperators:
         self.state_width = len(self.fields) * basis.n_p
         self.mass_phys = mesh.jac * basis.mass_ref
         self.load_vec = mesh.jac * (basis.eval_vol.T * basis.quad_w)
+        # the norms' coordinates, from the complete QR sqrt(quad_w)
+        # eval_vol = Q R: R's first n_p rows (_vol_r) map nodal values to
+        # coordinates, and sqrt(quad_w) Q (_sample_q) maps values at the
+        # quadrature points to coordinates followed by those of the rest
+        root_w = np.sqrt(basis.quad_w)
+        Q, R = np.linalg.qr(root_w[:, None] * basis.eval_vol, mode="complete")
+        self._vol_r = R[: self.n_p]
+        self._sample_q = root_w[:, None] * Q
         # element -> face index of each element's side s face, per axis
         self.fidx = {(a, s): mesh.face_index(a, s)
                      for a in range(mesh.dim) for s in (0, 1)}
@@ -156,13 +164,34 @@ class LocalOperators:
 
     def _assemble(self, shared):
         """Set shared, a_inv (the inverses of element_matrix: element 0's
-        alone when shared, every element's otherwise) and the stacked trace
-        lift of rhs (_lift_matrix)."""
+        alone when shared, every element's otherwise), the stacked trace
+        lift of rhs (_lift_matrix) and, for weights that are one row for
+        every face, the skeleton norm's factor (_skeleton_factor)."""
         self.shared = shared
         n = 1 if shared else self.mesh.n_el
         self.a_inv = assemble_inverses(self.element_matrix, n, self.state_width)
         self._lift_folded = all(np.ndim(w) == 1 for w in self.lift_w.values())
         self._lift = self._lift_matrix()
+        if self._lift_folded:
+            self._skeleton_s = self._skeleton_factor()
+
+    def _skeleton_factor(self):
+        """S with S.T @ S = K, the skeleton norm's Gram matrix when the
+        weights are one row for every face: K is the sum over the faces
+        (a, s) of face_restrict.T @ diag(lift_w) @ face_restrict.
+
+        K is zero outside the nodes of the faces with nonzero weight, and
+        positive definite on them (each such face's mass matrix is), so S
+        is the transposed Cholesky factor of that block, in its columns.
+        """
+        K = np.zeros((self.n_p, self.n_p))
+        for key, w in self.lift_w.items():
+            R = self.basis.face_restrict[key]
+            K += R.T @ (w[:, None] * R)
+        nodes = np.flatnonzero(np.diag(K))
+        S = np.zeros((len(nodes), self.n_p))
+        S[:, nodes] = np.linalg.cholesky(K[np.ix_(nodes, nodes)]).T
+        return S
 
     def _lift_matrix(self):
         """The stacked trace lift: one row block per face (a, s), in lift_w
@@ -337,41 +366,74 @@ class LocalOperators:
         return out
 
     # -- norms: the energy norm, sum_i energy[i] ||field_i||^2 --------------
+    #
+    # A field's volume norm is taken from its orthonormal coordinates
+    # c = part @ R.T, with sqrt(quad_w) eval_vol = Q R (see __init__):
+    # R.T @ R is mass_ref, so jac ||c||^2 is the field's squared L2 norm
+    # over the element volumes, and no quadrature-point values are formed.
+
+    def _coordinates(self, part, out=None):
+        """The orthonormal coordinates part @ R.T of one field."""
+        return np.matmul(part, self._vol_r.T, out=out)
 
     def _energy_norm(self, squares):
-        """sqrt(jac * sum_i energy[i] squares[i]), from each field's
-        quadrature sum of squared values."""
+        """sqrt(jac * sum_i energy[i] squares[i]), from each field's sum of
+        squared coordinates."""
         total = sum(e * sq for e, sq in zip(self.energy, squares))
         return float(np.sqrt(self.mesh.jac * total))
 
-    def _volume_norm(self, state, ue=None):
-        """Energy norm over the element volumes of state, less the
-        quadrature-point values ue when given."""
-        basis = self.basis
+    def _volume_norm(self, state):
+        """Energy norm of state over the element volumes."""
         squares = []
-        for i, part in enumerate(self.split(state)):
-            dv = part @ basis.eval_vol.T
-            if ue is not None:
-                dv -= ue[:, :, i]
-            squares.append(np.sum(basis.quad_w * dv * dv))
+        for part in self.split(state):
+            c = self._coordinates(part)
+            squares.append(np.vdot(c, c))
         return self._energy_norm(squares)
 
-    def _exact_values(self, t):
-        """The exact solution at the volume quadrature points, one field
-        per last index, or None when the problem has none."""
+    def _exact_coordinates(self, t):
+        """The exact solution at time t against the coordinates, or None
+        when the problem has none: per field, the coordinates uc of its L2
+        projection and perp, the squared norm of what the projection
+        leaves out, without the factor jac. A field's squared error is then
+        ||c - uc||^2 + perp (_error_square).
+
+        The exact solution ue is sampled at the volume quadrature points
+        and mapped once by _sample_q: its first n_p columns give uc, the
+        rest the coordinates of ue - projection, whose squares give perp
+        directly rather than as a difference of squares. ue is not kept.
+        """
         if self.problem.exact is None:
             return None
         ue = self.sample(self.problem.exact, t)
-        return ue.reshape(self.mesh.n_el, -1, len(self.fields))
+        ue = ue.reshape(self.mesh.n_el, -1, len(self.fields))
+        n_p, exact = self.n_p, []
+        # an exact solution that is not finite gives nan coordinates, and
+        # the first pass's error is then nan (the driver's failure)
+        with np.errstate(invalid="ignore", over="ignore"):
+            for i in range(len(self.fields)):
+                y = ue[:, :, i] @ self._sample_q
+                rest = y[:, n_p:]
+                exact.append((y[:, :n_p].copy(), np.vdot(rest, rest)))
+        return exact
+
+    @staticmethod
+    def _error_square(c, field_exact, out=None):
+        """One field's squared error from its coordinates c and its part
+        (uc, perp) of _exact_coordinates."""
+        uc, perp = field_exact
+        d = np.subtract(c, uc, out=out)
+        return np.vdot(d, d) + perp
 
     def error_eval(self, t):
         """The error of a state against the exact solution at time t, as a
         callable; None when the problem has no exact solution. The exact
         solution is sampled once."""
-        ue = self._exact_values(t)
-        if ue is None:
+        exact = self._exact_coordinates(t)
+        if exact is None:
             return None
-        return lambda state: self._volume_norm(state, ue)
+        return lambda state: self._energy_norm([
+            self._error_square(self._coordinates(part), ex)
+            for part, ex in zip(self.split(state), exact)])
 
     def diff_norm(self, s1, s2):
         """Energy norm of s1 - s2 over the element volumes."""
@@ -381,17 +443,24 @@ class LocalOperators:
         """Energy norm over all element boundaries under the lift_w face
         weights (both sides of every interior face contribute).
 
-        Face values are read from the face nodes alone: the other GLL
-        basis functions vanish on the face.
+        Weights that are one row for every face are folded into the factor
+        S of _assemble, and a field's squared norm is that of part @ S.T.
+        Per-element weights read the face values from the face nodes alone
+        (the other GLL basis functions vanish on the face).
         """
-        basis = self.basis
         parts = self.split(state)
         total = 0.0
+        if self._lift_folded:
+            for e, part in zip(self.energy, parts):
+                vals = part @ self._skeleton_s.T
+                total += e * np.vdot(vals, vals)
+            return float(np.sqrt(total))
+        basis = self.basis
         for (a, s), w in self.lift_w.items():
             nid = basis.face_node_ids[(a, s)]
             for e, part in zip(self.energy, parts):
                 vals = part[:, nid] @ basis.face_eval.T
-                total += e * np.sum(w * vals * vals)
+                total += e * np.vdot(vals * w, vals)
         return float(np.sqrt(total))
 
     def pass_norms(self, t, state):
@@ -399,34 +468,29 @@ class LocalOperators:
         callable (s_new, s_old) -> (error, successive difference, skeleton
         norm), the error nan without an exact solution.
 
-        The exact solution is sampled once. Each pass maps each field of
-        the new iterate to quadrature-point values once; the error and the
-        successive difference are both taken from those values, which are
-        kept for the next pass. One value buffer per field and one spare
-        rotate, so s_old is not read.
+        The exact solution is sampled once (_exact_coordinates). Each pass
+        maps each field of the new iterate to its coordinates once; the
+        error and the successive difference are both taken from them, and
+        they are kept for the next pass. One coordinate buffer per field
+        and one spare rotate, so s_old is not read.
         """
-        basis = self.basis
-        Ev, w = basis.eval_vol, basis.quad_w
-        ue = self._exact_values(t)
-        vals = [part @ Ev.T for part in self.split(state)]
-        spare = np.empty_like(vals[0])
+        exact = self._exact_coordinates(t)
+        coords = [self._coordinates(part) for part in self.split(state)]
+        spare = np.empty_like(coords[0])
 
         def norms(s_new, _s_old):
             nonlocal spare
             succ, err = [], []
             for i, part in enumerate(self.split(s_new)):
-                v, dv = spare, vals[i]
-                np.matmul(part, Ev.T, out=v)
-                np.subtract(v, dv, out=dv)
-                np.multiply(dv, dv, out=dv)
-                succ.append(np.sum(dv @ w))
-                if ue is not None:
+                c, dc = self._coordinates(part, out=spare), coords[i]
+                np.subtract(c, dc, out=dc)
+                succ.append(np.vdot(dc, dc))
+                if exact is not None:
                     # the expression of error_eval, so the error (and the
                     # error-difference stopping test) is bit-identical to it
-                    np.subtract(v, ue[:, :, i], out=dv)
-                    err.append(np.sum(w * dv * dv))
-                vals[i], spare = v, dv
-            e = float("nan") if ue is None else self._energy_norm(err)
+                    err.append(self._error_square(c, exact[i], out=dc))
+                coords[i], spare = c, dc
+            e = float("nan") if exact is None else self._energy_norm(err)
             return e, self._energy_norm(succ), self.skeleton_norm(s_new)
 
         return norms

@@ -82,6 +82,18 @@ class TestStoppingRules:
         with pytest.raises(ValueError):
             iterate_to_fixed_point(ops, IterationConfig())
 
+    def test_error_difference_refusal_comes_before_any_work(self):
+        case = catalog("transport2d-discontinuous")
+        mesh = build_mesh(2, 2, case.bounds)
+        ops = TransportOperators(mesh, TensorBasis(2, 1), case.problem)
+
+        def no_work(*_args):
+            raise AssertionError("pass work started before the refusal")
+
+        ops.initial_trace = ops.pass_norms = no_work
+        with pytest.raises(ValueError, match="needs an exact solution"):
+            iterate_to_fixed_point(ops, IterationConfig())
+
     @pytest.mark.parametrize(
         "bad", [{"tol": 0.0}, {"tol": float("nan")}, {"tol": float("inf")},
                 {"max_iters": 0}, {"max_iters": -3}])

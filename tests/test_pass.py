@@ -2,7 +2,7 @@
 
 The pass takes its right-hand sides as source(t, state_prev) plus a trace
 lift, rebuilds the trace from face-node reads, and logs the energy norms of
-both physics from quadrature-point values it keeps between passes. Each
+both physics from orthonormal coordinates it keeps between passes. Each
 piece is checked here against the direct form it replaced, kept in this
 file as a reference.
 """
@@ -194,9 +194,8 @@ def record_iterates(ops):
 
 def norm_cell(physics, dim, p, transient):
     """A small cell of a fused-norm check: (ops, t, u0, state_prev,
-    references, exact_error). references are the direct (error, volume
-    norm, skeleton norm) forms; exact_error says whether the logged error
-    must equal the reference's bit for bit."""
+    references), references the direct (error, volume norm, skeleton
+    norm) forms."""
     if physics == "shallow":
         # the standing wave at PHI = 2, so that the velocity weights show
         case = catalog("shallow-standing-wave")
@@ -207,7 +206,7 @@ def norm_cell(physics, dim, p, transient):
         refs = (reference_shallow_error(ops, ops.dt),
                 lambda s: reference_shallow_volume_norm(ops, s),
                 lambda s: reference_shallow_skeleton_norm(ops, s))
-        return ops, ops.dt, prev, prev, refs, False
+        return ops, ops.dt, prev, prev, refs
     ops = transport_ops(dim, p, 3 if dim == 2 else 2,
                         dt=0.05 if transient else None)
     t, prev = 0.0, None
@@ -217,7 +216,7 @@ def norm_cell(physics, dim, p, transient):
     refs = (reference_transport_error(ops, t),
             lambda u: volume_l2(ops.mesh, ops.basis, u),
             lambda u: reference_skeleton_norm(ops, u))
-    return ops, t, prev, prev, refs, True
+    return ops, t, prev, prev, refs
 
 
 NORM_CELLS = [
@@ -231,8 +230,7 @@ NORM_CELLS = [
 
 @pytest.mark.parametrize("physics,dim,p,transient", NORM_CELLS)
 def test_fused_norms_match_direct_norms(physics, dim, p, transient):
-    ops, t, u0, prev, refs, exact_error = norm_cell(physics, dim, p,
-                                                    transient)
+    ops, t, u0, prev, refs = norm_cell(physics, dim, p, transient)
     err, volume_norm, skeleton_norm = refs
     seen = record_iterates(ops)
     # a tolerance no pass meets, so every cell runs all five passes
@@ -246,22 +244,108 @@ def test_fused_norms_match_direct_norms(physics, dim, p, transient):
         # tolerance fixed beforehand: 1e-12 of the iterate's own L2 norm
         tol = 1e-12 * volume_norm(u)
         assert log.errors[k] == error_eval(u)
-        if exact_error:
-            assert log.errors[k] == err(u)
-        else:
-            assert abs(log.errors[k] - err(u)) <= tol
+        assert abs(log.errors[k] - err(u)) <= tol
         assert abs(log.successive[k] - volume_norm(u - u_prev)) <= tol
         assert abs(log.skeleton[k] - skeleton_norm(u)) <= tol
 
 
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
-def test_transport_norms_are_bit_identical_to_direct_forms(dim, p, rng):
-    # the oracle's gap and the logged errors keep their digits
+def test_transport_norms_match_direct_forms(dim, p, rng):
+    # the coordinates sum in another order than the quadrature-point forms
     ops = transport_ops(dim, p, 3 if dim == 2 else 2)
     u = rng.standard_normal((ops.mesh.n_el, ops.basis.n_p))
-    assert ops.diff_norm(u, 0) == volume_l2(ops.mesh, ops.basis, u)
-    assert ops.error_eval(0.3)(u) == reference_transport_error(ops, 0.3)(u)
+    l2 = volume_l2(ops.mesh, ops.basis, u)
+    assert abs(ops.diff_norm(u, 0) - l2) <= 1e-12 * l2
+    assert abs(ops.error_eval(0.3)(u)
+               - reference_transport_error(ops, 0.3)(u)) <= 1e-12 * l2
+
+
+# -- the factors of the norms ------------------------------------------------------
+#
+# The norms sum squares of orthonormal coordinates: R (sqrt(quad_w) eval_vol
+# = Q R) for the volume, S (S.T @ S = K, the face-weighted Gram matrix) for
+# the skeleton under weights that are one row for every face.
+
+
+def assert_factor(factor, gram):
+    assert np.abs(factor.T @ factor - gram).max() <= 1e-13 * np.abs(gram).max()
+
+
+def constant_transport(beta, p, nel=3):
+    """Shared transport at the constant velocity beta on the unit box; a
+    zero component makes that axis's faces weightless."""
+    from ehdg.transport import TransportProblem
+
+    dim = len(beta)
+    problem = TransportProblem(
+        dim=dim,
+        velocity=lambda X: np.tile(beta, (len(X), 1)),
+        inflow=lambda X, t=0.0: np.cos(X.sum(axis=1)),
+        constant_velocity=True)
+    mesh = build_mesh(dim, nel, [(0, 1)] * dim)
+    return TransportOperators(mesh, TensorBasis(dim, p), problem)
+
+
+def face_gram(ops):
+    basis = ops.basis
+    return sum(basis.face_restrict[key].T
+               @ (w[:, None] * basis.face_restrict[key])
+               for key, w in ops.lift_w.items())
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_volume_factor_is_the_mass_matrix(dim, p):
+    ops = transport_ops(dim, p, 2)
+    assert_factor(ops._vol_r, ops.basis.mass_ref)
+
+
+BETAS = [(1.0, 0.0), (1.0, 0.5), (0.2, 0.0, 0.2), (0.3, -0.2, 0.5)]
+
+
+@pytest.mark.parametrize("beta", BETAS, ids=str)
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_skeleton_factor_of_shared_transport(beta, p, rng):
+    ops = constant_transport(beta, p)
+    assert ops.shared
+    assert_factor(ops._skeleton_s, face_gram(ops))
+    u = rng.standard_normal((ops.mesh.n_el, ops.basis.n_p))
+    want = reference_skeleton_norm(ops, u)
+    assert abs(ops.skeleton_norm(u) - want) <= 1e-13 * want
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_skeleton_factor_of_shallow_water(p, rng):
+    ops, *_ = norm_cell("shallow", 2, p, True)
+    assert_factor(ops._skeleton_s, face_gram(ops))
+    state = rng.standard_normal((ops.mesh.n_el, ops.state_width))
+    want = reference_shallow_skeleton_norm(ops, state)
+    assert abs(ops.skeleton_norm(state) - want) <= 1e-13 * want
+
+
+def l2_projection(ops, fn, t):
+    """The L2 projection of fn(points, t) onto the element space, built
+    from quadrature-point values and the mass matrix."""
+    basis = ops.basis
+    vals = ops.sample(fn, t).reshape(ops.mesh.n_el, basis.n_q, -1)
+    state = ops.zero_state()
+    for i, part in enumerate(ops.split(state)):
+        moments = (vals[:, :, i] * basis.quad_w) @ basis.eval_vol
+        part[:] = np.linalg.solve(basis.mass_ref, moments.T).T
+    return state
+
+
+@pytest.mark.parametrize("physics,dim,p,transient", NORM_CELLS)
+def test_projection_error_is_the_perpendicular_part(physics, dim, p,
+                                                    transient):
+    ops, t, _u0, _prev, refs = norm_cell(physics, dim, p, transient)
+    err, volume_norm, _skeleton = refs
+    state = l2_projection(ops, ops.problem.exact, t)
+    perp = [pp for _uc, pp in ops._exact_coordinates(t)]
+    split = np.sqrt(ops.mesh.jac * np.dot(ops.energy, perp))
+    assert abs(err(state) - split) <= 1e-12 * volume_norm(state)
+    assert abs(ops.error_eval(t)(state) - split) <= 1e-12 * volume_norm(state)
 
 
 # -- face-node trace rebuild -------------------------------------------------------
