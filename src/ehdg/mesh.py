@@ -3,17 +3,25 @@
 Elements are congruent boxes on a uniform grid, indexed lexicographically
 with axis 0 fastest: e = i0 + nel[0]*(i1 + nel[1]*i2).
 
-Faces are stored per normal axis. For axis ``a`` every face lies on one of
-the planes 0 .. nel[a]; a face is addressed by (plane, perp) where perp is
-the flattened index over the remaining axes (lower axis fastest), and the
-flat index within the axis block is perp + n_perp * plane. Planes 1 ..
-nel[a]-1 are interior. On an interior face the element on the lower side of
-the plane is the minus side (it has the smaller flat index), so the minus
+Faces have one flat id each, 0 .. n_faces - 1, and this module alone knows
+how the ids are laid out: the faces normal to axis 0 come first, then those
+normal to axis 1, and so on. In the block of axis ``a`` every face lies on
+one of the planes 0 .. nel[a]; a face is addressed by (plane, perp) where
+perp is the flattened index over the remaining axes (lower axis fastest),
+and its offset in the block is perp + n_perp * plane. Planes 1 .. nel[a]-1
+are interior. On an interior face the element on the lower side of the
+plane is the minus side (it has the smaller flat index), so the minus
 outward normal is +e_a.
+
+Other modules read faces through the element-to-face table etof, whose
+column 2a + s holds every element's low (s = 0) or high (s = 1) face on
+axis a, and through the face lists below.
 """
 
 from __future__ import annotations
 
+import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +29,11 @@ import numpy as np
 
 class MeshError(Exception):
     pass
+
+
+def physical_memory():
+    """Bytes of physical memory of this machine."""
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
 @dataclass
@@ -40,7 +53,20 @@ class StructuredMesh:
         self.hi = np.asarray(self.hi, dtype=float)
         if np.any(self.hi <= self.lo):
             raise MeshError("domain bounds must be increasing")
-        self.n_el = int(np.prod(self.nel))
+        nel = [int(n) for n in self.nel]
+        # exact integers: np.prod wraps around past 2**63 without a word
+        self.n_el = math.prod(nel)
+        self.n_faces_axis = [self.n_el // n * (n + 1) for n in nel]
+        self.n_faces = sum(self.n_faces_axis)
+        # the 8-byte index entries held, refused before any is allocated:
+        # d coordinates, d center and 2d etof entries per element, and an
+        # axis and an element side per face
+        need = 8 * (4 * d * self.n_el + 2 * self.n_faces)
+        have = physical_memory()
+        if need > have:
+            raise MeshError(
+                f"a mesh of {self.n_el} elements needs {need} bytes of index "
+                f"arrays, more than the {have} bytes of physical memory")
         self.dx = (self.hi - self.lo) / np.asarray(self.nel)
         self.half = 0.5 * self.dx
         self.jac = float(np.prod(self.half))
@@ -49,77 +75,60 @@ class StructuredMesh:
         )
         self.h_max = float(np.linalg.norm(self.dx))
 
-        idx = [np.arange(n) for n in self.nel]
-        grids = np.meshgrid(*idx, indexing="ij")
-        coords = np.stack([g.reshape(-1, order="F") for g in grids], axis=1)
-        self.el_coords = coords
-        self.centers = self.lo + (coords + 0.5) * self.dx
-
-        # per-axis face bookkeeping
-        self.n_perp = []
-        self.plane_of = []      # element -> its index along axis a
-        self.perp_of = []       # element -> flattened index over other axes
-        self.n_faces_axis = []
+        # element e's plane along axis a, and its low face on axis a, whose
+        # perp is e with the plane taken out
+        e = np.arange(self.n_el)
+        self.el_coords = np.empty((self.n_el, d), dtype=np.intp)
+        self.etof = np.empty((self.n_el, 2 * d), dtype=np.intp)
         for a in range(d):
-            other = [b for b in range(d) if b != a]
-            n_perp = int(np.prod([self.nel[b] for b in other]))
-            self.n_perp.append(n_perp)
-            stride = 1
-            perp = np.zeros(self.n_el, dtype=int)
-            for b in other:
-                perp += coords[:, b] * stride
-                stride *= self.nel[b]
-            self.perp_of.append(perp)
-            self.plane_of.append(coords[:, a].copy())
-            self.n_faces_axis.append(n_perp * (self.nel[a] + 1))
+            below, n_perp = math.prod(nel[:a]), self.n_el // nel[a]
+            plane = self.el_coords[:, a] = e // below % nel[a]
+            perp = e % below + below * (e // (below * nel[a]))
+            start = sum(self.n_faces_axis[:a])
+            self.etof[:, 2 * a] = start + perp + n_perp * plane
+            self.etof[:, 2 * a + 1] = self.etof[:, 2 * a] + n_perp
+        self.centers = self.lo + (self.el_coords + 0.5) * self.dx
+        self.face_axis = np.repeat(np.arange(d), self.n_faces_axis)
+        # one element side (etof entry e * 2d + k) of every face
+        self._owner = np.empty(self.n_faces, dtype=np.intp)
+        self._owner[self.etof.ravel()] = np.arange(self.etof.size)
 
-    def face_index(self, axis, side):
-        """Flat face index of every element's low (side=0) or high face."""
-        plane = self.plane_of[axis] + side
-        return self.perp_of[axis] + self.n_perp[axis] * plane
-
-    def interior_faces(self, axis):
-        """(face_ids, minus_elements, plus_elements) for one axis, by
-        ascending face id: the high face of every element below the last
-        plane, whose plus element is one axis stride further on."""
-        minus = np.flatnonzero(self.plane_of[axis] < self.nel[axis] - 1)
-        fid = self.face_index(axis, 1)[minus]
+    def interior_faces(self):
+        """(face_ids, minus_elements, plus_elements, axes) of the faces two
+        elements share, by ascending face id: the high face (etof column
+        2a + 1) of every element below the last plane of axis a, whose plus
+        element is one axis stride further on."""
+        minus, axis = np.nonzero(self.el_coords < np.asarray(self.nel) - 1)
+        fid = self.etof[minus, 2 * axis + 1]
         order = np.argsort(fid)
-        minus = minus[order]
-        return fid[order], minus, minus + int(np.prod(self.nel[:axis]))
+        minus, axis = minus[order], axis[order]
+        stride = np.array([math.prod(self.nel[:a]) for a in range(self.dim)])
+        return fid[order], minus, minus + stride[axis], axis
 
-    def boundary_faces(self, axis, domain_side):
-        """(face_ids, elements, outward_sign) for one boundary plane, by
-        ascending face id: the side-domain_side faces of the elements on
-        the first (domain_side 0) or last plane.
+    def boundary_faces(self):
+        """(face_ids, elements, sides) of the faces of one element, by
+        ascending face id: side 2a + s (the etof column) of an element on
+        the first (s = 0) or the last (s = 1) plane of axis a. The element's
+        outward normal there is -e_a (s = 0) or +e_a (s = 1)."""
+        c, last = self.el_coords, np.asarray(self.nel) - 1
+        els, side = np.nonzero(
+            np.stack([c == 0, c == last], axis=2).reshape(self.n_el, -1))
+        fid = self.etof[els, side]
+        order = np.argsort(fid)
+        return fid[order], els[order], side[order]
 
-        outward_sign is the sign of the adjacent element's outward normal
-        along the axis: -1 on the low plane, +1 on the high plane.
-        """
-        plane = 0 if domain_side == 0 else self.nel[axis] - 1
-        els = np.flatnonzero(self.plane_of[axis] == plane)
-        sign = -1.0 if domain_side == 0 else 1.0
-        return self.face_index(axis, domain_side)[els], els, sign
-
-    def face_quad_points(self, axis, basis, faces=None):
-        """Physical quadrature points of the given faces of one axis (flat
-        indices within the axis block), every face by default.
-
-        Returns (n_faces, n_fq, dim). Points of a face are identical
-        whichever adjacent element they are computed from, up to roundoff.
-        """
-        if faces is None:
-            faces = np.arange(self.n_faces_axis[axis])
-        plane, rem = np.divmod(np.asarray(faces), self.n_perp[axis])
-        ref = basis.face_quad_ref[(axis, 0)]  # tangential Gauss coords, axis col unused
-        pts = np.empty((len(plane), basis.n_fq, self.dim))
-        for b in range(self.dim):
-            if b == axis:
-                continue
-            center = self.lo[b] + (rem % self.nel[b] + 0.5) * self.dx[b]
-            rem = rem // self.nel[b]
-            pts[:, :, b] = center[:, None] + self.half[b] * ref[None, :, b]
-        pts[:, :, axis] = (self.lo[axis] + plane * self.dx[axis])[:, None]
+    def face_quad_points(self, basis, faces):
+        """Physical quadrature points of the given faces, (n_faces, n_fq,
+        dim), each taken from one of its elements: both give the same
+        bits."""
+        el, side = np.divmod(self._owner[faces], 2 * self.dim)
+        axis, s = np.divmod(side, 2)
+        ref = np.array([basis.face_quad_ref[(a, 0)] for a in range(self.dim)])
+        pts = (self.half * ref)[axis] + self.centers[el][:, None, :]
+        # the normal coordinate is the face's plane
+        plane = self.el_coords[el, axis] + s
+        pts[np.arange(len(el)), :, axis] = (
+            self.lo[axis] + plane * self.dx[axis])[:, None]
         return pts
 
 

@@ -101,12 +101,11 @@ class LocalOperators:
     (a_inv: one per element, or one shared by all) and the face data of its
     trace rule. A state row is the nodal values of each of the class's
     fields in turn. The base class supplies the state width, zero state,
-    field split and nodal interpolation, the batched local solve, the
-    element-to-face index, the interior-face and boundary-face tables,
-    trace construction, the sampling of case callables at element points,
-    the source, the trace lift (rhs) and the norms. A trace holds, per
-    face-normal axis a, the (n_faces_axis[a], n_face) nodal values of
-    every face of that axis. Each physics names its fields, supplies
+    field split and nodal interpolation, the batched local solve, trace
+    construction, the sampling of case callables at element points, the
+    source, the trace lift (rhs) and the norms. A trace is one
+    (mesh.n_faces, n_face) array of the nodal values of every face, read
+    through mesh.etof. Each physics names its fields, supplies
     element_matrix(elements) and update_trace(state, trace_out, t), ends
     its __init__ with _assemble(shared), and gives as data:
 
@@ -152,13 +151,8 @@ class LocalOperators:
         Q, R = np.linalg.qr(root_w[:, None] * basis.eval_vol, mode="complete")
         self._vol_r = R[: self.n_p]
         self._sample_q = root_w[:, None] * Q
-        # element -> face index of each element's side s face, per axis
-        self.fidx = {(a, s): mesh.face_index(a, s)
-                     for a in range(mesh.dim) for s in (0, 1)}
-        # (face_ids, minus_elements, plus_elements) per axis, and
-        # (face_ids, elements, outward_sign) per boundary plane (a, s)
-        self._int_faces = [mesh.interior_faces(a) for a in range(mesh.dim)]
-        self._bnd_faces = {key: mesh.boundary_faces(*key) for key in self.fidx}
+        # the element sides (a, s) in etof column order
+        self._sides = [(a, s) for a in range(mesh.dim) for s in (0, 1)]
         # thread pool of solve_cells, built on first use (_executor)
         self._pool = None
 
@@ -217,6 +211,14 @@ class LocalOperators:
                 part += c * R
             blocks.append(block)
         return np.vstack(blocks)
+
+    def _node_index(self, elements, sides, field=0):
+        """Indices into a flattened state of the face nodes of the given
+        element sides (etof columns) in the given field, one row of n_face
+        per element; sides and field are one value or one per element."""
+        nodes = np.array([self.basis.face_node_ids[k] for k in self._sides])
+        first = elements * self.state_width + field * self.n_p
+        return first[:, None] + nodes[sides]
 
     def zero_state(self):
         return np.zeros((self.mesh.n_el, self.state_width))
@@ -304,8 +306,7 @@ class LocalOperators:
         return self._pool
 
     def new_trace(self):
-        return [np.zeros((self.mesh.n_faces_axis[a], self.basis.n_face))
-                for a in range(self.mesh.dim)]
+        return np.zeros((self.mesh.n_faces, self.basis.n_face))
 
     def initial_trace(self, state, t=0.0):
         tr = self.new_trace()
@@ -338,30 +339,31 @@ class LocalOperators:
         plus the lift of the given trace field.
 
         The lift is one product with the stacked lift matrix
-        (_lift_matrix) per block of elements. A block gathers each
-        element's face traces side by side in lift_w order, as nodal values
-        when the weights are folded in and as weighted values at the face
-        quadrature points otherwise, then multiplies them by the matrix.
-        The gathered traces of a block take at most LIFT_BYTES, so the
-        temporaries do not grow with the mesh.
+        (_lift_matrix) per block of elements. A block takes each element's
+        face traces through mesh.etof, side by side in lift_w order, as
+        nodal values when the weights are folded in and as weighted values
+        at the face quadrature points otherwise, then multiplies them by
+        the matrix. The gathered traces of a block take at most LIFT_BYTES,
+        so the temporaries do not grow with the mesh.
         """
-        L, keys, n_el = self._lift, list(self.lift_w), self.mesh.n_el
-        rows = len(L) // len(keys)
+        L, etof, n_el = self._lift, self.mesh.etof, self.mesh.n_el
+        n_sides = etof.shape[1]
         step = max(1, LIFT_BYTES // (8 * len(L)))
-        gathered = np.empty((min(step, n_el), len(L)))
+        gathered = np.empty((min(step, n_el), n_sides, len(L) // n_sides))
+        if not self._lift_folded:
+            nodes = np.empty((len(gathered), n_sides, self.basis.n_face))
         out = np.empty_like(source)
         for lo in range(0, n_el, step):
             hi = min(lo + step, n_el)
             g = gathered[: hi - lo]
-            for j, (a, s) in enumerate(keys):
-                faces = trace[a][self.fidx[(a, s)][lo:hi]]
-                col = g[:, j * rows : (j + 1) * rows]
-                if self._lift_folded:
-                    col[:] = faces
-                else:
-                    np.matmul(faces, self.basis.face_eval.T, out=col)
-                    col *= self.lift_w[(a, s)][lo:hi]
-            np.matmul(g, L, out=out[lo:hi])
+            faces = g if self._lift_folded else nodes[: hi - lo]
+            np.take(trace, etof[lo:hi], axis=0, out=faces, mode="clip")
+            if not self._lift_folded:
+                for j, w in enumerate(self.lift_w.values()):
+                    np.matmul(faces[:, j], self.basis.face_eval.T,
+                              out=g[:, j])
+                    g[:, j] *= w[lo:hi]
+            np.matmul(g.reshape(hi - lo, -1), L, out=out[lo:hi])
             out[lo:hi] += source[lo:hi]
         return out
 

@@ -48,26 +48,21 @@ class OracleSizeError(Exception):
 class _TraceIndex:
     def __init__(self, mesh, basis):
         self.n_face = basis.n_face
-        # per axis, face id -> its first unknown, -1 on boundary faces; the
-        # interior faces get unknowns axis by axis, by ascending face id
-        self.first, self.n_unknowns = [], 0
-        for a in range(mesh.dim):
-            fid = mesh.interior_faces(a)[0]
-            first = np.full(mesh.n_faces_axis[a], -1)
-            first[fid] = self.n_unknowns + self.n_face * np.arange(len(fid))
-            self.first.append(first)
-            self.n_unknowns += len(fid) * self.n_face
+        # face id -> its first unknown, -1 on boundary faces; the interior
+        # faces get unknowns by ascending face id
+        fid = mesh.interior_faces()[0]
+        self.first = np.full(mesh.n_faces, -1)
+        self.first[fid] = self.n_face * np.arange(len(fid))
+        self.n_unknowns = len(fid) * self.n_face
 
-    def rows(self, axis, fid):
+    def rows(self, fid):
         """Slice of unknown/row indices for one face, None on a boundary
         face."""
-        start = self.first[axis][fid]
+        start = self.first[fid]
         return None if start < 0 else slice(start, start + self.n_face)
 
     def scatter(self, vec, trace):
-        for a, first in enumerate(self.first):
-            fid = np.flatnonzero(first >= 0)
-            trace[a][fid] = vec[first[fid][:, None] + np.arange(self.n_face)]
+        trace[self.first >= 0] = vec.reshape(-1, self.n_face)
 
 
 def check_dense_size(mesh, basis):
@@ -92,7 +87,7 @@ class GlobalTraceSystem:
 # -- per-physics rules ----------------------------------------------------------
 #
 # Namespaces of plain functions of the operators. side: what the state rows
-# U on side s of faces g (axis b) add to the flux jump at the face
+# U on side s of faces g (normal to axis b) add to the flux jump at the face
 # quadrature points; trace_weight: the trace's coefficient in that jump
 # (zero everywhere on a face no flux crosses); lift: a unit trace on face f
 # lifted from one side; correction: what the outflow (wall) trace rule adds
@@ -104,16 +99,16 @@ class GlobalTraceSystem:
 class _Transport:
     def side(ops, b, g, s, U):
         # side 1 is the minus element, whose outward normal is +e_b
-        bn, ab = ops.bn[b][g], ops.abs_bn[b][g]
+        bn, ab = ops.bn[g], ops.abs_bn[g]
         factor = (bn + ab) if s == 1 else (ab - bn)
         return factor * (U @ ops.basis.face_restrict[(b, s)].T)
 
     def trace_weight(ops, b, g):
-        return -2.0 * ops.abs_bn[b][g]
+        return -2.0 * ops.abs_bn[g]
 
     def lift(ops, a, f, side):
         basis = ops.basis
-        lw = ops.mesh.face_jac[a] * basis.face_quad_w * ops.abs_bn[a][f]
+        lw = ops.mesh.face_jac[a] * basis.face_quad_w * ops.abs_bn[f]
         return basis.face_restrict[(a, side)].T @ (lw[:, None] * basis.face_eval)
 
     def correction(ops, els):
@@ -122,10 +117,10 @@ class _Transport:
         # weighted face mass of each element's outflow faces
         basis = ops.basis
         C = np.zeros((len(els), basis.n_p, basis.n_p))
-        for a, _fid, bels, side in ops.outflow_blocks:
-            sel = np.isin(els, bels)
-            f = ops.fidx[(a, side)][els[sel]]
-            w = ops.mesh.face_jac[a] * basis.face_quad_w * ops.abs_bn[a][f]
+        for k, (a, side) in enumerate(ops._sides):
+            f = ops.mesh.etof[els, k]
+            sel = ops.outflow[f]
+            w = ops.mesh.face_jac[a] * basis.face_quad_w * ops.abs_bn[f[sel]]
             R = basis.face_restrict[(a, side)]
             C[sel] -= np.matmul(R.T, w[:, :, None] * R)
         return C
@@ -133,16 +128,15 @@ class _Transport:
     def closure(ops, u, trace):
         # outflow faces copy the interior solution; a face no flux crosses
         # takes the mean of its two sides
-        nid = ops.basis.face_node_ids
-        for a, fid, els, side in ops.outflow_blocks:
-            trace[a][fid] = u[els[:, None], nid[(a, side)]]
-        for a in range(ops.mesh.dim):
-            fid, minus, plus = ops._int_faces[a]
-            dead = ~np.any(ops.abs_bn[a][fid], axis=1)
-            if np.any(dead):
-                lo = u[minus[dead][:, None], nid[(a, 1)]]
-                hi = u[plus[dead][:, None], nid[(a, 0)]]
-                trace[a][fid[dead]] = 0.5 * (lo + hi)
+        fid, els, side = ops.mesh.boundary_faces()
+        out = ops.outflow[fid]
+        trace[fid[out]] = np.take(u, ops._node_index(els[out], side[out]))
+        fid, minus, plus, axis = ops.mesh.interior_faces()
+        dead = ~np.any(ops.abs_bn[fid], axis=1)
+        side = 2 * axis[dead]
+        lo = np.take(u, ops._node_index(minus[dead], side + 1))
+        hi = np.take(u, ops._node_index(plus[dead], side))
+        trace[fid[dead]] = 0.5 * (lo + hi)
 
     boundary_data = TransportOperators.inflow_trace
 
@@ -180,9 +174,11 @@ class _Shallow:
         PHI, rp = ops.phi_mean, ops.root_phi
         C = np.zeros((len(els), 3 * n_p, 3 * n_p))
         phi = slice(0, n_p)
-        for (a, s), (_fid, bels, nsig) in ops._bnd_faces.items():
+        for a, s in ops._sides:
+            nsig = (-1.0, 1.0)[s]
             vel = slice((a + 1) * n_p, (a + 2) * n_p)
-            wall = np.isin(els, bels)
+            # the elements on the side-s plane of axis a
+            wall = ops.mesh.el_coords[els, a] == (0, ops.mesh.nel[a] - 1)[s]
             R = basis.face_restrict[(a, s)]
             E = ops.mesh.face_jac[a] * (R.T @ (basis.face_quad_w[:, None] * R))
             C[wall, phi, phi] -= rp * E
@@ -193,11 +189,11 @@ class _Shallow:
 
     def closure(ops, state, trace):
         # the one-sided wall rule phihat = phi + sqrt(PHI) theta.n
-        phi, u, v = ops.split(state)
-        for (a, side), (bfid, els, osign) in ops._bnd_faces.items():
-            vel = u if a == 0 else v
-            at = els[:, None], ops.basis.face_node_ids[(a, side)]
-            trace[a][bfid] = phi[at] + ops.root_phi * osign * vel[at]
+        fid, els, side = ops.mesh.boundary_faces()
+        osign = np.where(side % 2, 1.0, -1.0)[:, None]
+        phi = np.take(state, ops._node_index(els, side))
+        vel = np.take(state, ops._node_index(els, side, 1 + side // 2))
+        trace[fid] = phi + ops.root_phi * osign * vel
 
     def boundary_data(ops, trace, t):
         pass
@@ -220,15 +216,18 @@ _PHYSICS = {TransportOperators: _Transport, ShallowOperators: _Shallow}
 # -- one verification path ---------------------------------------------------------
 
 
-def _jump(ops, state, trace, axis):
-    """The flux jump at the quadrature points of one axis's interior faces:
-    both sides' contributions plus the trace's."""
+def _jumps(ops, state, trace):
+    """Per axis a, (a, the flux jump at the quadrature points of the
+    interior faces normal to a): both sides' contributions plus the
+    trace's."""
     rules = _PHYSICS[type(ops)]
-    fid, minus, plus = ops._int_faces[axis]
-    uh = trace[axis][fid] @ ops.basis.face_eval.T
-    return (rules.side(ops, axis, fid, 1, state[minus])
-            + rules.side(ops, axis, fid, 0, state[plus])
-            + rules.trace_weight(ops, axis, fid) * uh)
+    fid, minus, plus, axes = ops.mesh.interior_faces()
+    for a in range(ops.mesh.dim):
+        f, m, p = (x[axes == a] for x in (fid, minus, plus))
+        uh = trace[f] @ ops.basis.face_eval.T
+        yield a, (rules.side(ops, a, f, 1, state[m])
+                  + rules.side(ops, a, f, 0, state[p])
+                  + rules.trace_weight(ops, a, f) * uh)
 
 
 def _moments(ops, axis, q):
@@ -241,20 +240,16 @@ def _moments(ops, axis, q):
 def jump_moments(ops, state, trace):
     """Conservation residual moments <jump, mu>_e on every interior face,
     in the unknown order of the dense trace system."""
-    return np.concatenate([
-        _moments(ops, a, _jump(ops, state, trace, a)).ravel()
-        for a in range(ops.mesh.dim)
-    ])
+    return np.concatenate([_moments(ops, a, jump).ravel()
+                           for a, jump in _jumps(ops, state, trace)])
 
 
 def flux_jump_residual(ops, state, trace):
     """Skeleton L2 norm of the numerical-flux jump (the continuity-flux jump
     for shallow water) over interior faces."""
     mesh, w = ops.mesh, ops.basis.face_quad_w
-    total = 0.0
-    for a in range(mesh.dim):
-        j = _jump(ops, state, trace, a)
-        total += mesh.face_jac[a] * float(np.sum(w * j * j))
+    total = sum(mesh.face_jac[a] * float(np.sum(w * j * j))
+                for a, j in _jumps(ops, state, trace))
     return float(np.sqrt(total))
 
 
@@ -295,26 +290,23 @@ def assemble_trace_system(ops, state_prev=None, t=0.0):
     # and the trace's own term on f
     N = index.n_unknowns
     T = np.zeros((N, N))
-    for a in range(mesh.dim):
-        fid_arr, minus_arr, plus_arr = ops._int_faces[a]
-        for i, f in enumerate(fid_arr):
-            cols = index.rows(a, f)
-            weight = rules.trace_weight(ops, a, f)
-            if not np.any(weight):
-                # no flux crosses this face; pin its (irrelevant) trace
-                T[cols, cols] = np.eye(basis.n_face)
-                continue
-            for el, side in ((minus_arr[i], 1), (plus_arr[i], 0)):
-                dU = (a_inv[el] @ rules.lift(ops, a, f, side)).T
-                for b in range(mesh.dim):
-                    for s in (0, 1):
-                        g = ops.fidx[(b, s)][el]
-                        rows = index.rows(b, g)
-                        if rows is None:
-                            continue
-                        dq = rules.side(ops, b, g, s, dU)
-                        T[rows, cols] += _moments(ops, b, dq).T
-            T[cols, cols] += _moments(ops, a, weight * basis.face_eval.T).T
+    for f, minus, plus, a in zip(*mesh.interior_faces()):
+        cols = index.rows(f)
+        weight = rules.trace_weight(ops, a, f)
+        if not np.any(weight):
+            # no flux crosses this face; pin its (irrelevant) trace
+            T[cols, cols] = np.eye(basis.n_face)
+            continue
+        for el, side in ((minus, 1), (plus, 0)):
+            dU = (a_inv[el] @ rules.lift(ops, a, f, side)).T
+            for k, (b, s) in enumerate(ops._sides):
+                g = mesh.etof[el, k]
+                rows = index.rows(g)
+                if rows is None:
+                    continue
+                dq = rules.side(ops, b, g, s, dU)
+                T[rows, cols] += _moments(ops, b, dq).T
+        T[cols, cols] += _moments(ops, a, weight * basis.face_eval.T).T
     return GlobalTraceSystem(index=index, matrix=T, rhs=-r0, a_inv=a_inv)
 
 

@@ -120,12 +120,12 @@ class ShallowOperators(LocalOperators):
         # friction, pressure gradient, divergence and the continuity face
         # terms, with S[a][i, j] = (phi_j, d phi_i / d x_a)_K and the face
         # mass E[a, s][i, j] = <phi_j, phi_i>_face. In each sum the face
-        # terms come first, in fidx order (outward normal -1 on side 0)
+        # terms come first, in etof column order (outward normal -1 on side 0)
         S = [(mesh.jac / mesh.half[a])
              * (basis.eval_grad[a].T @ (basis.quad_w[:, None] * basis.eval_vol))
              for a in range(2)]
         E = {}
-        for a, s in self.fidx:
+        for a, s in self._sides:
             R = basis.face_restrict[(a, s)]
             E[a, s] = mesh.face_jac[a] * (R.T @ (basis.face_quad_w[:, None] * R))
         PHI, rp, dt, M = phi_mean, self.root_phi, self.dt, self.mass_phys
@@ -133,7 +133,7 @@ class ShallowOperators(LocalOperators):
         mom = PHI * (1.0 / dt + problem.friction) * M
         zero = np.zeros_like(M)
         self._constant_block = np.block([
-            [sum(rp * E[key] for key in self.fidx) + M / dt, div[0], div[1]],
+            [sum(rp * E[key] for key in self._sides) + M / dt, div[0], div[1]],
             [-PHI * S[0], mom, zero],
             [-PHI * S[1], zero, mom],
         ])
@@ -142,13 +142,27 @@ class ShallowOperators(LocalOperators):
         # into the momentum row of the face's normal axis a, with n the
         # outward normal component (-1 on side 0, +1 on side 1)
         self.lift_w, self.lift_coef = {}, {}
-        for a, s in self.fidx:
+        for a, s in self._sides:
             n = (-1.0, 1.0)[s]
             self.lift_w[(a, s)] = mesh.face_jac[a] * basis.face_quad_w
             self.lift_coef[(a, s)] = ((0, self.root_phi),
                                       (1 + a, -(phi_mean * n)))
         # the wind stress loads the two momentum rows
         self.load = (problem.wind, (1, 2))
+
+        # the face nodes the trace rule reads, as indices into a flattened
+        # state: phi and the normal velocity (field 1 + a on sides 2a + s)
+        # of the minus and the plus element of every interior face, then of
+        # the element of every wall face, with sqrt(PHI) times its outward
+        # sign
+        fid, minus, plus, axis = mesh.interior_faces()
+        hi, lo, vel = 2 * axis + 1, 2 * axis, 1 + axis
+        nodes = self._node_index
+        self._inner = (fid, nodes(minus, hi), nodes(minus, hi, vel),
+                       nodes(plus, lo), nodes(plus, lo, vel))
+        fid, els, side = mesh.boundary_faces()
+        self._walls = (fid, nodes(els, side), nodes(els, side, 1 + side // 2),
+                       self.root_phi * np.where(side % 2, 1.0, -1.0)[:, None])
 
         self._assemble(problem.coriolis_beta == 0.0)
 
@@ -184,20 +198,13 @@ class ShallowOperators(LocalOperators):
         Every quantity involved is already a face polynomial, so nodal reads
         are exact and no quadrature projection is needed.
         """
-        basis = self.basis
         rp = self.root_phi
-        phi, u, v = self.split(state)
-        for a in range(2):
-            vel = u if a == 0 else v
-            fid, minus, plus = self._int_faces[a]
-            hi = minus[:, None], basis.face_node_ids[(a, 1)]
-            lo = plus[:, None], basis.face_node_ids[(a, 0)]
-            trace_out[a][fid] = (0.5 * (phi[hi] + phi[lo])
-                                 + 0.5 * rp * (vel[hi] - vel[lo]))
-            for side in (0, 1):
-                bfid, els, osign = self._bnd_faces[(a, side)]
-                at = els[:, None], basis.face_node_ids[(a, side)]
-                trace_out[a][bfid] = phi[at] + rp * osign * vel[at]
+        fid, phi_hi, vel_hi, phi_lo, vel_lo = self._inner
+        trace_out[fid] = (
+            0.5 * (np.take(state, phi_hi) + np.take(state, phi_lo))
+            + 0.5 * rp * (np.take(state, vel_hi) - np.take(state, vel_lo)))
+        fid, phi, vel, scale = self._walls
+        trace_out[fid] = np.take(state, phi) + scale * np.take(state, vel)
 
     def total_mass(self, state):
         phi, _u, _v = self.split(state)

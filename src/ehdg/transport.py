@@ -61,74 +61,70 @@ class TransportOperators(LocalOperators):
 
     def __init__(self, mesh, basis, problem, dt=None):
         super().__init__(mesh, basis, problem, dt)
-        d = mesh.dim
+        etof, every = mesh.etof, np.arange(mesh.n_faces)
 
-        # velocity data at face quadrature points, per normal axis
-        self.bn = []       # beta . e_a at face quadrature points
-        self.abs_bn = []
-        self.sgn = []
-        for a in range(d):
-            v = self._sample_faces(problem.velocity, (), a,
-                                   np.arange(mesh.n_faces_axis[a]))
-            self.bn.append(v[:, :, a].copy())
-            self.abs_bn.append(np.abs(self.bn[a]))
-            self.sgn.append(np.sign(self.bn[a]))
+        # beta . e_a at the quadrature points of every face, a its axis
+        v = self._sample_faces(problem.velocity, (), every)
+        self.bn = v[every, :, mesh.face_axis]
+        self.abs_bn = np.abs(self.bn)
+        self.sgn = np.sign(self.bn)
 
-        # boundary classification
-        self.inflow_blocks = []       # (axis, face_ids, elements, side)
-        self.outflow_blocks = []      # (axis, face_ids, elements, side)
-        for (a, side), (fid, els, osign) in self._bnd_faces.items():
-            labels = classify_boundary_face(osign * self.bn[a][fid])
-            inflow = labels == INFLOW
-            # characteristic faces take the outflow rule
-            for blocks, sel in ((self.inflow_blocks, inflow),
-                                (self.outflow_blocks, ~inflow)):
-                if sel.any():
-                    blocks.append((a, fid[sel], els[sel], side))
-        if problem.inflow is None and self.inflow_blocks:
+        # the inflow faces, and per face whether it is an outflow boundary
+        # face (as characteristic faces are), from beta.n against the
+        # outward normal, -e_a on side 0 and +e_a on side 1
+        fid, _els, side = mesh.boundary_faces()
+        osign = np.where(side % 2, 1.0, -1.0)[:, None]
+        into = classify_boundary_face(osign * self.bn[fid]) == INFLOW
+        self.inflow_faces = fid[into]
+        self.outflow = np.zeros(mesh.n_faces, dtype=bool)
+        self.outflow[fid[~into]] = True
+        if problem.inflow is None and len(self.inflow_faces):
             raise AssemblyError("problem has inflow faces but no inflow data")
 
         shared = bool(problem.constant_velocity)
         # element 0's operator serves every element only if beta.n does
-        if shared and any(np.any(bn != bn[0]) for bn in self.bn):
+        if shared and np.any(self.bn != self.bn[etof[0, 2 * mesh.face_axis]]):
             raise AssemblyError("constant_velocity is declared, but beta.n "
                                 "is not the same on every face")
         # the element-side |beta.n| face weights of the trace lift and the
-        # skeleton norm, one row for every face when beta.n is the same on
-        # every face; the one field takes the lift whole
+        # skeleton norm, one row for every face (element 0's) when beta.n is
+        # the same on every face; the one field takes the lift whole
+        faces = etof[0] if shared else etof.T
         self.lift_w = {
-            (a, s): (mesh.face_jac[a] * basis.face_quad_w
-                     * (self.abs_bn[a][0] if shared else self.abs_bn[a][fi]))
-            for (a, s), fi in self.fidx.items()
+            (a, s): mesh.face_jac[a] * basis.face_quad_w * self.abs_bn[faces[k]]
+            for k, (a, s) in enumerate(self._sides)
         }
         self.lift_coef = {key: ((0, 1.0),) for key in self.lift_w}
         self.load = (problem.forcing, (0,))
 
+        # the faces that copy an element's face nodes, per element side
+        # (etof column) as (face ids, elements, side): outflow faces, and
         # interior faces on which beta.n has one sign at every face
-        # quadrature point, as (axis, face_ids, upwind elements, side);
-        # the rest, (face_ids, minus, plus) per axis, are mixed-sign
-        self.upwind_blocks = []
-        self._mixed_faces = []
-        for a, (fid, minus, plus) in enumerate(self._int_faces):
-            sgn = self.sgn[a][fid]
-            from_minus = np.all(sgn > 0, axis=1)
-            from_plus = np.all(sgn < 0, axis=1)
-            for sel, els, side in ((from_minus, minus, 1),
-                                   (from_plus, plus, 0)):
-                if sel.any():
-                    self.upwind_blocks.append((a, fid[sel], els[sel], side))
-            mixed = ~(from_minus | from_plus)
-            self._mixed_faces.append((fid[mixed], minus[mixed], plus[mixed]))
+        # quadrature point from their upwind element (beta.n > 0 outward)
+        self._copies = []
+        for k, key in enumerate(self._sides):
+            f = etof[:, k]
+            els = np.flatnonzero(self.outflow[f] | np.all(
+                (self.sgn[f] if key[1] else -self.sgn[f]) > 0, axis=1))
+            self._copies.append((f[els], els[:, None], key))
+        # the other interior faces are mixed-sign, as (face ids, node
+        # indices of the minus element's side, of the plus element's)
+        fid, minus, plus, axis = mesh.interior_faces()
+        sgn = self.sgn[fid]
+        sel = ~(np.all(sgn > 0, axis=1) | np.all(sgn < 0, axis=1))
+        side = 2 * axis[sel]
+        self._mixed = (fid[sel], self._node_index(minus[sel], side + 1),
+                       self._node_index(plus[sel], side))
         self._inflow_cache = {}
         self._assemble(shared)
 
-    def _sample_faces(self, fn, args, axis, faces):
-        """fn(points, *args) at the quadrature points of the given faces of
-        one axis, evaluated in blocks (evaluate_blocked)."""
+    def _sample_faces(self, fn, args, faces):
+        """fn(points, *args) at the quadrature points of the given faces,
+        evaluated in blocks (evaluate_blocked)."""
         mesh, basis = self.mesh, self.basis
         return evaluate_blocked(
             fn, args,
-            lambda lo, hi: mesh.face_quad_points(axis, basis, faces[lo:hi]),
+            lambda lo, hi: mesh.face_quad_points(basis, faces[lo:hi]),
             len(faces), basis.n_fq,
         )
 
@@ -153,15 +149,14 @@ class TransportOperators(LocalOperators):
         if prob.div_velocity is not None:
             dv = self.sample(prob.div_velocity, elements=els)
             terms.append((["val"] * d, -mesh.jac * basis.quad_w * dv))
-        for a in range(d):
-            for s in (0, 1):
-                bn_el = self.bn[a][self.fidx[(a, s)][els]]
-                if s == 0:
-                    bn_el = -bn_el
-                w = bn_el + np.abs(bn_el)
-                keys = ["val"] * d
-                keys[a] = ("lo", "hi")[s]
-                terms.append((keys, mesh.face_jac[a] * basis.face_quad_w * w))
+        for k, (a, s) in enumerate(self._sides):
+            bn_el = self.bn[mesh.etof[els, k]]
+            if s == 0:
+                bn_el = -bn_el
+            w = bn_el + np.abs(bn_el)
+            keys = ["val"] * d
+            keys[a] = ("lo", "hi")[s]
+            terms.append((keys, mesh.face_jac[a] * basis.face_quad_w * w))
         A = basis.weighted_products(terms)
         if self.dt is not None:
             A += self.mass_phys[None] / self.dt
@@ -172,19 +167,19 @@ class TransportOperators(LocalOperators):
     def inflow_trace(self, trace, t=0.0):
         """Write the L2 projection of the inflow data onto inflow faces.
 
-        The projections are cached per time value: every pass of a solve
+        The projection is cached per time value: every pass of a solve
         rebuilds the trace at the same t. The inflow faces' quadrature
         points are formed only on a cache miss and not kept.
         """
+        fid = self.inflow_faces
+        if not len(fid):
+            return
         proj = self._inflow_cache.get(t)
         if proj is None:
-            proj = []
-            for a, fid, _els, _side in self.inflow_blocks:
-                g = self._sample_faces(self.problem.inflow, (t,), a, fid)
-                proj.append(g @ self.basis.face_proj.T)
+            g = self._sample_faces(self.problem.inflow, (t,), fid)
+            proj = g @ self.basis.face_proj.T
             self._inflow_cache = {t: proj}
-        for (a, fid, _els, _side), g in zip(self.inflow_blocks, proj):
-            trace[a][fid] = g
+        trace[fid] = proj
 
     def update_trace(self, u, trace_out, t=0.0):
         """Rebuild the skeleton trace from element solutions.
@@ -199,20 +194,15 @@ class TransportOperators(LocalOperators):
         projection.
         """
         basis = self.basis
-        for a, (fid, minus, plus) in enumerate(self._mixed_faces):
-            if not len(fid):
-                continue
-            nid_hi = basis.face_node_ids[(a, 1)]
-            nid_lo = basis.face_node_ids[(a, 0)]
-            um = u[minus[:, None], nid_hi] @ basis.face_eval.T
-            up = u[plus[:, None], nid_lo] @ basis.face_eval.T
-            s = self.sgn[a][fid]
-            uh = 0.5 * ((um + up) + s * (um - up))
-            trace_out[a][fid] = uh @ basis.face_proj.T
+        fid, minus, plus = self._mixed
+        um = np.take(u, minus) @ basis.face_eval.T
+        up = np.take(u, plus) @ basis.face_eval.T
+        s = self.sgn[fid]
+        uh = 0.5 * ((um + up) + s * (um - up))
+        trace_out[fid] = uh @ basis.face_proj.T
         self.inflow_trace(trace_out, t)
-        for a, fid, els, side in self.upwind_blocks + self.outflow_blocks:
-            nid = basis.face_node_ids[(a, side)]
-            trace_out[a][fid] = u[els[:, None], nid]
+        for fid, els, key in self._copies:
+            trace_out[fid] = u[els, basis.face_node_ids[key]]
 
     def interpolate_exact(self, t=0.0):
         """Nodal interpolant of the exact solution (perfbench/gate.py

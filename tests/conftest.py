@@ -68,6 +68,21 @@ def interp_scalar(mesh, basis, fn, t=None):
     return np.asarray(vals, dtype=float).reshape(mesh.n_el, basis.n_p)
 
 
+def axis_interior_faces(mesh, a):
+    """(face_ids, minus, plus) of the interior faces normal to axis a."""
+    fid, minus, plus, axis = mesh.interior_faces()
+    on = axis == a
+    return fid[on], minus[on], plus[on]
+
+
+def plane_faces(mesh, a, s):
+    """(face_ids, elements, outward_sign) of the boundary faces on the low
+    (s = 0) or high (s = 1) plane of axis a."""
+    fid, els, side = mesh.boundary_faces()
+    on = side == 2 * a + s
+    return fid[on], els[on], (-1.0, 1.0)[s]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

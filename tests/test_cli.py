@@ -183,6 +183,23 @@ def test_solve_bad_nel_is_a_usage_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_solve_mesh_beyond_physical_memory_is_a_usage_error(
+        tmp_path, monkeypatch, capsys):
+    # a tiny mesh on a machine said to have 100 bytes: refused by the
+    # mesh's own guard before any index array is allocated
+    import ehdg.mesh as mesh_mod
+
+    monkeypatch.setattr(mesh_mod, "physical_memory", lambda: 100)
+    rc = main(["solve", "case=transport2d-smooth", "nel=2", "p=1",
+               f"outdir={tmp_path}"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:")
+    assert "bytes of index arrays, more than the 100 bytes" in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_verify_refuses_oversized_oracle_before_iterating(monkeypatch,
                                                          capsys):
     import ehdg.oracle as oracle_mod

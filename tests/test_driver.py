@@ -24,7 +24,7 @@ from ehdg.mesh import build_mesh
 from ehdg.problems import build_case, catalog, convergence_study
 from ehdg.transport import TransportOperators, TransportProblem
 
-from conftest import interp_scalar
+from conftest import axis_interior_faces, interp_scalar, plane_faces
 
 
 def smooth_ops(nel=4, p=2):
@@ -290,13 +290,28 @@ class TestNorms:
     def test_trace_diff_norm_localized(self):
         mesh = build_mesh(2, 4, [(0, 1), (0, 1)])
         basis = TensorBasis(2, 1)
-        t1, t2 = ([np.zeros((n, basis.n_face)) for n in mesh.n_faces_axis]
-                  for _ in range(2))
-        fid, _m, _p = mesh.interior_faces(0)
-        t2[0][fid[0]] = 3.0
+        t1, t2 = (np.zeros((mesh.n_faces, basis.n_face)) for _ in range(2))
+        fid, _m, _p = axis_interior_faces(mesh, 0)
+        t2[fid[0]] = 3.0
         assert math.isclose(trace_diff_norm(mesh, basis, t1, t2), 1.5,
                             rel_tol=1e-13)
         assert trace_diff_norm(mesh, basis, t1, t1) == 0.0
+
+    def test_trace_diff_norm_per_face_jacobian(self):
+        # element extents 1, 1/3 and 1/4, so a face normal to each axis has
+        # its own area: a unit trace on one face gives that area squared
+        mesh = build_mesh(3, (2, 3, 2), [(0, 2), (0, 1), (0, 0.5)])
+        basis = TensorBasis(3, 2)
+        area = (1 / 12, 1 / 4, 1 / 3)
+        zero, t = np.zeros((2, mesh.n_faces, basis.n_face))
+        for a in range(3):
+            one = np.zeros_like(zero)
+            one[axis_interior_faces(mesh, a)[0][-1]] = 1.0
+            t[plane_faces(mesh, a, a % 2)[0][0]] = 1.0
+            assert math.isclose(trace_diff_norm(mesh, basis, one, zero) ** 2,
+                                area[a], rel_tol=1e-13)
+        assert math.isclose(trace_diff_norm(mesh, basis, zero, t) ** 2,
+                            sum(area), rel_tol=1e-13)
 
 
 class TestConvergenceCsv:

@@ -43,7 +43,7 @@ from ehdg.problems import catalog
 from ehdg.shallow import ShallowOperators
 from ehdg.transport import TransportOperators, TransportProblem
 
-from conftest import interp_scalar
+from conftest import axis_interior_faces, interp_scalar
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TIGHT = IterationConfig(stopping=SUCCESSIVE_DIFFERENCE, tol=1e-12)
@@ -174,8 +174,8 @@ class TestProbedSystem:
         dead = np.zeros(n, dtype=bool)
         if isinstance(ops, TransportOperators):
             for a in range(ops.mesh.dim):
-                for f in ops._int_faces[a][0]:
-                    dead[index.rows(a, f)] = not np.any(ops.abs_bn[a][f])
+                for f in axis_interior_faces(ops.mesh, a)[0]:
+                    dead[index.rows(f)] = not np.any(ops.abs_bn[f])
         assert np.any(dead) == (cell == "dead-faces")
         scale = np.abs(system.matrix).max()
         for j in range(n):

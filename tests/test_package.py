@@ -107,14 +107,16 @@ def test_readme_names_each_object_where_it_is_defined():
 
 
 def test_only_the_mesh_decodes_face_ids():
-    # the face numbering (plane, perp) is read in ehdg.mesh alone; every
-    # other module goes through face_index and the face lists
+    # the face numbering, its axis blocks and (plane, perp) within them, is
+    # read in ehdg.mesh alone; every other module goes through the
+    # element-to-face table etof and the face lists
     modules = [m.name for m in pkgutil.iter_modules(ehdg.__path__)]
     assert "mesh" in modules and "oracle" in modules
     readers = sorted(
         name for name in modules if name != "mesh"
-        and re.search(r"\b(n_perp|perp_of|plane_of)\b", inspect.getsource(
-            importlib.import_module(f"ehdg.{name}"))))
+        and re.search(r"\b(n_perp|perp_of|plane_of|n_faces_axis|face_index)\b",
+                      inspect.getsource(
+                          importlib.import_module(f"ehdg.{name}"))))
     assert not readers, readers
 
 

@@ -29,6 +29,8 @@ from ehdg.problems import catalog
 from ehdg.shallow import ShallowOperators
 from ehdg.transport import TransportOperators
 
+from conftest import axis_interior_faces, plane_faces
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 CASES = {2: "transport2d-smooth", 3: "transport3d-steady"}
@@ -41,10 +43,7 @@ def transport_ops(dim, p, nel, dt=None, case=None):
 
 
 def random_trace(ops, rng):
-    trace = ops.new_trace()
-    for a in range(ops.mesh.dim):
-        trace[a][:] = rng.standard_normal(trace[a].shape)
-    return trace
+    return rng.standard_normal(ops.new_trace().shape)
 
 
 # -- references: the direct forms the pass used before --------------------------
@@ -56,7 +55,7 @@ def reference_skeleton_norm(ops, u):
     for a in range(mesh.dim):
         for s in (0, 1):
             vals = u @ basis.face_restrict[(a, s)].T
-            w = ops.abs_bn[a][ops.fidx[(a, s)]]
+            w = ops.abs_bn[mesh.etof[:, 2 * a + s]]
             total += mesh.face_jac[a] * np.sum(
                 basis.face_quad_w * w * vals * vals
             )
@@ -124,16 +123,19 @@ def reference_shallow_skeleton_norm(ops, state):
 def reference_update_trace(ops, u, trace_out, t=0.0):
     mesh, basis = ops.mesh, ops.basis
     for a in range(mesh.dim):
-        fid, minus, plus = ops._int_faces[a]
+        fid, minus, plus = axis_interior_faces(mesh, a)
         um = u[minus] @ basis.face_restrict[(a, 1)].T
         up = u[plus] @ basis.face_restrict[(a, 0)].T
-        s = ops.sgn[a][fid]
+        s = ops.sgn[fid]
         uh = 0.5 * ((um + up) + s * (um - up))
-        trace_out[a][fid] = uh @ basis.face_proj.T
+        trace_out[fid] = uh @ basis.face_proj.T
     ops.inflow_trace(trace_out, t)
-    for a, fid, els, side in ops.outflow_blocks:
-        nid = basis.face_node_ids[(a, side)]
-        trace_out[a][fid] = u[els][:, nid]
+    for a in range(mesh.dim):
+        for side in (0, 1):
+            fid, els, _sign = plane_faces(mesh, a, side)
+            out = ops.outflow[fid]
+            nid = basis.face_node_ids[(a, side)]
+            trace_out[fid[out]] = u[els[out]][:, nid]
 
 
 def reference_transport_rhs(ops, trace, t=0.0, state_prev=None):
@@ -145,7 +147,7 @@ def reference_transport_rhs(ops, trace, t=0.0, state_prev=None):
         out += (state_prev @ ops.mass_phys.T) / ops.dt
     for a in range(ops.mesh.dim):
         for s in (0, 1):
-            uh_q = trace[a][ops.fidx[(a, s)]] @ basis.face_eval.T
+            uh_q = trace[ops.mesh.etof[:, 2 * a + s]] @ basis.face_eval.T
             out += (ops.lift_w[(a, s)] * uh_q) @ basis.face_restrict[(a, s)]
     return out
 
@@ -166,7 +168,7 @@ def reference_shallow_rhs(ops, trace, t, state_prev):
     for a in range(2):
         mom = r1 if a == 0 else r2
         for s in (0, 1):
-            ph_q = trace[a][ops.fidx[(a, s)]] @ basis.face_eval.T
+            ph_q = trace[mesh.etof[:, 2 * a + s]] @ basis.face_eval.T
             w = mesh.face_jac[a] * basis.face_quad_w
             lifted = (w * ph_q) @ basis.face_restrict[(a, s)]
             nsig = -1.0 if s == 0 else 1.0
@@ -368,8 +370,7 @@ def test_face_node_update_trace_matches_reference(dim, p, rng):
     got, want = ops.new_trace(), ops.new_trace()
     ops.update_trace(u, got, 0.3)
     reference_update_trace(ops, u, want, 0.3)
-    for a in range(dim):
-        assert_round_off(got[a], want[a], np.abs(u).max())
+    assert_round_off(got, want, np.abs(u).max())
 
 
 @pytest.mark.parametrize("nel", [2, 4])
@@ -380,8 +381,7 @@ def test_face_node_update_trace_small_3d_meshes(nel, p, rng):
     got, want = ops.new_trace(), ops.new_trace()
     ops.update_trace(u, got, 0.3)
     reference_update_trace(ops, u, want, 0.3)
-    for a in range(3):
-        assert_round_off(got[a], want[a], np.abs(u).max())
+    assert_round_off(got, want, np.abs(u).max())
 
 
 def sheared_transport(nel, p, power):
@@ -410,18 +410,23 @@ def sheared_transport(nel, p, power):
 @pytest.mark.parametrize("p", [1, 3])
 def test_update_trace_on_one_signed_and_mixed_faces(p, power, rng):
     ops = sheared_transport(3, p, power)
-    assert ops.upwind_blocks
-    assert any(len(fid) for fid, _minus, _plus in ops._mixed_faces)
+    assert len(ops._mixed[0])
     u = rng.standard_normal((ops.mesh.n_el, ops.basis.n_p))
     got, want = ops.new_trace(), ops.new_trace()
     ops.update_trace(u, got, 0.0)
     reference_update_trace(ops, u, want, 0.0)
-    for a in range(2):
-        assert_round_off(got[a], want[a], np.abs(u).max())
+    assert_round_off(got, want, np.abs(u).max())
     # a one-signed face is its upwind element's face polynomial, copied
-    for a, fid, els, side in ops.upwind_blocks:
-        nid = ops.basis.face_node_ids[(a, side)]
-        assert np.array_equal(got[a][fid], u[els][:, nid])
+    one_signed = 0
+    for a in range(2):
+        fid, minus, plus = axis_interior_faces(ops.mesh, a)
+        sgn = ops.sgn[fid]
+        for sel, els, side in ((np.all(sgn > 0, axis=1), minus, 1),
+                               (np.all(sgn < 0, axis=1), plus, 0)):
+            nid = ops.basis.face_node_ids[(a, side)]
+            assert np.array_equal(got[fid[sel]], u[els[sel]][:, nid])
+            one_signed += np.count_nonzero(sel)
+    assert one_signed
 
 
 # -- source / rhs split ---------------------------------------------------------------
@@ -515,8 +520,9 @@ def test_callables_once_per_time_level(tmp_path, monkeypatch):
     levels = [m * 0.001 + 0.001 for m in range(steps)]
     # the t=0 interpolant of the initial state, then one call per step
     assert calls["exact"] == [0.0] + levels
-    # one call per inflow block (the three low faces of the cube) per level
-    assert calls["inflow"] == [t for t in levels for _block in range(3)]
+    # one call per level for the inflow faces of all three low planes of
+    # the cube together (their 192 points are one block)
+    assert calls["inflow"] == levels
 
 
 def test_steps_csv_error_is_the_last_logged_error(tmp_path):

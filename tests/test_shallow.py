@@ -20,7 +20,8 @@ from ehdg.oracle import condensed_matrices
 from ehdg.problems import catalog
 from ehdg.shallow import ShallowOperators, ShallowProblem, contraction_constants
 
-from conftest import cardinal_grads, cardinal_values, interp_scalar, tensor_rule
+from conftest import (axis_interior_faces, cardinal_grads, cardinal_values,
+                      interp_scalar, plane_faces, tensor_rule)
 
 
 def synthetic_problem():
@@ -62,7 +63,7 @@ def brute_shallow_matrix(ops, el, condensed=False):
     wall = {}
     for a in range(2):
         for s in (0, 1):
-            _fid, bels, _sg = mesh.boundary_faces(a, s)
+            _fid, bels, _sg = plane_faces(mesh, a, s)
             wall[(a, s)] = el in set(bels.tolist())
 
     A = np.zeros((3 * n_p, 3 * n_p))
@@ -166,9 +167,7 @@ class TestRightHandSide:
         ops = ShallowOperators(mesh, basis, synthetic_problem(), dt=0.37)
         prob = ops.problem
         PHI, rp = prob.phi_mean, math.sqrt(prob.phi_mean)
-        trace = ops.new_trace()
-        for a in range(2):
-            trace[a][:] = rng.standard_normal(trace[a].shape)
+        trace = rng.standard_normal(ops.new_trace().shape)
         prev = rng.standard_normal((mesh.n_el, 3 * basis.n_p))
         got = ops.rhs(trace, ops.source(0.0, prev))
 
@@ -194,8 +193,8 @@ class TestRightHandSide:
                 fjac = half[1 - a]
                 mom = slice(n_p, 2 * n_p) if a == 0 else slice(2 * n_p, None)
                 for s in (0, 1):
-                    fid = ops.fidx[(a, s)][el]
-                    phq = E1 @ trace[a][fid]
+                    fid = mesh.etof[el, 2 * a + s]
+                    phq = E1 @ trace[fid]
                     ref = np.zeros((nq, 2))
                     ref[:, a] = -1.0 if s == 0 else 1.0
                     ref[:, 1 - a] = x1
@@ -229,11 +228,11 @@ class TestTraceRule:
         vel = [u, v]
         for a in range(2):
             for s in (0, 1):
-                fid, els, osign = mesh.boundary_faces(a, s)
+                fid, els, osign = plane_faces(mesh, a, s)
                 nid = basis.face_node_ids[(a, s)]
                 flux = (
                     PHI * osign * vel[a][els][:, nid]
-                    + rp * (phi[els][:, nid] - tr[a][fid])
+                    + rp * (phi[els][:, nid] - tr[fid])
                 )
                 assert np.allclose(flux, 0.0, atol=1e-13)
 
@@ -249,9 +248,9 @@ class TestTraceRule:
         tr = ops.new_trace()
         ops.update_trace(state, tr)
         for a in range(2):
-            fid, minus, _plus = mesh.interior_faces(a)
+            fid, minus, _plus = axis_interior_faces(mesh, a)
             nodal = phi[minus][:, basis.face_node_ids[(a, 1)]]
-            assert np.allclose(tr[a][fid], nodal, atol=1e-13)
+            assert np.allclose(tr[fid], nodal, atol=1e-13)
 
     def test_velocity_jump_enters_with_root_phi_weight(self):
         mesh = build_mesh(2, (2, 1), [(0, 1), (0, 1)])
@@ -263,9 +262,9 @@ class TestTraceRule:
         u[0], u[1] = 1.0, 3.0
         tr = ops.new_trace()
         ops.update_trace(state, tr)
-        fid, _m, _p = mesh.interior_faces(0)
+        fid, _m, _p = axis_interior_faces(mesh, 0)
         # 0.5 * sqrt(4) * (1 - 3) = -2
-        assert np.allclose(tr[0][fid], -2.0, atol=1e-14)
+        assert np.allclose(tr[fid], -2.0, atol=1e-14)
 
 
 class TestNorms:

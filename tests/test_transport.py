@@ -27,7 +27,8 @@ from ehdg.operators import ASSEMBLY_CHUNK, AssemblyError
 from ehdg.oracle import condensed_matrices
 from ehdg.transport import TransportOperators, TransportProblem
 
-from conftest import cardinal_values, cardinal_grads, tensor_rule, interp_scalar
+from conftest import (axis_interior_faces, cardinal_grads, cardinal_values,
+                      interp_scalar, plane_faces, tensor_rule)
 
 
 def rotating_problem(inflow=None, exact=None, forcing=None):
@@ -178,15 +179,14 @@ def dense_element_matrix(ops, elements, condensed=False):
         )
     for a in range(d):
         for s in (0, 1):
-            bn_el = ops.bn[a][ops.fidx[(a, s)][els]]
+            faces = mesh.etof[els, 2 * a + s]
+            bn_el = ops.bn[faces]
             if s == 0:
                 bn_el = -bn_el
             w = bn_el + np.abs(bn_el)
             if condensed:
-                for ax, _fid, bels, side in ops.outflow_blocks:
-                    if ax == a and side == s:
-                        sel = np.isin(els, bels)
-                        w[sel] = bn_el[sel]
+                sel = ops.outflow[faces]
+                w[sel] = bn_el[sel]
             wf = mesh.face_jac[a] * basis.face_quad_w * w
             R = basis.face_restrict[(a, s)]
             A += np.matmul(R.T[None], wf[:, :, None] * R[None])
@@ -232,8 +232,8 @@ def brute_lift(ops, trace, el):
     for a in range(2):
         fjac = half[1 - a]
         for s in (0, 1):
-            fid = ops.fidx[(a, s)][el]
-            gq = E @ trace[a][fid]
+            fid = mesh.etof[el, 2 * a + s]
+            gq = E @ trace[fid]
             ref = np.zeros((nq, 2))
             ref[:, a] = -1.0 if s == 0 else 1.0
             ref[:, 1 - a] = x1
@@ -306,7 +306,7 @@ class TestElementMatrix:
         basis = TensorBasis(2, 2)
         ops = TransportOperators(mesh, basis, rotating_problem(
             inflow=lambda pts, t=0.0: np.zeros(len(pts))))
-        trace = [np.ones_like(d) for d in ops.new_trace()]
+        trace = np.ones_like(ops.new_trace())
         rhs = ops.rhs(trace, ops.source())
         A = ops.element_matrix(np.arange(mesh.n_el))
         ones = np.ones(basis.n_p)
@@ -323,7 +323,7 @@ class TestSumFactorization:
             mesh, TensorBasis(dim, p), varying_problem(dim),
             dt=0.37 if variant == "transient" else None)
         if variant == "condensed":
-            assert ops.outflow_blocks
+            assert np.any(ops.outflow)
         assert_matches_dense(ops, np.arange(mesh.n_el),
                              condensed=variant == "condensed")
 
@@ -353,9 +353,7 @@ class TestLift:
             inflow=lambda pts, t=0.0: np.zeros(len(pts)))
         mesh = build_mesh(2, 3, [(0, 1), (0, 1)])
         ops = TransportOperators(mesh, TensorBasis(2, 2), prob)
-        trace = ops.new_trace()
-        for a in range(2):
-            trace[a][:] = rng.standard_normal(trace[a].shape)
+        trace = rng.standard_normal(ops.new_trace().shape)
         rhs = ops.rhs(trace, ops.source())
         for el in (0, 4, 8):
             assert np.allclose(rhs[el], brute_lift(ops, trace, el),
@@ -382,8 +380,9 @@ class TestTraceField:
         ops = TransportOperators(mesh, basis, constant_problem(
             (1.0, 0.0), inflow=lambda pts, t=0.0: np.zeros(len(pts))))
         tr = ops.new_trace()
-        assert tr[0].shape == (mesh.n_faces_axis[0], basis.n_face)
-        assert tr[1].shape == (mesh.n_faces_axis[1], basis.n_face)
+        assert tr.shape == (mesh.n_faces, basis.n_face)
+        assert mesh.n_faces == 4 * 2 + 3 * 3
+        assert not np.any(tr)
 
 
 def two_element_setup(bvec, inflow=None):
@@ -402,9 +401,10 @@ class TestUpwindTrace:
         u[0], u[1] = 3.0, 8.0
         tr = ops.new_trace()
         ops.update_trace(u, tr)
-        assert np.allclose(tr[0][1], 3.0)  # interior plane
-        assert np.allclose(tr[0][2], 8.0)  # outflow copies interior
-        assert np.allclose(tr[0][0], 0.0)  # inflow projection of g
+        # the x-faces are faces 0, 1 and 2
+        assert np.allclose(tr[1], 3.0)  # interior plane
+        assert np.allclose(tr[2], 8.0)  # outflow copies interior
+        assert np.allclose(tr[0], 0.0)  # inflow projection of g
 
     def test_reversed_velocity_picks_other_side(self):
         zero = lambda pts, t=0.0: np.zeros(len(pts))
@@ -412,8 +412,8 @@ class TestUpwindTrace:
         u[0], u[1] = 3.0, 8.0
         tr = ops.new_trace()
         ops.update_trace(u, tr)
-        assert np.allclose(tr[0][1], 8.0)
-        assert np.allclose(tr[0][0], 3.0)  # now outflow on the left
+        assert np.allclose(tr[1], 8.0)
+        assert np.allclose(tr[0], 3.0)  # now outflow on the left
 
     def test_tangential_velocity_averages(self):
         zero = lambda pts, t=0.0: np.zeros(len(pts))
@@ -421,10 +421,10 @@ class TestUpwindTrace:
         u[0], u[1] = 3.0, 8.0
         tr = ops.new_trace()
         ops.update_trace(u, tr)
-        assert np.allclose(tr[0][1], 5.5)
+        assert np.allclose(tr[1], 5.5)
         # beta.n = 0 on the x boundaries: characteristic, interior copy
-        assert np.allclose(tr[0][0], 3.0)
-        assert np.allclose(tr[0][2], 8.0)
+        assert np.allclose(tr[0], 3.0)
+        assert np.allclose(tr[2], 8.0)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -446,7 +446,7 @@ class TestUpwindTrace:
             expect = b
         else:
             expect = 0.5 * (a + b)
-        assert np.allclose(tr[0][1], expect, atol=1e-12)
+        assert np.allclose(tr[1], expect, atol=1e-12)
 
     def test_continuous_polynomial_is_reproduced(self):
         # a globally continuous degree-p field has a single-valued trace;
@@ -461,9 +461,9 @@ class TestUpwindTrace:
         tr = ops.new_trace()
         ops.update_trace(u, tr)
         for a in range(2):
-            fid, minus, _plus = mesh.interior_faces(a)
+            fid, minus, _plus = axis_interior_faces(mesh, a)
             nodal = u[minus][:, basis.face_node_ids[(a, 1)]]
-            assert np.allclose(tr[a][fid], nodal, atol=1e-12)
+            assert np.allclose(tr[fid], nodal, atol=1e-12)
 
     def test_inflow_projection_reproduces_polynomial_data(self):
         g = lambda pts, t=0.0: 3.0 * pts[:, 1] - 1.0
@@ -472,11 +472,11 @@ class TestUpwindTrace:
         ops = TransportOperators(mesh, basis, rotating_problem(inflow=g))
         tr = ops.new_trace()
         ops.inflow_trace(tr)
-        fid, els, _sign = mesh.boundary_faces(0, 0)
+        fid, els, _sign = plane_faces(mesh, 0, 0)
         nid = basis.face_node_ids[(0, 0)]
         X = mesh.centers[els][:, None, :] + mesh.half * basis.ref_nodes[nid][None]
         expect = g(X.reshape(-1, 2)).reshape(len(els), basis.n_face)
-        assert np.allclose(tr[0][fid], expect, atol=1e-13)
+        assert np.allclose(tr[fid], expect, atol=1e-13)
 
 
 class TestSolves:
@@ -705,8 +705,9 @@ class TestContract:
         def boom(*args):
             raise AssertionError("face or assembly work started")
 
-        monkeypatch.setattr(StructuredMesh, "face_index", boom)
         mesh = build_mesh(2, 2, [(0, 1), (0, 1)])
+        for name in ("interior_faces", "boundary_faces", "face_quad_points"):
+            monkeypatch.setattr(StructuredMesh, name, boom)
         if physics == "transport":
             kind, prob = TransportOperators, constant_problem([1.0, 1.0])
         else:
