@@ -10,7 +10,7 @@ from .driver import (
     solve,
 )
 from .mesh import MeshError
-from .operators import AssemblyError, LocalOperators
+from .operators import AssemblyError, LocalOperators, OperatorSizeError
 from .oracle import (
     OracleSizeError,
     assemble_trace_system,
@@ -29,6 +29,7 @@ __all__ = [
     "IterationConfig",
     "LocalOperators",
     "MeshError",
+    "OperatorSizeError",
     "OracleSizeError",
     "ShallowOperators",
     "TensorBasis",

@@ -10,6 +10,8 @@ import os
 
 import numpy as np
 
+from . import mesh as mesh_module
+
 # elements per block of the batched local solve, and the most elements one
 # assembly chunk takes
 ASSEMBLY_CHUNK = 256
@@ -30,6 +32,10 @@ SAMPLE_POINTS = 2**14
 
 class AssemblyError(Exception):
     pass
+
+
+class OperatorSizeError(AssemblyError):
+    """Per-element local inverses that would not fit in physical memory."""
 
 
 def usable_cpus():
@@ -69,10 +75,13 @@ def assemble_inverses(matrices, n_el, width):
 
 
 def evaluate_blocked(fn, args, points, n, per):
-    """fn(X, *args) over items 0 .. n - 1 of per points each, with X the
-    flattened points(lo, hi), the (hi - lo, per, dim) coordinates of items
-    lo .. hi - 1.
+    """fn(X, *args) over items 0 .. n - 1 of per points each, with
+    points(lo, hi) the (dim, hi - lo, per) coordinates of items lo .. hi - 1,
+    built axis-major.
 
+    fn receives them as one (N, dim) array X with contiguous columns: the
+    transpose of the flattened block, made contiguous first if it is not.
+    Every X[:, a] is then a contiguous vector; fn must not assume C order.
     fn sees at most SAMPLE_POINTS points per call (one item's per points
     when that is more), so its temporaries do not grow with the mesh; fn
     must be pointwise for the blocks to add up to one whole-array call.
@@ -84,8 +93,8 @@ def evaluate_blocked(fn, args, points, n, per):
     # one empty call when n is 0, so the result still has fn's value shape
     for lo in range(0, max(n, 1), step):
         hi = min(lo + step, n)
-        X = points(lo, hi)
-        vals = np.asarray(fn(X.reshape(-1, X.shape[-1]), *args))
+        X = np.ascontiguousarray(points(lo, hi))
+        vals = np.asarray(fn(X.reshape(len(X), -1).T, *args))
         vals = vals.reshape(hi - lo, per, *vals.shape[1:])
         if out is None:
             out = np.empty((n, per, *vals.shape[2:]), dtype=vals.dtype)
@@ -160,9 +169,22 @@ class LocalOperators:
         """Set shared, a_inv (the inverses of element_matrix: element 0's
         alone when shared, every element's otherwise), the stacked trace
         lift of rhs (_lift_matrix) and, for weights that are one row for
-        every face, the skeleton norm's factor (_skeleton_factor)."""
+        every face, the skeleton norm's factor (_skeleton_factor).
+
+        Per-element inverses whose bytes exceed physical memory raise
+        OperatorSizeError before the first element_matrix call."""
         self.shared = shared
         n = 1 if shared else self.mesh.n_el
+        # per-element inverses that cannot fit are refused before any is
+        # built; one shared inverse is never refused
+        if not shared:
+            need = 8 * n * self.state_width**2
+            have = mesh_module.physical_memory()
+            if need > have:
+                raise OperatorSizeError(
+                    f"per-element local operators of {n} elements need "
+                    f"{need} bytes of inverses (a_inv), more than the "
+                    f"{have} bytes of physical memory")
         self.a_inv = assemble_inverses(self.element_matrix, n, self.state_width)
         self._lift_folded = all(np.ndim(w) == 1 for w in self.lift_w.values())
         self._lift = self._lift_matrix()
@@ -247,11 +269,17 @@ class LocalOperators:
         mesh, basis = self.mesh, self.basis
         centers = mesh.centers if elements is None else mesh.centers[elements]
         ref = basis.ref_nodes if nodes else basis.quad_ref
-        return evaluate_blocked(
-            fn, args,
-            lambda lo, hi: centers[lo:hi, None, :] + mesh.half * ref[None],
-            len(centers), len(ref),
-        )
+        # the offsets from the center, one contiguous row per axis
+        scaled = mesh.half[:, None] * ref.T
+
+        def points(lo, hi):
+            # one axis at a time, each a contiguous (hi - lo, n_points) add
+            X = np.empty((mesh.dim, hi - lo, len(ref)))
+            for a in range(mesh.dim):
+                np.add(centers[lo:hi, a, None], scaled[a], out=X[a])
+            return X
+
+        return evaluate_blocked(fn, args, points, len(centers), len(ref))
 
     def solve_cells(self, rhs, out=None):
         """Batched application of the factorized local operators.

@@ -34,9 +34,11 @@ from .operators import AssemblyError, LocalOperators
 @dataclass
 class ShallowProblem:
     """Linearized shallow water data. wind maps (pts, t) -> (N, 2) giving
-    tau/rho; exact maps (pts, t) -> (N, 3) as (phi, u, v). Both must be
-    pointwise, each value depending on its own point alone: the operators
-    evaluate them in blocks of at most SAMPLE_POINTS points."""
+    tau/rho; exact maps (pts, t) -> (N, 3) as (phi, u, v). pts is an
+    (N, 2) array with contiguous columns; a callable must not assume C
+    order. Both must be pointwise, each value depending on its own point
+    alone: the operators evaluate them in blocks of at most SAMPLE_POINTS
+    points."""
 
     phi_mean: float
     coriolis_f0: float = 0.0

@@ -33,12 +33,14 @@ class TransportProblem:
     """Linear transport beta . grad(u) = f (or u_t + div(beta u) = f).
 
     Field callables are vectorized over points: velocity maps (N, d) ->
-    (N, d); forcing/inflow/exact map (points, t) -> (N,). They must be
-    pointwise, each value depending on its own point alone: the operators
-    evaluate them in blocks of at most SAMPLE_POINTS points. forcing None
-    means zero. div_velocity None declares the field divergence-free;
-    otherwise it maps (N, d) -> (N,). constant_velocity enables sharing one
-    local operator across all elements of a uniform mesh.
+    (N, d); forcing/inflow/exact map (points, t) -> (N,). The points are an
+    (N, d) array with contiguous columns; a callable must not assume C
+    order. They must be pointwise, each value depending on its own point
+    alone: the operators evaluate them in blocks of at most SAMPLE_POINTS
+    points. forcing None means zero. div_velocity None declares the field
+    divergence-free; otherwise it maps (N, d) -> (N,). constant_velocity
+    enables sharing one local operator across all elements of a uniform
+    mesh.
     """
 
     dim: int
@@ -120,11 +122,12 @@ class TransportOperators(LocalOperators):
 
     def _sample_faces(self, fn, args, faces):
         """fn(points, *args) at the quadrature points of the given faces,
-        evaluated in blocks (evaluate_blocked)."""
+        evaluated in blocks (evaluate_blocked) of axis-major points."""
         mesh, basis = self.mesh, self.basis
         return evaluate_blocked(
             fn, args,
-            lambda lo, hi: mesh.face_quad_points(basis, faces[lo:hi]),
+            lambda lo, hi: np.moveaxis(
+                mesh.face_quad_points(basis, faces[lo:hi]), -1, 0),
             len(faces), basis.n_fq,
         )
 

@@ -12,6 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import ehdg.mesh as mesh_module
 import ehdg.operators as operators
 from ehdg.basis import TensorBasis
 from ehdg.driver import IterationConfig, solve
@@ -20,12 +21,14 @@ from ehdg.operators import (
     ASSEMBLY_BYTES,
     ASSEMBLY_CHUNK,
     SAMPLE_POINTS,
+    OperatorSizeError,
     assemble_inverses,
     assembly_chunk,
 )
 from ehdg.oracle import condensed_matrices
 from ehdg.problems import build_case, case_identifiers, catalog
 from ehdg.shallow import ShallowOperators, ShallowProblem
+from ehdg.transport import TransportOperators
 
 CALLABLES = ("velocity", "div_velocity", "forcing", "inflow", "exact", "wind")
 
@@ -108,15 +111,105 @@ class TestSample:
         assert got.shape == (0, ops.basis.n_q, 3)
 
 
+# (case, callable, extra arguments) sampled at face quadrature points: the
+# velocity at every face, the inflow data at the inflow faces
+FACE_SAMPLED = [
+    ("transport3d-steady", "velocity", ()),
+    ("transport3d-steady", "inflow", (0.0,)),
+    ("transport3d-gaussian", "inflow", (0.37,)),
+    ("transport2d-discontinuous", "velocity", ()),
+    ("transport2d-discontinuous", "inflow", (0.0,)),
+]
+
+
+class TestSampleFaces:
+    @pytest.mark.parametrize("budget", [1, 100])
+    @pytest.mark.parametrize("ident,attr,args", FACE_SAMPLED)
+    def test_blocks_equal_one_whole_call(self, monkeypatch, case_ops, budget,
+                                         ident, attr, args):
+        ops = case_ops[ident]
+        mesh, basis = ops.mesh, ops.basis
+        faces = (np.arange(mesh.n_faces) if attr == "velocity"
+                 else ops.inflow_faces)
+        assert len(faces)
+        fn = getattr(ops.problem, attr)
+        # one call on the C-ordered points of every face
+        pts = mesh.face_quad_points(basis, faces)
+        vals = np.asarray(fn(pts.reshape(-1, mesh.dim), *args))
+        expect = vals.reshape(len(faces), basis.n_fq, *vals.shape[1:])
+        monkeypatch.setattr(operators, "SAMPLE_POINTS", budget)
+        got = ops._sample_faces(fn, args, faces)
+        assert got.shape == expect.shape
+        assert np.array_equal(got, expect)
+
+
+class TestPointLayout:
+    """Every sampling path hands a callable an (N, dim) array with
+    contiguous columns, holding the points of one whole C-ordered call."""
+
+    @pytest.fixture(scope="class")
+    def ops(self):
+        # a different element size on every axis, so that a points builder
+        # that takes one axis's center or half-width for another is seen;
+        # beta = (z, x, y) is positive on this box, so the low faces are
+        # inflow faces
+        mesh = build_mesh(3, (3, 2, 4), [(0.25, 1.0), (0.5, 2.0), (0.1, 0.4)])
+        problem = catalog("transport3d-steady").problem
+        return TransportOperators(mesh, TensorBasis(3, 2), problem)
+
+    def paths(self, ops):
+        """(name, call with a callable, the whole C-ordered point array)."""
+        mesh, basis = ops.mesh, ops.basis
+        sub, faces = [5, 0, 17, 3], ops.inflow_faces
+
+        def volume(ref, centers):
+            X = centers[:, None, :] + mesh.half * ref
+            return X.reshape(-1, mesh.dim)
+
+        return [
+            ("quadrature", lambda fn: ops.sample(fn),
+             volume(basis.quad_ref, mesh.centers)),
+            ("nodes", lambda fn: ops.sample(fn, nodes=True),
+             volume(basis.ref_nodes, mesh.centers)),
+            ("elements", lambda fn: ops.sample(fn, elements=sub),
+             volume(basis.quad_ref, mesh.centers[sub])),
+            ("faces", lambda fn: ops._sample_faces(fn, (), faces),
+             mesh.face_quad_points(basis, faces).reshape(-1, mesh.dim)),
+        ]
+
+    @pytest.mark.parametrize("budget", [100, SAMPLE_POINTS])
+    def test_callables_get_contiguous_columns(self, monkeypatch, ops, budget):
+        monkeypatch.setattr(operators, "SAMPLE_POINTS", budget)
+        for name, run, expect in self.paths(ops):
+            seen = []
+
+            def record(pts):
+                seen.append(pts.copy(order="C"))
+                assert pts.ndim == 2 and pts.shape[1] == ops.mesh.dim, name
+                assert pts.flags.f_contiguous, name
+                return pts[:, 0]
+
+            run(record)
+            # several blocks under the small budget
+            assert len(seen) >= (2 if budget < SAMPLE_POINTS else 1), name
+            assert np.array_equal(np.concatenate(seen), expect), name
+
+
 @pytest.fixture(scope="module", params=["transport", "shallow"])
 def per_element_ops(request):
     """A per-element operator set of each physics."""
     if request.param == "transport":
         return build_case(catalog("transport3d-steady"), 3, 2)[0]
-    mesh = build_mesh(2, (5, 4), [(0, 1), (0, 1)])
+    return shallow_per_element((5, 4), 2)
+
+
+def shallow_per_element(nel, p):
+    """A shallow-water operator set with per-element inverses (beta plane)
+    on the unit square."""
+    mesh = build_mesh(2, nel, [(0, 1), (0, 1)])
     problem = ShallowProblem(phi_mean=1.0, coriolis_f0=1.0,
                              coriolis_beta=0.5, y_mid=0.5)
-    return ShallowOperators(mesh, TensorBasis(2, 2), problem, dt=1e-3)
+    return ShallowOperators(mesh, TensorBasis(2, p), problem, dt=1e-3)
 
 
 class TestAssemblyChunks:
@@ -144,6 +237,48 @@ class TestAssemblyChunks:
             assemble_inverses(lambda els: condensed_matrices(ops, els),
                               n_el, width),
             condensed)
+
+
+class TestInverseMemoryGuard:
+    """Per-element inverses beyond physical memory are refused before the
+    first element_matrix call; one shared inverse never is."""
+
+    @pytest.mark.parametrize("physics", ["transport", "shallow"])
+    def test_per_element_inverses_beyond_physical_memory_refused(
+            self, monkeypatch, physics):
+        # nel=2 p=1: 8 elements of width 8, or 4 of width 3 * 4
+        if physics == "transport":
+            cls, n_el, width = TransportOperators, 8, 8
+            build = lambda: build_case(catalog("transport3d-steady"), 2, 1)[0]
+        else:
+            cls, n_el, width = ShallowOperators, 4, 12
+            build = lambda: shallow_per_element(2, 1)
+        need = 8 * n_el * width**2
+        built = []
+        element_matrix = cls.element_matrix
+
+        def recorded(self, elements):
+            built.append(elements)
+            return element_matrix(self, elements)
+
+        monkeypatch.setattr(cls, "element_matrix", recorded)
+        monkeypatch.setattr(mesh_module, "physical_memory", lambda: need - 1)
+        with pytest.raises(OperatorSizeError,
+                           match=f"need {need} bytes of inverses"):
+            build()
+        assert not built
+        monkeypatch.setattr(mesh_module, "physical_memory", lambda: need)
+        ops = build()
+        assert not ops.shared and ops.a_inv.nbytes == need and built
+
+    def test_shared_inverse_is_never_refused(self, monkeypatch):
+        nel, p, dim = 2, 4, 3
+        # just the mesh's index arrays: less than one 125 x 125 inverse
+        n_el, n_faces = nel**dim, dim * nel ** (dim - 1) * (nel + 1)
+        mesh_need = 8 * (4 * dim * n_el + 2 * n_faces)
+        monkeypatch.setattr(mesh_module, "physical_memory", lambda: mesh_need)
+        ops = build_case(catalog("transport3d-gaussian"), nel, p, 0.01)[0]
+        assert ops.shared and ops.a_inv.nbytes > mesh_need
 
 
 def run_small(case):
@@ -219,4 +354,16 @@ class TestSetupMemory:
         # are mesh-sized; the callable's own temporaries are not
         n_el, basis = ops.mesh.n_el, ops.basis
         own = 8 * n_el * (basis.n_q + basis.n_p)
+        assert excess <= own + 16 * 8 * SAMPLE_POINTS
+
+    def test_exact_coordinates(self):
+        ops, _state0 = build_case(catalog("transport3d-gaussian"), 12, 4, 0.01)
+        exact, held, excess = self.traced(lambda: ops._exact_coordinates(0.3))
+        assert held >= sum(uc.nbytes for uc, _perp in exact)
+        # the exact solution at every quadrature point, its product with
+        # _sample_q and the two copies np.vdot takes of the product's last
+        # n_q - n_p columns are mesh-sized; the points of a block and the
+        # callable's temporaries are not
+        n_el, n_q, n_p = ops.mesh.n_el, ops.basis.n_q, ops.basis.n_p
+        own = 8 * n_el * (2 * n_q + 2 * (n_q - n_p))
         assert excess <= own + 16 * 8 * SAMPLE_POINTS

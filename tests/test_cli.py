@@ -200,6 +200,23 @@ def test_solve_mesh_beyond_physical_memory_is_a_usage_error(
     assert not list(tmp_path.iterdir())
 
 
+def test_solve_inverses_beyond_physical_memory_is_a_usage_error(
+        tmp_path, monkeypatch, capsys):
+    # the mesh fits, but its 8 per-element 8 x 8 inverses (4096 bytes) do
+    # not: refused before any is built
+    import ehdg.mesh as mesh_mod
+
+    monkeypatch.setattr(mesh_mod, "physical_memory", lambda: 4095)
+    rc = main(["solve", "case=transport3d-steady", "nel=2", "p=1",
+               f"outdir={tmp_path}"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:")
+    assert "need 4096 bytes of inverses (a_inv), more than the 4095" in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_verify_refuses_oversized_oracle_before_iterating(monkeypatch,
                                                          capsys):
     import ehdg.oracle as oracle_mod
