@@ -125,8 +125,11 @@ def iterate_to_fixed_point(ops, config, u0=None, t=0.0, state_prev=None):
     An error-difference test without an exact solution raises ValueError
     before any work. Work that does not change within the solve is done
     once before the first pass: the exact solution's coordinates (inside
-    the norms) and the trace-independent part of the right-hand side
-    (ops.source). A non-finite error or successive difference raises
+    the norms) and the local solution of the trace-independent part of
+    the right-hand side (ops.source), which is then dropped. Each pass
+    lifts the trace onto the lifted columns alone (ops.rhs) and adds the
+    local solution of that lift to the source's (ops.solve_cells with
+    base). A non-finite error or successive difference raises
     ConvergenceFailure at once.
     """
     exact_known = ops.problem.exact is not None
@@ -142,14 +145,18 @@ def iterate_to_fixed_point(ops, config, u0=None, t=0.0, state_prev=None):
     u_next = np.empty_like(u)
 
     norms = ops.pass_norms(t, u)
-    source = ops.source(t, state_prev)
+    base = ops.solve_cells(ops.source(t, state_prev))
+    # one lift buffer serves every pass: with a lift allocated and freed
+    # in each pass, passes of 2D p=4 nel=64 transport at two BLAS threads
+    # measured up to a third slower
+    lift = None
     log = ConvergenceLog(stopping=config.stopping, tol=config.tol)
     e_prev = float("nan")
 
     cap = config.iteration_cap(mesh)
     for k in range(1, cap + 1):
-        rhs = ops.rhs(trace, source)
-        ops.solve_cells(rhs, out=u_next)
+        lift = ops.rhs(trace, out=lift)
+        ops.solve_cells(lift, out=u_next, base=base)
         ops.update_trace(u_next, trace_next, t)
 
         e_k, succ, skel = norms(u_next, u)

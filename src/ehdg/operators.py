@@ -12,8 +12,8 @@ import numpy as np
 
 from . import mesh as mesh_module
 
-# elements per block of the batched local solve, and the most elements one
-# assembly chunk takes
+# elements per block of the pooled batched local solve, and the most
+# elements one assembly chunk takes
 ASSEMBLY_CHUNK = 256
 # narrowest local operators whose batched solve runs on the thread pool:
 # from width 75 up the pool won or tied in every timed sweep, at 64 and
@@ -49,26 +49,44 @@ def assembly_chunk(width):
     return max(1, min(ASSEMBLY_CHUNK, ASSEMBLY_BYTES // (8 * width * width)))
 
 
-def assemble_inverses(matrices, n_el, width):
+def assemble_inverses(matrices, n_el, width, order=None):
     """Explicit inverses of the width x width local matrices
-    matrices(elements) for elements 0 .. n_el - 1.
+    matrices(elements) for elements 0 .. n_el - 1, each stored transposed
+    with its rows in the given order (0 .. width - 1 when None): row i of
+    element e is column order[i] of the inverse of matrices([e]).
+
+    A local solve A^-1 r is then r[order] @ a_inv[e], a sum of rows, and a
+    right-hand side that is zero outside its first k entries of order reads
+    only the contiguous leading k x width run of a_inv[e]
+    (LocalOperators.solve_cells).
 
     The matrices are built and inverted one assembly_chunk(width) of
     elements at a time, so the temporaries of a chunk stay within a few
-    ASSEMBLY_BYTES whatever the mesh. Each inverse depends on its own
-    element alone, so the result is the same for any chunk size. The
-    inverses are kept rather than LU factors because a batched inverse
+    ASSEMBLY_BYTES whatever the mesh. Each chunk inverts the transposed
+    matrices and takes the rows straight into its part of the result, so
+    the reordered store adds no chunk-sized copy. Each inverse depends on
+    its own element alone, so the result is the same for any chunk size.
+    The inverses are kept rather than LU factors because a batched inverse
     matvec is much cheaper per pass than a batched triangular solve.
     """
+    order = np.arange(width) if order is None else np.asarray(order)
     a_inv = np.empty((n_el, width, width))
     chunk = assembly_chunk(width)
     for start in range(0, n_el, chunk):
         stop = min(start + chunk, n_el)
         A = matrices(np.arange(start, stop))
         try:
-            a_inv[start:stop] = np.linalg.inv(A)
+            # inv(A.T) is inv(A).T
+            inv_t = np.linalg.inv(A.transpose(0, 2, 1))
         except np.linalg.LinAlgError as err:
             raise AssemblyError(f"singular local operator: {err}") from err
+        np.take(inv_t, order, axis=1, out=a_inv[start:stop], mode="clip")
+        # inv_t goes before the next chunk's matrices are built. Freeing A
+        # here too takes another chunk off the traced temporaries, but the
+        # 3D p=4 nel=16 set-up then measured slower (4.3 against 3.7 s,
+        # median of 4 runs), most likely because the allocator returns the
+        # freed chunks to the system and faults them in again every chunk
+        del inv_t
         if not np.all(np.isfinite(a_inv[start:stop])):
             raise AssemblyError("non-finite local operator inverse")
     return a_inv
@@ -109,10 +127,15 @@ class LocalOperators:
     An instance holds the explicit inverses of its element-local operators
     (a_inv: one per element, or one shared by all) and the face data of its
     trace rule. A state row is the nodal values of each of the class's
-    fields in turn. The base class supplies the state width, zero state,
-    field split and nodal interpolation, the batched local solve, trace
-    construction, the sampling of case callables at element points, the
-    source, the trace lift (rhs) and the norms. A trace is one
+    fields in turn. The trace lift reaches only the state columns of face
+    nodes (lifted), so each inverse is stored transposed with the rows of
+    those columns first (assemble_inverses): a pass adds A^-1[:, lifted]
+    times the lift (rhs) to the local solution of the source, which is
+    solved once per level, and reads only those rows. The base class
+    supplies the state width, zero state, field split and nodal
+    interpolation, the batched local solve, trace construction, the
+    sampling of case callables at element points, the source, the trace
+    lift (rhs) and the norms. A trace is one
     (mesh.n_faces, n_face) array of the nodal values of every face, read
     through mesh.etof. Each physics names its fields, supplies
     element_matrix(elements) and update_trace(state, trace_out, t), ends
@@ -166,10 +189,16 @@ class LocalOperators:
         self._pool = None
 
     def _assemble(self, shared):
-        """Set shared, a_inv (the inverses of element_matrix: element 0's
-        alone when shared, every element's otherwise), the stacked trace
-        lift of rhs (_lift_matrix) and, for weights that are one row for
-        every face, the skeleton norm's factor (_skeleton_factor).
+        """Set shared, the lifted columns, a_inv, the trace lift of rhs
+        (_lift) and, for weights that are one row for every face, the
+        skeleton norm's factor (_skeleton_factor).
+
+        The lifted columns (lifted) are the state columns the trace lift
+        reaches, the nonzero columns of the stacked lift, which _lift
+        holds on them alone (_lift_matrix). a_inv holds the inverses of
+        element_matrix (element 0's alone when shared, every element's
+        otherwise) in the layout of assemble_inverses, with the rows in
+        the order of lifted followed by the other columns (_order).
 
         Per-element inverses whose bytes exceed physical memory raise
         OperatorSizeError before the first element_matrix call."""
@@ -185,9 +214,12 @@ class LocalOperators:
                     f"per-element local operators of {n} elements need "
                     f"{need} bytes of inverses (a_inv), more than the "
                     f"{have} bytes of physical memory")
-        self.a_inv = assemble_inverses(self.element_matrix, n, self.state_width)
         self._lift_folded = all(np.ndim(w) == 1 for w in self.lift_w.values())
-        self._lift = self._lift_matrix()
+        self._lift, self.lifted = self._lift_matrix()
+        rest = np.delete(np.arange(self.state_width), self.lifted)
+        self._order = np.concatenate([self.lifted, rest])
+        self.a_inv = assemble_inverses(self.element_matrix, n,
+                                       self.state_width, self._order)
         if self._lift_folded:
             self._skeleton_s = self._skeleton_factor()
 
@@ -219,6 +251,8 @@ class LocalOperators:
         the face's nodal trace. Per-face weights leave block (a, s) as
         face_restrict[(a, s)], whose n_fq rows take the weighted trace at
         the face quadrature points.
+
+        Returns the matrix on its nonzero columns alone, and those columns.
         """
         basis = self.basis
         blocks = []
@@ -232,7 +266,9 @@ class LocalOperators:
                 part = parts[i]
                 part += c * R
             blocks.append(block)
-        return np.vstack(blocks)
+        L = np.vstack(blocks)
+        lifted = np.flatnonzero(np.any(L != 0, axis=0))
+        return np.ascontiguousarray(L[:, lifted]), lifted
 
     def _node_index(self, elements, sides, field=0):
         """Indices into a flattened state of the face nodes of the given
@@ -281,36 +317,48 @@ class LocalOperators:
 
         return evaluate_blocked(fn, args, points, len(centers), len(ref))
 
-    def solve_cells(self, rhs, out=None):
-        """Batched application of the factorized local operators.
+    def solve_cells(self, rhs, out=None, base=None):
+        """Batched local solves A^-1 r of every element.
 
-        Elements go in ASSEMBLY_CHUNK blocks, each written to its own rows
-        of out, so the result is the same whichever thread runs a block.
-        The blocks run on the pool of _executor when there is one; its
-        threads run the numpy kernels only.
+        Without base, rhs is a whole right-hand side, one state row per
+        element, and the result is A^-1 rhs. With base, rhs holds the
+        lifted columns alone (rhs's result, in the order of lifted), and
+        the result is base + A^-1[:, lifted] rhs: each element reads only
+        the leading len(lifted) rows of its a_inv.
+
+        On the pool of _executor, when there is one, elements go in
+        ASSEMBLY_CHUNK blocks, each written to its own rows of out; its
+        threads run the numpy kernels only. Without a pool they go in one
+        block. Each element's product is computed on its own, so the
+        result is the same for any blocks and whichever thread runs them.
         """
+        if base is None:
+            rhs = rhs[:, self._order]
         if out is None:
-            out = np.empty_like(rhs)
+            out = np.empty((len(rhs), self.state_width))
+        k = rhs.shape[1]
         if self.shared:
-            np.matmul(rhs, self.a_inv[0].T, out=out)
+            np.matmul(rhs, self.a_inv[0, :k], out=out)
+            if base is not None:
+                out += base
             return out
-        chunks = [
-            (s, min(s + ASSEMBLY_CHUNK, self.mesh.n_el))
-            for s in range(0, self.mesh.n_el, ASSEMBLY_CHUNK)
-        ]
+        n_el = self.mesh.n_el
+        chunks = [(s, min(s + ASSEMBLY_CHUNK, n_el))
+                  for s in range(0, n_el, ASSEMBLY_CHUNK)]
 
         def run(chunk):
             s, e = chunk
-            np.matmul(
-                self.a_inv[s:e], rhs[s:e, :, None], out=out[s:e, :, None]
-            )
+            # (1, k) @ (k, width) per element: a sum of a_inv's leading rows
+            np.matmul(rhs[s:e, None], self.a_inv[s:e, :k],
+                      out=out[s:e, None])
+            if base is not None:
+                out[s:e] += base[s:e]
 
         pool = self._executor(len(chunks))
-        if pool is not None:
-            list(pool.map(run, chunks))
+        if pool is None:
+            run((0, n_el))
         else:
-            for c in chunks:
-                run(c)
+            list(pool.map(run, chunks))
         return out
 
     def _executor(self, n_chunks):
@@ -362,17 +410,20 @@ class LocalOperators:
                 part += e * (prev @ self.mass_phys.T) / self.dt
         return out
 
-    def rhs(self, trace, source):
-        """Right-hand sides of every local solve: source (see source())
-        plus the lift of the given trace field.
+    def rhs(self, trace, out=None):
+        """The lift of the given trace field into every local right-hand
+        side, on the lifted columns alone: one (n_el, len(lifted)) array,
+        written into out when given, whose column j belongs to state column
+        lifted[j]. Every other column of the lift is zero. A local solve
+        adds the source's own solution (solve_cells with base).
 
-        The lift is one product with the stacked lift matrix
-        (_lift_matrix) per block of elements. A block takes each element's
-        face traces through mesh.etof, side by side in lift_w order, as
-        nodal values when the weights are folded in and as weighted values
-        at the face quadrature points otherwise, then multiplies them by
-        the matrix. The gathered traces of a block take at most LIFT_BYTES,
-        so the temporaries do not grow with the mesh.
+        The lift is one product with the stacked lift matrix (_lift) per
+        block of elements. A block takes each element's face traces
+        through mesh.etof, side by side in lift_w order, as nodal values
+        when the weights are folded in and as weighted values at the face
+        quadrature points otherwise, then multiplies them by the matrix.
+        The gathered traces of a block take at most LIFT_BYTES, so the
+        temporaries do not grow with the mesh.
         """
         L, etof, n_el = self._lift, self.mesh.etof, self.mesh.n_el
         n_sides = etof.shape[1]
@@ -380,7 +431,8 @@ class LocalOperators:
         gathered = np.empty((min(step, n_el), n_sides, len(L) // n_sides))
         if not self._lift_folded:
             nodes = np.empty((len(gathered), n_sides, self.basis.n_face))
-        out = np.empty_like(source)
+        if out is None:
+            out = np.empty((n_el, L.shape[1]))
         for lo in range(0, n_el, step):
             hi = min(lo + step, n_el)
             g = gathered[: hi - lo]
@@ -392,7 +444,6 @@ class LocalOperators:
                               out=g[:, j])
                     g[:, j] *= w[lo:hi]
             np.matmul(g.reshape(hi - lo, -1), L, out=out[lo:hi])
-            out[lo:hi] += source[lo:hi]
         return out
 
     # -- norms: the energy norm, sum_i energy[i] ||field_i||^2 --------------

@@ -81,7 +81,9 @@ class GlobalTraceSystem:
     index: _TraceIndex
     matrix: np.ndarray
     rhs: np.ndarray
-    a_inv: np.ndarray  # the condensed local inverses it was probed with
+    # the condensed local inverses it was probed with, transposed
+    # (assemble_inverses)
+    a_inv: np.ndarray
 
 
 # -- per-physics rules ----------------------------------------------------------
@@ -261,11 +263,20 @@ def condensed_matrices(ops, elements):
     return ops.element_matrix(els) + _PHYSICS[type(ops)].correction(ops, els)
 
 
+def full_rhs(ops, trace, source):
+    """The whole right-hand side of every local solve: source (ops.source's)
+    plus the lift of trace (ops.rhs) in the lifted columns."""
+    out = source.copy()
+    out[:, ops.lifted] += ops.rhs(trace)
+    return out
+
+
 def condensed_solve(ops, a_inv, trace, source):
     """Element solutions of the condensed local problems driven by trace,
     whose outflow (wall) entries are zero; a_inv holds the inverses of
-    condensed_matrices for every element, source is ops.source's."""
-    return np.matmul(a_inv, ops.rhs(trace, source)[:, :, None])[:, :, 0]
+    condensed_matrices for every element (assemble_inverses' layout, rows
+    in natural order), source is ops.source's."""
+    return np.matmul(full_rhs(ops, trace, source)[:, None], a_inv)[:, 0]
 
 
 def assemble_trace_system(ops, state_prev=None, t=0.0):
@@ -298,7 +309,7 @@ def assemble_trace_system(ops, state_prev=None, t=0.0):
             T[cols, cols] = np.eye(basis.n_face)
             continue
         for el, side in ((minus, 1), (plus, 0)):
-            dU = (a_inv[el] @ rules.lift(ops, a, f, side)).T
+            dU = rules.lift(ops, a, f, side).T @ a_inv[el]
             for k, (b, s) in enumerate(ops._sides):
                 g = mesh.etof[el, k]
                 rows = index.rows(g)

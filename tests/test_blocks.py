@@ -232,7 +232,8 @@ class TestAssemblyChunks:
                             per_chunk * 8 * width * width)
         assert assembly_chunk(width) == per_chunk
         assert np.array_equal(
-            assemble_inverses(ops.element_matrix, n_el, width), ops.a_inv)
+            assemble_inverses(ops.element_matrix, n_el, width, ops._order),
+            ops.a_inv)
         assert np.array_equal(
             assemble_inverses(lambda els: condensed_matrices(ops, els),
                               n_el, width),

@@ -22,11 +22,13 @@ from ehdg.driver import (
     ConvergenceFailure,
     IterationConfig,
     iterate_to_fixed_point,
+    solve,
     volume_l2,
 )
 from ehdg.mesh import build_mesh
-from ehdg.problems import catalog
-from ehdg.shallow import ShallowOperators
+from ehdg.oracle import full_rhs
+from ehdg.problems import build_case, catalog
+from ehdg.shallow import ShallowOperators, ShallowProblem
 from ehdg.transport import TransportOperators
 
 from conftest import axis_interior_faces, plane_faces
@@ -181,13 +183,16 @@ def reference_shallow_rhs(ops, trace, t, state_prev):
 
 
 def record_iterates(ops):
-    """Make ops.solve_cells keep a copy of every iterate it returns."""
+    """Make ops.solve_cells keep a copy of every iterate it returns: the
+    solves of a pass, which add the lift's solution to a base, not a
+    level's solve of its source."""
     seen = []
     solve = ops.solve_cells
 
-    def recording(rhs, out=None):
-        result = solve(rhs, out=out)
-        seen.append(result.copy())
+    def recording(rhs, out=None, base=None):
+        result = solve(rhs, out=out, base=base)
+        if base is not None:
+            seen.append(result.copy())
         return result
 
     ops.solve_cells = recording
@@ -440,7 +445,7 @@ def test_transport_rhs_of_source_matches_reference(dim, transient, rng):
     prev = rng.standard_normal((ops.mesh.n_el, ops.basis.n_p))
     prev = prev if transient else None
     trace = random_trace(ops, rng)
-    got = ops.rhs(trace, ops.source(0.4, prev))
+    got = full_rhs(ops, trace, ops.source(0.4, prev))
     want = reference_transport_rhs(ops, trace, 0.4, prev)
     assert_round_off(got, want, np.abs(want).max())
 
@@ -457,7 +462,7 @@ def test_shallow_rhs_of_source_matches_reference(rng):
     ops = shallow_ops(3, 3)
     prev = rng.standard_normal((ops.mesh.n_el, 3 * ops.n_p))
     trace = random_trace(ops, rng)
-    got = ops.rhs(trace, ops.source(0.2, prev))
+    got = full_rhs(ops, trace, ops.source(0.2, prev))
     want = reference_shallow_rhs(ops, trace, 0.2, prev)
     assert_round_off(got, want, np.abs(want).max())
 
@@ -482,7 +487,7 @@ def test_rhs_in_several_lift_blocks(form, monkeypatch, rng):
     assert ops.mesh.n_el % 7 and ops.mesh.n_el > 7
     prev = rng.standard_normal((ops.mesh.n_el, ops.state_width))
     trace = random_trace(ops, rng)
-    got = ops.rhs(trace, ops.source(0.2, prev))
+    got = full_rhs(ops, trace, ops.source(0.2, prev))
     if form == "shallow":
         want = reference_shallow_rhs(ops, trace, 0.2, prev)
     else:
@@ -491,12 +496,111 @@ def test_rhs_in_several_lift_blocks(form, monkeypatch, rng):
 
 
 def test_source_is_reused_not_modified(rng):
+    # a level solves its source once; each pass adds to that solution
     ops = transport_ops(2, 2, 3, dt=0.05)
     source = ops.source(0.1, rng.standard_normal((ops.mesh.n_el,
                                                   ops.basis.n_p)))
     kept = source.copy()
-    ops.rhs(random_trace(ops, rng), source)
+    base = ops.solve_cells(source)
     assert np.array_equal(source, kept)
+    kept = base.copy()
+    ops.solve_cells(ops.rhs(random_trace(ops, rng)), base=base)
+    assert np.array_equal(base, kept)
+
+
+# -- the lifted columns ----------------------------------------------------------------
+#
+# The trace lift reaches only face nodes (ops.lifted), so a pass solves
+# base + A^-1[:, lifted] rhs with base = A^-1 source solved once per level.
+
+
+def lifted_cell(form, p):
+    """A cell whose right-hand side is the trace lift alone (no load, a
+    zero previous state): (ops, reference), the reference the lift's
+    direct form as a callable of the trace."""
+    if form.startswith("shallow"):
+        beta = 0.5 if form == "shallow-per-element" else 0.0
+        problem = ShallowProblem(phi_mean=2.0, coriolis_f0=1.0,
+                                 coriolis_beta=beta, y_mid=0.5)
+        ops = ShallowOperators(build_mesh(2, 3, [(0, 1), (0, 1)]),
+                               TensorBasis(2, p), problem, 0.05)
+        prev = ops.zero_state()
+        return ops, lambda tr: reference_shallow_rhs(ops, tr, 0.0, prev)
+    dim, ident = {"transport2d": (2, "transport2d-discontinuous"),
+                  "transport3d-shared": (3, "transport3d-gaussian"),
+                  "transport3d": (3, "transport3d-steady")}[form]
+    case = catalog(ident)
+    problem = dataclasses.replace(case.problem, forcing=None)
+    ops = TransportOperators(build_mesh(dim, 2, case.bounds),
+                             TensorBasis(dim, p), problem)
+    return ops, lambda tr: reference_transport_rhs(ops, tr)
+
+
+@pytest.mark.parametrize("form, shared, lifted, width", [
+    ("transport3d", False, 98, 125),
+    ("transport3d-shared", True, 98, 125),
+    ("transport2d", False, 16, 25),
+    ("shallow", True, 36, 75),
+    ("shallow-per-element", False, 36, 75),
+])
+def test_lift_reaches_only_the_lifted_columns(form, shared, lifted, width,
+                                              rng):
+    ops, reference = lifted_cell(form, 4)
+    assert ops.shared == shared
+    assert (len(ops.lifted), ops.state_width) == (lifted, width)
+    assert np.array_equal(ops._order[:lifted], ops.lifted)
+    assert np.array_equal(np.sort(ops._order), np.arange(width))
+    trace = random_trace(ops, rng)
+    want = reference(trace)
+    others = np.setdiff1d(np.arange(width), ops.lifted)
+    assert np.all(want[:, others] == 0)
+    assert_round_off(ops.rhs(trace), want[:, ops.lifted], np.abs(want).max())
+
+
+@pytest.mark.parametrize("form", ["transport2d", "transport3d-shared",
+                                  "shallow", "shallow-per-element"])
+def test_lifted_pass_matches_a_whole_solve(form, rng):
+    # one pass from a random trace and a random source, against
+    # np.linalg.solve of each element's whole right-hand side
+    ops, reference = lifted_cell(form, 3)
+    trace = random_trace(ops, rng)
+    source = rng.standard_normal((ops.mesh.n_el, ops.state_width))
+    got = ops.solve_cells(ops.rhs(trace), base=ops.solve_cells(source))
+    A = ops.element_matrix(np.arange(1 if ops.shared else ops.mesh.n_el))
+    want = np.linalg.solve(A, (source + reference(trace))[:, :, None])[..., 0]
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def counted_calls(ops, names):
+    """Make each named method of ops count its calls; returns the counts."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _fn=getattr(ops, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        setattr(ops, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("ident, dt, steps", [
+    ("transport2d-smooth", None, 1),
+    ("transport3d-gaussian", 1e-2, 3),
+    ("shallow-standing-wave", 1e-3, 3),
+])
+def test_pass_call_counts(ident, dt, steps):
+    # the counts the benchmark tracer checks: one lift per pass, and one
+    # local solve and trace rebuild per pass plus one per level
+    ops, state0 = build_case(catalog(ident), 2, 2, dt)
+    assert ops.shared == (ident != "transport2d-smooth")
+    calls = counted_calls(ops, ("rhs", "solve_cells", "update_trace"))
+    _state, _trace, logs = solve(
+        ops, IterationConfig(stopping="successive-difference"), state0, steps)
+    assert len(logs) == steps and all(log.converged for log in logs)
+    passes = sum(log.iterations for log in logs)
+    assert passes > steps
+    assert calls == {"rhs": passes, "solve_cells": passes + steps,
+                     "update_trace": passes + steps}
 
 
 # -- once per time level ----------------------------------------------------------------
@@ -539,7 +643,7 @@ def test_steps_csv_error_is_the_last_logged_error(tmp_path):
 # -- fail fast on non-finite passes ---------------------------------------------
 
 
-def nan_cells(self, rhs, out=None):
+def nan_cells(self, rhs, out=None, base=None):
     out = np.empty_like(rhs) if out is None else out
     out.fill(np.nan)
     return out

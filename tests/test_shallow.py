@@ -16,7 +16,7 @@ from ehdg.basis import TensorBasis, gauss_quadrature, lagrange_eval
 from ehdg.driver import IterationConfig, solve
 from ehdg.mesh import build_mesh
 from ehdg.operators import AssemblyError
-from ehdg.oracle import condensed_matrices
+from ehdg.oracle import condensed_matrices, full_rhs
 from ehdg.problems import catalog
 from ehdg.shallow import ShallowOperators, ShallowProblem, contraction_constants
 
@@ -169,7 +169,7 @@ class TestRightHandSide:
         PHI, rp = prob.phi_mean, math.sqrt(prob.phi_mean)
         trace = rng.standard_normal(ops.new_trace().shape)
         prev = rng.standard_normal((mesh.n_el, 3 * basis.n_p))
-        got = ops.rhs(trace, ops.source(0.0, prev))
+        got = full_rhs(ops, trace, ops.source(0.0, prev))
 
         nq = basis.p + 4
         pts, wts = tensor_rule(2, nq)

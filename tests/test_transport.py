@@ -24,7 +24,7 @@ from ehdg.driver import solve
 from ehdg.mesh import MeshError, build_mesh
 from ehdg import operators
 from ehdg.operators import ASSEMBLY_CHUNK, AssemblyError
-from ehdg.oracle import condensed_matrices
+from ehdg.oracle import condensed_matrices, full_rhs
 from ehdg.transport import TransportOperators, TransportProblem
 
 from conftest import (axis_interior_faces, cardinal_grads, cardinal_values,
@@ -307,7 +307,7 @@ class TestElementMatrix:
         ops = TransportOperators(mesh, basis, rotating_problem(
             inflow=lambda pts, t=0.0: np.zeros(len(pts))))
         trace = np.ones_like(ops.new_trace())
-        rhs = ops.rhs(trace, ops.source())
+        rhs = full_rhs(ops, trace, ops.source())
         A = ops.element_matrix(np.arange(mesh.n_el))
         ones = np.ones(basis.n_p)
         assert np.allclose(A @ ones, rhs, atol=1e-12)
@@ -354,7 +354,7 @@ class TestLift:
         mesh = build_mesh(2, 3, [(0, 1), (0, 1)])
         ops = TransportOperators(mesh, TensorBasis(2, 2), prob)
         trace = rng.standard_normal(ops.new_trace().shape)
-        rhs = ops.rhs(trace, ops.source())
+        rhs = full_rhs(ops, trace, ops.source())
         for el in (0, 4, 8):
             assert np.allclose(rhs[el], brute_lift(ops, trace, el),
                                atol=1e-12)
