@@ -72,11 +72,12 @@ default_workers = usable_cpus
 
 
 def _int_list(key, raw):
+    # an empty entry (nel=4,,4 or nel=,4) fails int() like any other
     try:
-        vals = tuple(int(tok) for tok in raw.split(",") if tok != "")
+        vals = tuple(int(tok) for tok in raw.split(","))
     except ValueError:
         raise UsageError(f"malformed value for {key}: {raw!r}")
-    if not vals or any(v < 1 for v in vals):
+    if any(v < 1 for v in vals):
         raise UsageError(f"{key} entries must be positive integers: {raw!r}")
     return vals
 

@@ -22,10 +22,6 @@ POOL_MIN_WIDTH = 65
 # most bytes of local matrices one assembly chunk builds and inverts: 67
 # elements at 125 x 125 (3D p=4), a full ASSEMBLY_CHUNK at 25 x 25 (2D p=4)
 ASSEMBLY_BYTES = 8 * 2**20
-# most bytes of gathered face traces one element block of the trace lift
-# takes (LocalOperators.rhs): 873 elements at 3D p=4 with folded weights,
-# all 4096 of a 2D p=4 cell with per-face weights
-LIFT_BYTES = 2**20
 # most points one call of a case callable receives (evaluate_blocked)
 SAMPLE_POINTS = 2**14
 
@@ -145,8 +141,9 @@ class LocalOperators:
                    field order; they define the energy norm;
       load         (fn, load_fields): load field j takes the load of value
                    j of fn(points, t); fn None loads nothing;
-      lift_w       element-side face weights, by (axis, side): one
-                   (n_fq,) row for every face, or one row per element;
+      face_w       face weights at the face quadrature points: one
+                   (mesh.n_faces, n_fq) array, each face's row shared by
+                   both of its element sides;
       lift_coef    (field, coefficient) pairs, by (axis, side): each field
                    takes coefficient times the lifted trace.
 
@@ -190,8 +187,13 @@ class LocalOperators:
 
     def _assemble(self, shared):
         """Set shared, the lifted columns, a_inv, the trace lift of rhs
-        (_lift) and, for weights that are one row for every face, the
-        skeleton norm's factor (_skeleton_factor).
+        (_lift) and, for folded weights, the skeleton norm's factor
+        (_skeleton_factor).
+
+        The weights fold when every face of each axis carries the same
+        face_w row: element 0's rows then go into _lift and the factor,
+        and face_w is set to None. Otherwise face_w is kept, and rhs and
+        skeleton_norm read it per face.
 
         The lifted columns (lifted) are the state columns the trace lift
         reaches, the nonzero columns of the stacked lift, which _lift
@@ -214,26 +216,31 @@ class LocalOperators:
                     f"per-element local operators of {n} elements need "
                     f"{need} bytes of inverses (a_inv), more than the "
                     f"{have} bytes of physical memory")
-        self._lift_folded = all(np.ndim(w) == 1 for w in self.lift_w.values())
-        self._lift, self.lifted = self._lift_matrix()
+        # element 0's row of each side, in etof column order
+        rows = self.face_w[self.mesh.etof[0]]
+        axis = self.mesh.face_axis
+        if all(np.all(self.face_w[axis == a] == rows[2 * a])
+               for a in range(self.mesh.dim)):
+            self.face_w = None
+        self._lift, self.lifted = self._lift_matrix(rows)
         rest = np.delete(np.arange(self.state_width), self.lifted)
         self._order = np.concatenate([self.lifted, rest])
         self.a_inv = assemble_inverses(self.element_matrix, n,
                                        self.state_width, self._order)
-        if self._lift_folded:
-            self._skeleton_s = self._skeleton_factor()
+        if self.face_w is None:
+            self._skeleton_s = self._skeleton_factor(rows)
 
-    def _skeleton_factor(self):
-        """S with S.T @ S = K, the skeleton norm's Gram matrix when the
-        weights are one row for every face: K is the sum over the faces
-        (a, s) of face_restrict.T @ diag(lift_w) @ face_restrict.
+    def _skeleton_factor(self, rows):
+        """S with S.T @ S = K, the skeleton norm's Gram matrix under folded
+        weights: K is the sum over the sides (a, s) of
+        face_restrict.T @ diag(w) @ face_restrict, w the side's row.
 
         K is zero outside the nodes of the faces with nonzero weight, and
         positive definite on them (each such face's mass matrix is), so S
         is the transposed Cholesky factor of that block, in its columns.
         """
         K = np.zeros((self.n_p, self.n_p))
-        for key, w in self.lift_w.items():
+        for key, w in zip(self._sides, rows):
             R = self.basis.face_restrict[key]
             K += R.T @ (w[:, None] * R)
         nodes = np.flatnonzero(np.diag(K))
@@ -241,12 +248,12 @@ class LocalOperators:
         S[:, nodes] = np.linalg.cholesky(K[np.ix_(nodes, nodes)]).T
         return S
 
-    def _lift_matrix(self):
-        """The stacked trace lift: one row block per face (a, s), in lift_w
-        order, with each lift_coef folded into its field's columns.
+    def _lift_matrix(self, rows):
+        """The stacked trace lift: one row block per side (a, s), in etof
+        column order, with each lift_coef folded into its field's columns.
 
-        When the weights are one row for every face, the face evaluation
-        and the weights are folded in too: block (a, s) is
+        Folded weights (face_w None) fold the face evaluation and the
+        side's row w of rows in too: block (a, s) is
         (face_eval.T * w) @ face_restrict[(a, s)], whose n_face rows take
         the face's nodal trace. Per-face weights leave block (a, s) as
         face_restrict[(a, s)], whose n_fq rows take the weighted trace at
@@ -256,9 +263,9 @@ class LocalOperators:
         """
         basis = self.basis
         blocks = []
-        for key, w in self.lift_w.items():
+        for key, w in zip(self._sides, rows):
             R = basis.face_restrict[key]
-            if self._lift_folded:
+            if self.face_w is None:
                 R = (basis.face_eval.T * w) @ R
             block = np.zeros((len(R), self.state_width))
             parts = self.split(block)
@@ -417,34 +424,20 @@ class LocalOperators:
         lifted[j]. Every other column of the lift is zero. A local solve
         adds the source's own solution (solve_cells with base).
 
-        The lift is one product with the stacked lift matrix (_lift) per
-        block of elements. A block takes each element's face traces
-        through mesh.etof, side by side in lift_w order, as nodal values
-        when the weights are folded in and as weighted values at the face
-        quadrature points otherwise, then multiplies them by the matrix.
-        The gathered traces of a block take at most LIFT_BYTES, so the
-        temporaries do not grow with the mesh.
+        The lift is one gather and one product: each element's face
+        values are taken through mesh.etof, side by side in etof column
+        order, and multiplied by the stacked lift matrix (_lift). The face
+        values are the nodal trace when the weights are folded in, and
+        otherwise the trace at the face quadrature points times face_w,
+        formed once per face.
         """
-        L, etof, n_el = self._lift, self.mesh.etof, self.mesh.n_el
-        n_sides = etof.shape[1]
-        step = max(1, LIFT_BYTES // (8 * len(L)))
-        gathered = np.empty((min(step, n_el), n_sides, len(L) // n_sides))
-        if not self._lift_folded:
-            nodes = np.empty((len(gathered), n_sides, self.basis.n_face))
-        if out is None:
-            out = np.empty((n_el, L.shape[1]))
-        for lo in range(0, n_el, step):
-            hi = min(lo + step, n_el)
-            g = gathered[: hi - lo]
-            faces = g if self._lift_folded else nodes[: hi - lo]
-            np.take(trace, etof[lo:hi], axis=0, out=faces, mode="clip")
-            if not self._lift_folded:
-                for j, w in enumerate(self.lift_w.values()):
-                    np.matmul(faces[:, j], self.basis.face_eval.T,
-                              out=g[:, j])
-                    g[:, j] *= w[lo:hi]
-            np.matmul(g.reshape(hi - lo, -1), L, out=out[lo:hi])
-        return out
+        faces = trace
+        if self.face_w is not None:
+            faces = trace @ self.basis.face_eval.T
+            faces *= self.face_w
+        gathered = np.take(faces, self.mesh.etof, axis=0)
+        return np.matmul(gathered.reshape(len(gathered), -1), self._lift,
+                         out=out)
 
     # -- norms: the energy norm, sum_i energy[i] ||field_i||^2 --------------
     #
@@ -521,24 +514,26 @@ class LocalOperators:
         return self._volume_norm(s1 - s2)
 
     def skeleton_norm(self, state):
-        """Energy norm over all element boundaries under the lift_w face
+        """Energy norm over all element boundaries under the face_w
         weights (both sides of every interior face contribute).
 
-        Weights that are one row for every face are folded into the factor
-        S of _assemble, and a field's squared norm is that of part @ S.T.
-        Per-element weights read the face values from the face nodes alone
-        (the other GLL basis functions vanish on the face).
+        Folded weights are in the factor S of _assemble, and a field's
+        squared norm is that of part @ S.T. Per-face weights are
+        read through mesh.etof, one element side at a time, and the face
+        values from the face nodes alone (the other GLL basis functions
+        vanish on the face).
         """
         parts = self.split(state)
         total = 0.0
-        if self._lift_folded:
+        if self.face_w is None:
             for e, part in zip(self.energy, parts):
                 vals = part @ self._skeleton_s.T
                 total += e * np.vdot(vals, vals)
             return float(np.sqrt(total))
         basis = self.basis
-        for (a, s), w in self.lift_w.items():
-            nid = basis.face_node_ids[(a, s)]
+        for k, key in enumerate(self._sides):
+            nid = basis.face_node_ids[key]
+            w = np.take(self.face_w, self.mesh.etof[:, k], axis=0)
             for e, part in zip(self.energy, parts):
                 vals = part[:, nid] @ basis.face_eval.T
                 total += e * np.vdot(vals * w, vals)

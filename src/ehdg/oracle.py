@@ -101,16 +101,17 @@ class GlobalTraceSystem:
 class _Transport:
     def side(ops, b, g, s, U):
         # side 1 is the minus element, whose outward normal is +e_b
-        bn, ab = ops.bn[g], ops.abs_bn[g]
+        bn = ops.bn[g]
+        ab = np.abs(bn)
         factor = (bn + ab) if s == 1 else (ab - bn)
         return factor * (U @ ops.basis.face_restrict[(b, s)].T)
 
     def trace_weight(ops, b, g):
-        return -2.0 * ops.abs_bn[g]
+        return -2.0 * np.abs(ops.bn[g])
 
     def lift(ops, a, f, side):
         basis = ops.basis
-        lw = ops.mesh.face_jac[a] * basis.face_quad_w * ops.abs_bn[f]
+        lw = ops.mesh.face_jac[a] * basis.face_quad_w * np.abs(ops.bn[f])
         return basis.face_restrict[(a, side)].T @ (lw[:, None] * basis.face_eval)
 
     def correction(ops, els):
@@ -122,7 +123,8 @@ class _Transport:
         for k, (a, side) in enumerate(ops._sides):
             f = ops.mesh.etof[els, k]
             sel = ops.outflow[f]
-            w = ops.mesh.face_jac[a] * basis.face_quad_w * ops.abs_bn[f[sel]]
+            w = (ops.mesh.face_jac[a] * basis.face_quad_w
+                 * np.abs(ops.bn[f[sel]]))
             R = basis.face_restrict[(a, side)]
             C[sel] -= np.matmul(R.T, w[:, :, None] * R)
         return C
@@ -134,7 +136,7 @@ class _Transport:
         out = ops.outflow[fid]
         trace[fid[out]] = np.take(u, ops._node_index(els[out], side[out]))
         fid, minus, plus, axis = ops.mesh.interior_faces()
-        dead = ~np.any(ops.abs_bn[fid], axis=1)
+        dead = ~np.any(ops.bn[fid], axis=1)
         side = 2 * axis[dead]
         lo = np.take(u, ops._node_index(minus[dead], side + 1))
         hi = np.take(u, ops._node_index(plus[dead], side))

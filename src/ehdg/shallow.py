@@ -140,13 +140,14 @@ class ShallowOperators(LocalOperators):
             [-PHI * S[1], zero, mom],
         ])
 
-        # the trace lift: sqrt(PHI) into the continuity row, and -PHI n
-        # into the momentum row of the face's normal axis a, with n the
-        # outward normal component (-1 on side 0, +1 on side 1)
-        self.lift_w, self.lift_coef = {}, {}
+        # the trace lift: the face weights, sqrt(PHI) into the continuity
+        # row, and -PHI n into the momentum row of the face's normal axis a,
+        # with n the outward normal component (-1 on side 0, +1 on side 1)
+        self.face_w = (mesh.face_jac[mesh.face_axis][:, None]
+                       * basis.face_quad_w)
+        self.lift_coef = {}
         for a, s in self._sides:
             n = (-1.0, 1.0)[s]
-            self.lift_w[(a, s)] = mesh.face_jac[a] * basis.face_quad_w
             self.lift_coef[(a, s)] = ((0, self.root_phi),
                                       (1 + a, -(phi_mean * n)))
         # the wind stress loads the two momentum rows
@@ -171,11 +172,8 @@ class ShallowOperators(LocalOperators):
     # -- assembly -----------------------------------------------------------
 
     def _coriolis_mass(self, elements):
-        """(f(y) phi_j, phi_i)_K for each element; constant f collapses."""
+        """(f(y) phi_j, phi_i)_K for each element."""
         prob, mesh, basis = self.problem, self.mesh, self.basis
-        if prob.coriolis_beta == 0.0:
-            M = prob.coriolis_f0 * self.mass_phys
-            return np.broadcast_to(M, (len(elements), *M.shape))
         y = self.sample(lambda pts: pts[:, 1], elements=elements)
         f = prob.coriolis_f0 + prob.coriolis_beta * (y - prob.y_mid)
         w = mesh.jac * basis.quad_w * f

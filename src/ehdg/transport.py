@@ -68,8 +68,7 @@ class TransportOperators(LocalOperators):
         # beta . e_a at the quadrature points of every face, a its axis
         v = self._sample_faces(problem.velocity, (), every)
         self.bn = v[every, :, mesh.face_axis]
-        self.abs_bn = np.abs(self.bn)
-        self.sgn = np.sign(self.bn)
+        sgn = np.sign(self.bn)
 
         # the inflow faces, and per face whether it is an outflow boundary
         # face (as characteristic faces are), from beta.n against the
@@ -88,15 +87,11 @@ class TransportOperators(LocalOperators):
         if shared and np.any(self.bn != self.bn[etof[0, 2 * mesh.face_axis]]):
             raise AssemblyError("constant_velocity is declared, but beta.n "
                                 "is not the same on every face")
-        # the element-side |beta.n| face weights of the trace lift and the
-        # skeleton norm, one row for every face (element 0's) when beta.n is
-        # the same on every face; the one field takes the lift whole
-        faces = etof[0] if shared else etof.T
-        self.lift_w = {
-            (a, s): mesh.face_jac[a] * basis.face_quad_w * self.abs_bn[faces[k]]
-            for k, (a, s) in enumerate(self._sides)
-        }
-        self.lift_coef = {key: ((0, 1.0),) for key in self.lift_w}
+        # the |beta.n| face weights of the trace lift and the skeleton norm;
+        # the one field takes the lift whole
+        self.face_w = (mesh.face_jac[mesh.face_axis][:, None]
+                       * basis.face_quad_w * np.abs(self.bn))
+        self.lift_coef = {key: ((0, 1.0),) for key in self._sides}
         self.load = (problem.forcing, (0,))
 
         # the faces that copy an element's face nodes, per element side
@@ -107,16 +102,17 @@ class TransportOperators(LocalOperators):
         for k, key in enumerate(self._sides):
             f = etof[:, k]
             els = np.flatnonzero(self.outflow[f] | np.all(
-                (self.sgn[f] if key[1] else -self.sgn[f]) > 0, axis=1))
+                (sgn[f] if key[1] else -sgn[f]) > 0, axis=1))
             self._copies.append((f[els], els[:, None], key))
         # the other interior faces are mixed-sign, as (face ids, node
-        # indices of the minus element's side, of the plus element's)
+        # indices of the minus element's side, of the plus element's, and
+        # the sign of beta.n at the face quadrature points)
         fid, minus, plus, axis = mesh.interior_faces()
-        sgn = self.sgn[fid]
-        sel = ~(np.all(sgn > 0, axis=1) | np.all(sgn < 0, axis=1))
+        inner = sgn[fid]
+        sel = ~(np.all(inner > 0, axis=1) | np.all(inner < 0, axis=1))
         side = 2 * axis[sel]
         self._mixed = (fid[sel], self._node_index(minus[sel], side + 1),
-                       self._node_index(plus[sel], side))
+                       self._node_index(plus[sel], side), inner[sel])
         self._inflow_cache = {}
         self._assemble(shared)
 
@@ -197,10 +193,9 @@ class TransportOperators(LocalOperators):
         projection.
         """
         basis = self.basis
-        fid, minus, plus = self._mixed
+        fid, minus, plus, s = self._mixed
         um = np.take(u, minus) @ basis.face_eval.T
         up = np.take(u, plus) @ basis.face_eval.T
-        s = self.sgn[fid]
         uh = 0.5 * ((um + up) + s * (um - up))
         trace_out[fid] = uh @ basis.face_proj.T
         self.inflow_trace(trace_out, t)

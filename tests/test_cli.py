@@ -68,6 +68,17 @@ def test_bad_tokens_exit_1(token, capsys):
     assert "usage error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["nel", "nels", "ps"])
+@pytest.mark.parametrize("raw", ["4,,4", ",4", "4,", ""])
+def test_empty_list_entries_are_malformed(key, raw, capsys):
+    # an empty entry is refused, not dropped: nel=4,,4 is not nel=4,4
+    command = "solve" if key == "nel" else "study"
+    with pytest.raises(UsageError, match=f"malformed value for {key}: "):
+        parse_config(command, None, [f"{key}={raw}"])
+    assert main([command, f"{key}={raw}"]) == 1
+    assert "usage error: malformed value for" in capsys.readouterr().err
+
+
 def test_bad_table_choice_exit_1(capsys):
     # `solve table=3` above is refused as an unread key; tables reads it
     assert main(["tables", "table=3"]) == 1

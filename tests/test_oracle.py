@@ -175,7 +175,7 @@ class TestProbedSystem:
         if isinstance(ops, TransportOperators):
             for a in range(ops.mesh.dim):
                 for f in axis_interior_faces(ops.mesh, a)[0]:
-                    dead[index.rows(f)] = not np.any(ops.abs_bn[f])
+                    dead[index.rows(f)] = not np.any(ops.bn[f])
         assert np.any(dead) == (cell == "dead-faces")
         scale = np.abs(system.matrix).max()
         for j in range(n):

@@ -57,7 +57,7 @@ def reference_skeleton_norm(ops, u):
     for a in range(mesh.dim):
         for s in (0, 1):
             vals = u @ basis.face_restrict[(a, s)].T
-            w = ops.abs_bn[mesh.etof[:, 2 * a + s]]
+            w = np.abs(ops.bn[mesh.etof[:, 2 * a + s]])
             total += mesh.face_jac[a] * np.sum(
                 basis.face_quad_w * w * vals * vals
             )
@@ -128,7 +128,7 @@ def reference_update_trace(ops, u, trace_out, t=0.0):
         fid, minus, plus = axis_interior_faces(mesh, a)
         um = u[minus] @ basis.face_restrict[(a, 1)].T
         up = u[plus] @ basis.face_restrict[(a, 0)].T
-        s = ops.sgn[fid]
+        s = np.sign(ops.bn[fid])
         uh = 0.5 * ((um + up) + s * (um - up))
         trace_out[fid] = uh @ basis.face_proj.T
     ops.inflow_trace(trace_out, t)
@@ -147,10 +147,13 @@ def reference_transport_rhs(ops, trace, t=0.0, state_prev=None):
         out += ops.sample(ops.problem.forcing, t) @ ops.load_vec.T
     if ops.dt is not None:
         out += (state_prev @ ops.mass_phys.T) / ops.dt
-    for a in range(ops.mesh.dim):
+    mesh = ops.mesh
+    for a in range(mesh.dim):
         for s in (0, 1):
-            uh_q = trace[ops.mesh.etof[:, 2 * a + s]] @ basis.face_eval.T
-            out += (ops.lift_w[(a, s)] * uh_q) @ basis.face_restrict[(a, s)]
+            f = mesh.etof[:, 2 * a + s]
+            uh_q = trace[f] @ basis.face_eval.T
+            w = mesh.face_jac[a] * basis.face_quad_w * np.abs(ops.bn[f])
+            out += (w * uh_q) @ basis.face_restrict[(a, s)]
     return out
 
 
@@ -294,11 +297,24 @@ def constant_transport(beta, p, nel=3):
     return TransportOperators(mesh, TensorBasis(dim, p), problem)
 
 
+def folded_rows(ops):
+    """The face weights of element 0's sides, in etof column order: what
+    folded operators fold into the lift and the skeleton factor."""
+    mesh, basis = ops.mesh, ops.basis
+    rows = []
+    for k, (a, _s) in enumerate(ops._sides):
+        w = mesh.face_jac[a] * basis.face_quad_w
+        if isinstance(ops, TransportOperators):
+            w = w * np.abs(ops.bn[mesh.etof[0, k]])
+        rows.append(w)
+    return rows
+
+
 def face_gram(ops):
     basis = ops.basis
     return sum(basis.face_restrict[key].T
                @ (w[:, None] * basis.face_restrict[key])
-               for key, w in ops.lift_w.items())
+               for key, w in zip(ops._sides, folded_rows(ops)))
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -425,7 +441,7 @@ def test_update_trace_on_one_signed_and_mixed_faces(p, power, rng):
     one_signed = 0
     for a in range(2):
         fid, minus, plus = axis_interior_faces(ops.mesh, a)
-        sgn = ops.sgn[fid]
+        sgn = np.sign(ops.bn[fid])
         for sel, els, side in ((np.all(sgn > 0, axis=1), minus, 1),
                                (np.all(sgn < 0, axis=1), plus, 0)):
             nid = ops.basis.face_node_ids[(a, side)]
@@ -468,12 +484,9 @@ def test_shallow_rhs_of_source_matches_reference(rng):
 
 
 @pytest.mark.parametrize("form", ["shared", "shallow", "per-element"])
-def test_rhs_in_several_lift_blocks(form, monkeypatch, rng):
+def test_rhs_in_several_lift_blocks(form, rng):
     # both forms of the stacked lift: folded weights (a shared transport
-    # operator, shallow water) and per-face weights (per-element transport),
-    # over a budget that splits the elements into blocks with a remainder
-    from ehdg import operators
-
+    # operator, shallow water) and per-face weights (per-element transport)
     if form == "shared":
         ops = transport_ops(3, 2, 5, dt=0.05, case="transport3d-gaussian")
         assert ops.shared
@@ -482,9 +495,7 @@ def test_rhs_in_several_lift_blocks(form, monkeypatch, rng):
     else:
         ops = transport_ops(2, 3, 9, dt=0.05)
         assert not ops.shared
-    assert ops._lift_folded == (form != "per-element")
-    monkeypatch.setattr(operators, "LIFT_BYTES", 8 * len(ops._lift) * 7)
-    assert ops.mesh.n_el % 7 and ops.mesh.n_el > 7
+    assert (ops.face_w is None) == (form != "per-element")
     prev = rng.standard_normal((ops.mesh.n_el, ops.state_width))
     trace = random_trace(ops, rng)
     got = full_rhs(ops, trace, ops.source(0.2, prev))
@@ -493,6 +504,67 @@ def test_rhs_in_several_lift_blocks(form, monkeypatch, rng):
     else:
         want = reference_transport_rhs(ops, trace, 0.2, prev)
     assert_round_off(got, want, np.abs(want).max())
+
+
+# -- face weights: one per-face array, folded when its values allow ----------------
+
+
+def test_constant_velocity_folds_on_per_element_operators(rng):
+    # constant_velocity is not declared, so the operator is not shared, but
+    # every face of each axis carries one weight row: the weights fold
+    from ehdg.transport import TransportProblem
+
+    problem = TransportProblem(
+        dim=2, velocity=lambda X: np.tile((0.7, -0.4), (len(X), 1)),
+        inflow=lambda X, t=0.0: np.cos(X.sum(axis=1)))
+    mesh = build_mesh(2, 5, [(0, 1), (0, 1)])
+    ops = TransportOperators(mesh, TensorBasis(2, 3), problem, dt=0.05)
+    assert not ops.shared and ops.face_w is None
+    prev = rng.standard_normal((mesh.n_el, ops.state_width))
+    trace = random_trace(ops, rng)
+    got = full_rhs(ops, trace, ops.source(0.2, prev))
+    want = reference_transport_rhs(ops, trace, 0.2, prev)
+    assert_round_off(got, want, np.abs(want).max())
+
+
+def test_varying_velocity_keeps_the_face_weights():
+    ops = transport_ops(2, 2, 4)
+    assert not ops.shared
+    assert ops.face_w.shape == (ops.mesh.n_faces, ops.basis.n_fq)
+
+
+def test_shallow_water_on_a_beta_plane_folds():
+    ops = shallow_ops(3, 2)
+    assert ops.problem.coriolis_beta != 0
+    assert not ops.shared and ops.face_w is None
+
+
+@pytest.mark.parametrize("form", ["shared", "per-element", "shallow"])
+def test_physics_hold_one_face_weight_table(form):
+    # each physics gives face_w and lift_coef; no per-side copies of the
+    # face weights or of beta.n's size and sign are kept
+    if form == "shallow":
+        ops = shallow_ops(3, 2)
+    elif form == "shared":
+        ops = transport_ops(3, 2, 3, dt=0.05, case="transport3d-gaussian")
+    else:
+        ops = transport_ops(2, 2, 5)
+    held = vars(ops)
+    assert "face_w" in held and "lift_coef" in held
+    assert not {"lift_w", "abs_bn", "sgn"} & set(held)
+
+    def arrays(value):
+        if isinstance(value, np.ndarray):
+            yield value
+        elif isinstance(value, (tuple, list)):
+            for item in value:
+                yield from arrays(item)
+        elif isinstance(value, dict):
+            yield from arrays(list(value.values()))
+
+    per_element = (ops.mesh.n_el, ops.basis.n_fq)
+    assert not [a.shape for a in arrays(list(held.values()))
+                if a.shape == per_element]
 
 
 def test_source_is_reused_not_modified(rng):
