@@ -26,7 +26,7 @@ from .driver import (
     solve,
 )
 from .mesh import MeshError
-from .operators import OperatorSizeError, usable_cpus
+from .operators import AssemblyError, usable_cpus
 from .oracle import OracleSizeError, verify_cell
 from .problems import (
     build_case,
@@ -455,10 +455,10 @@ def main(argv=None):
         except OSError as err:
             raise UsageError(f"cannot create outdir: {err}") from None
         return _COMMANDS[cfg.command][0](cfg)
-    except (UsageError, MeshError, OperatorSizeError, OracleSizeError) as err:
-        # a mesh or local inverses that cannot fit, or a verify cell too
-        # large for the dense oracle, is an input the command refuses, not
-        # a crash
+    except (UsageError, MeshError, AssemblyError, OracleSizeError) as err:
+        # a mesh or local operators that cannot fit or cannot be built (a
+        # singular one, say), or a verify cell too large for the dense
+        # oracle, is an input the command refuses, not a crash
         print(f"usage error: {err}", file=sys.stderr)
         return 1
     except ConvergenceFailure as err:

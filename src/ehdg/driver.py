@@ -1,10 +1,11 @@
 """Fixed-point driver: element solves, trace rebuild, stopping tests.
 
 One pass of the iteration has two phases separated by a barrier: first every
-element solves its local system against the current trace buffer, then the
-trace is rebuilt from the fresh element solutions into a second buffer and
-the buffers swap. Element work is chunked in a fixed order, so norms and
-results are identical whether or not the local solves run on a thread pool.
+element solves its local system against the current trace buffer into the one
+state array, which no pass reads, then the trace is rebuilt from the fresh
+element solutions into a second buffer and the buffers swap. Element work is
+chunked in a fixed order, so norms and results are identical whether or not
+the local solves run on a thread pool.
 
 Stopping modes:
   error-difference      |  ||u_k - u_e|| - ||u_{k-1} - u_e||  | < tol
@@ -15,6 +16,7 @@ Stopping modes:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -45,8 +47,11 @@ class IterationConfig:
         if not (self.tol > 0 and math.isfinite(self.tol)):
             raise ValueError(f"tolerance must be positive and finite, "
                              f"got {self.tol}")
-        if self.max_iters is not None and self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        if self.max_iters is not None and not (
+                isinstance(self.max_iters, numbers.Integral)
+                and self.max_iters >= 1):
+            raise ValueError(f"max_iters must be an integer >= 1, "
+                             f"got {self.max_iters!r}")
 
     def iteration_cap(self, mesh):
         if self.max_iters is not None:
@@ -142,7 +147,6 @@ def iterate_to_fixed_point(ops, config, u0=None, t=0.0, state_prev=None):
     u = ops.zero_state() if u0 is None else np.array(u0)
     trace = ops.initial_trace(u, t)
     trace_next = ops.new_trace()
-    u_next = np.empty_like(u)
 
     norms = ops.pass_norms(t, u)
     base = ops.solve_cells(ops.source(t, state_prev))
@@ -156,10 +160,10 @@ def iterate_to_fixed_point(ops, config, u0=None, t=0.0, state_prev=None):
     cap = config.iteration_cap(mesh)
     for k in range(1, cap + 1):
         lift = ops.rhs(trace, out=lift)
-        ops.solve_cells(lift, out=u_next, base=base)
-        ops.update_trace(u_next, trace_next, t)
+        ops.solve_cells(lift, out=u, base=base)
+        ops.update_trace(u, trace_next, t)
 
-        e_k, succ, skel = norms(u_next, u)
+        e_k, succ, skel = norms(u)
         _check_finite(k, e_k, succ, exact_known)
         log.errors.append(e_k)
         log.successive.append(succ)
@@ -172,7 +176,6 @@ def iterate_to_fixed_point(ops, config, u0=None, t=0.0, state_prev=None):
         else:
             crit = trace_diff_norm(mesh, ops.basis, trace_next, trace)
 
-        u, u_next = u_next, u
         trace, trace_next = trace_next, trace
         e_prev = e_k
         log.iterations = k

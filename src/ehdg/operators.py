@@ -478,12 +478,13 @@ class LocalOperators:
         """
         if self.problem.exact is None:
             return None
-        ue = self.sample(self.problem.exact, t)
-        ue = ue.reshape(self.mesh.n_el, -1, len(self.fields))
         n_p, exact = self.n_p, []
-        # an exact solution that is not finite gives nan coordinates, and
-        # the first pass's error is then nan (the driver's failure)
+        # an exact solution that is not finite (the standing wave's
+        # cos(omega t) once omega t overflows, say) gives nan coordinates,
+        # and the first pass's error is then nan (the driver's failure)
         with np.errstate(invalid="ignore", over="ignore"):
+            ue = self.sample(self.problem.exact, t)
+            ue = ue.reshape(self.mesh.n_el, -1, len(self.fields))
             for i in range(len(self.fields)):
                 y = ue[:, :, i] @ self._sample_q
                 rest = y[:, n_p:]
@@ -541,20 +542,21 @@ class LocalOperators:
 
     def pass_norms(self, t, state):
         """The per-pass norms of a solve at time t started from state: a
-        callable (s_new, s_old) -> (error, successive difference, skeleton
-        norm), the error nan without an exact solution.
+        callable s_new -> (error, successive difference, skeleton norm) of
+        each new iterate in turn, the error nan without an exact solution.
 
         The exact solution is sampled once (_exact_coordinates). Each pass
         maps each field of the new iterate to its coordinates once; the
         error and the successive difference are both taken from them, and
-        they are kept for the next pass. One coordinate buffer per field
-        and one spare rotate, so s_old is not read.
+        they are kept for the next pass, so the previous iterate itself is
+        never read and may have been overwritten. One coordinate buffer
+        per field and one spare rotate.
         """
         exact = self._exact_coordinates(t)
         coords = [self._coordinates(part) for part in self.split(state)]
         spare = np.empty_like(coords[0])
 
-        def norms(s_new, _s_old):
+        def norms(s_new):
             nonlocal spare
             succ, err = [], []
             for i, part in enumerate(self.split(s_new)):

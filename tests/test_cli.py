@@ -228,6 +228,22 @@ def test_solve_inverses_beyond_physical_memory_is_a_usage_error(
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "nel=1", "p=1", "dt=1e308", "steps=1"],
+    ["verify", "nel=1", "p=1", "dt=1e308"],
+    ["study", "nels=1", "ps=1", "dt=1e308", "steps=1"],
+], ids=["solve", "verify", "study"])
+def test_singular_local_operator_is_a_usage_error(argv, tmp_path, capsys):
+    # at dt=1e308 the mass term all but vanishes and the p=1 shallow-water
+    # local operator is singular: the assembly refuses it
+    if argv[0] != "verify":
+        argv = argv + [f"outdir={tmp_path}"]
+    rc = main(argv[:1] + ["case=shallow-standing-wave"] + argv[1:])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == "usage error: singular local operator: Singular matrix\n"
+
+
 def test_verify_refuses_oversized_oracle_before_iterating(monkeypatch,
                                                          capsys):
     import ehdg.oracle as oracle_mod

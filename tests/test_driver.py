@@ -101,6 +101,13 @@ class TestStoppingRules:
         with pytest.raises(ValueError):
             IterationConfig(**bad)
 
+    @pytest.mark.parametrize("cap", [2.5, 2.0, float("inf"), float("nan"),
+                                     "3"])
+    def test_config_rejects_a_cap_that_is_not_an_integer(self, cap):
+        # range() of the pass loop would refuse it only once a solve starts
+        with pytest.raises(ValueError, match="max_iters"):
+            IterationConfig(max_iters=cap)
+
     def test_all_modes_reach_the_same_fixed_point(self):
         results, errors = [], []
         for mode in STOPPING_MODES:

@@ -149,3 +149,42 @@ def test_readme_memory_budgets_are_the_operators_budgets():
         if re.fullmatch(r"[A-Z_]+_(BYTES|POINTS)", name)}
     assert budgets
     assert documented == budgets
+
+
+# names the package keeps only because the benchmark harness (perfbench/)
+# reads them, by module; deleting them once the harness no longer does must
+# be a pure deletion
+BENCHMARK_ONLY = {
+    "driver": ("volume_l2", "transport_error_eval", "transport_skeleton_norm"),
+    "oracle": ("direct_solve_transport", "direct_solve_shallow",
+               "shallow_flux_jump_residual"),
+    "transport": ("TransportOperators.interpolate_exact",),
+    "cli": ("default_workers",),
+}
+
+
+def test_benchmark_only_names_are_defined_and_never_used():
+    last = {path.rsplit(".", 1)[-1]
+            for paths in BENCHMARK_ONLY.values() for path in paths}
+    for mod, paths in BENCHMARK_ONLY.items():
+        for path in paths:
+            obj = importlib.import_module(f"ehdg.{mod}")
+            for part in path.split("."):
+                obj = getattr(obj, part)
+    uses = []
+    for info in pkgutil.iter_modules(ehdg.__path__):
+        source = inspect.getsource(importlib.import_module(f"ehdg.{info.name}"))
+        for node in ast.walk(ast.parse(source)):
+            # a read, an attribute access or an import; the definitions
+            # are a def and assignments, which store
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name
+            else:
+                continue
+            if name in last:
+                uses.append(f"ehdg.{info.name}:{node.lineno} {name}")
+    assert not uses, uses

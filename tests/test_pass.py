@@ -655,11 +655,16 @@ def counted_calls(ops, names):
     return calls
 
 
-@pytest.mark.parametrize("ident, dt, steps", [
+# a steady per-element transport cell, a transient shared transport cell
+# and a shallow-water cell, as (case, dt, steps)
+PASS_CELLS = [
     ("transport2d-smooth", None, 1),
     ("transport3d-gaussian", 1e-2, 3),
     ("shallow-standing-wave", 1e-3, 3),
-])
+]
+
+
+@pytest.mark.parametrize("ident, dt, steps", PASS_CELLS)
 def test_pass_call_counts(ident, dt, steps):
     # the counts the benchmark tracer checks: one lift per pass, and one
     # local solve and trace rebuild per pass plus one per level
@@ -673,6 +678,36 @@ def test_pass_call_counts(ident, dt, steps):
     assert passes > steps
     assert calls == {"rhs": passes, "solve_cells": passes + steps,
                      "update_trace": passes + steps}
+
+
+@pytest.mark.parametrize("ident, dt, steps", PASS_CELLS)
+def test_every_pass_of_a_level_solves_into_one_state(ident, dt, steps):
+    # no pass reads the state, so a level holds one: each pass's local
+    # solves write the array of the pass before, and the caller's initial
+    # state is never written
+    ops, state0 = build_case(catalog(ident), 2, 2, dt)
+    initial = None if state0 is None else state0.copy()
+    levels = []  # (base, [out of each pass]) per level
+    solve_cells = ops.solve_cells
+
+    def recording(rhs, out=None, base=None):
+        if base is not None:
+            if not levels or levels[-1][0] is not base:
+                levels.append((base, []))
+            levels[-1][1].append(out)
+        return solve_cells(rhs, out=out, base=base)
+
+    ops.solve_cells = recording
+    state, _trace, logs = solve(
+        ops, IterationConfig(stopping="successive-difference"), state0, steps)
+    assert [len(outs) for _base, outs in levels] == [
+        log.iterations for log in logs]
+    for _base, outs in levels:
+        assert all(out is outs[0] for out in outs)
+        assert outs[0] is not state0
+    assert levels[-1][1][0] is state
+    if state0 is not None:
+        assert np.array_equal(state0, initial)
 
 
 # -- once per time level ----------------------------------------------------------------
@@ -740,6 +775,16 @@ def test_non_finite_error_is_named():
                              problem)
     with pytest.raises(ConvergenceFailure, match=r"pass 1: error vs exact"):
         iterate_to_fixed_point(ops, IterationConfig())
+
+
+def test_exact_solution_that_warns_is_a_nan_error(tmp_path, capsys):
+    # the standing wave's cos(omega t) at t = 1e308 is cos(inf): numpy's
+    # invalid-value warning stays inside the norms, and the error is nan
+    rc = main(["solve", "case=shallow-standing-wave", "nel=1", "p=2",
+               "dt=1e308", "steps=1", f"outdir={tmp_path}"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == "non-convergence: pass 1: error vs exact is nan\n"
 
 
 def test_solve_exits_2_on_non_finite_pass(tmp_path, monkeypatch, capsys):

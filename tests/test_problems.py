@@ -96,6 +96,17 @@ class TestManufacturedSolutions:
             adv = np.sum(beta * fd_grad(prob.exact, pts, t), axis=1)
             assert np.max(np.abs(fd_dt(prob.exact, pts, t) + adv)) < 1e-4
 
+    def test_gaussian_far_from_its_centre_is_zero(self, rng):
+        # at t = 1e200 the centre is past 1e199 and the square overflows:
+        # exp(-inf) is 0, with no overflow warning
+        prob = catalog("transport3d-gaussian").problem
+        pts = interior_points(rng, ((0.0, 1.0),) * 3, n=20)
+        assert np.array_equal(prob.exact(pts, 1e200), np.zeros(20))
+        # finite squares are summed and exponentiated as before
+        for t in (0.0, 0.6, 1e3):
+            r2 = np.sum((pts - 0.2 * t) ** 2, axis=1)
+            assert np.array_equal(prob.exact(pts, t), np.exp(-5.0 * r2))
+
     def test_discontinuous_inflow_profile(self):
         prob = catalog("transport2d-discontinuous").problem
         pts = np.array([[0.0, 0.0], [0.25, 0.0], [0.5, 0.0],
