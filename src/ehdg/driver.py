@@ -131,7 +131,7 @@ def iterate_to_fixed_point(ops, config, u0=None, t=0.0, state_prev=None):
     before any work. Work that does not change within the solve is done
     once before the first pass: the exact solution's coordinates (inside
     the norms) and the local solution of the trace-independent part of
-    the right-hand side (ops.source), which is then dropped. Each pass
+    the right-hand side (ops.solve_source). Each pass
     lifts the trace onto the lifted columns alone (ops.rhs) and adds the
     local solution of that lift to the source's (ops.solve_cells with
     base). A non-finite error or successive difference raises
@@ -149,7 +149,7 @@ def iterate_to_fixed_point(ops, config, u0=None, t=0.0, state_prev=None):
     trace_next = ops.new_trace()
 
     norms = ops.pass_norms(t, u)
-    base = ops.solve_cells(ops.source(t, state_prev))
+    base = ops.solve_source(t, state_prev)
     # one lift buffer serves every pass: with a lift allocated and freed
     # in each pass, passes of 2D p=4 nel=64 transport at two BLAS threads
     # measured up to a third slower

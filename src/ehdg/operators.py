@@ -45,29 +45,45 @@ def assembly_chunk(width):
     return max(1, min(ASSEMBLY_CHUNK, ASSEMBLY_BYTES // (8 * width * width)))
 
 
-def assemble_inverses(matrices, n_el, width, order=None):
+def assemble_inverses(matrices, n_el, width, order=None, keep=None,
+                      rhs=None):
     """Explicit inverses of the width x width local matrices
     matrices(elements) for elements 0 .. n_el - 1, each stored transposed
     with its rows in the given order (0 .. width - 1 when None): row i of
-    element e is column order[i] of the inverse of matrices([e]).
+    element e is column order[i] of the inverse of matrices([e]). With keep,
+    only the leading keep rows of each are kept, and a_inv has shape
+    (n_el, keep, width).
 
     A local solve A^-1 r is then r[order] @ a_inv[e], a sum of rows, and a
     right-hand side that is zero outside its first k entries of order reads
     only the contiguous leading k x width run of a_inv[e]
     (LocalOperators.solve_cells).
 
+    rhs, one (n_el, width) state row per element, is overwritten with the
+    local solutions A^-1 rhs. Each element's is formed while its chunk's
+    whole inverses are in hand, by the product solve_cells forms on whole
+    inverses, rhs[e, order] @ (all width rows of element e): the same bits
+    as solve_cells(rhs) on inverses kept whole, whatever keep is.
+
     The matrices are built and inverted one assembly_chunk(width) of
     elements at a time, so the temporaries of a chunk stay within a few
     ASSEMBLY_BYTES whatever the mesh. Each chunk inverts the transposed
-    matrices and takes the rows straight into its part of the result, so
-    the reordered store adds no chunk-sized copy. Each inverse depends on
-    its own element alone, so the result is the same for any chunk size.
-    The inverses are kept rather than LU factors because a batched inverse
+    matrices and takes the rows straight into its part of a_inv, so the
+    reordered store adds no chunk-sized copy. When rows are dropped, the
+    whole rows go into the chunk's matrices instead, which are not read
+    again (matrices returns a new C-ordered array on every call), and the
+    kept ones are copied from there. Each inverse depends on its own
+    element alone, so the result is the same for any chunk size. The
+    inverses are kept rather than LU factors because a batched inverse
     matvec is much cheaper per pass than a batched triangular solve.
     """
     order = np.arange(width) if order is None else np.asarray(order)
-    a_inv = np.empty((n_el, width, width))
+    keep = width if keep is None else keep
+    a_inv = np.empty((n_el, keep, width))
     chunk = assembly_chunk(width)
+    # reordered whole, as solve_cells reorders it: each element's vector
+    # then has the same strides in both, and BLAS the same summation order
+    ordered = None if rhs is None else rhs[:, order]
     for start in range(0, n_el, chunk):
         stop = min(start + chunk, n_el)
         A = matrices(np.arange(start, stop))
@@ -76,15 +92,23 @@ def assemble_inverses(matrices, n_el, width, order=None):
             inv_t = np.linalg.inv(A.transpose(0, 2, 1))
         except np.linalg.LinAlgError as err:
             raise AssemblyError(f"singular local operator: {err}") from err
-        np.take(inv_t, order, axis=1, out=a_inv[start:stop], mode="clip")
+        # the chunk's matrices are not read again, so they make room for
+        # its whole reordered inverses when only some rows are kept
+        rows = a_inv[start:stop] if keep == width else A
+        np.take(inv_t, order, axis=1, out=rows, mode="clip")
         # inv_t goes before the next chunk's matrices are built. Freeing A
         # here too takes another chunk off the traced temporaries, but the
         # 3D p=4 nel=16 set-up then measured slower (4.3 against 3.7 s,
         # median of 4 runs), most likely because the allocator returns the
         # freed chunks to the system and faults them in again every chunk
         del inv_t
-        if not np.all(np.isfinite(a_inv[start:stop])):
+        if not np.all(np.isfinite(rows)):
             raise AssemblyError("non-finite local operator inverse")
+        if rhs is not None:
+            np.matmul(ordered[start:stop, None], rows,
+                      out=rhs[start:stop, None])
+        if keep < width:
+            a_inv[start:stop] = rows[:, :keep]
     return a_inv
 
 
@@ -126,12 +150,13 @@ class LocalOperators:
     fields in turn. The trace lift reaches only the state columns of face
     nodes (lifted), so each inverse is stored transposed with the rows of
     those columns first (assemble_inverses): a pass adds A^-1[:, lifted]
-    times the lift (rhs) to the local solution of the source, which is
-    solved once per level, and reads only those rows. The base class
-    supplies the state width, zero state, field split and nodal
-    interpolation, the batched local solve, trace construction, the
-    sampling of case callables at element points, the source, the trace
-    lift (rhs) and the norms. A trace is one
+    times the lift (rhs) to the local solution of the source (solve_source,
+    once per level), and reads only those rows. Steady per-element
+    operators keep only those rows and solve the source of their one level
+    during assembly (_assemble). The base class supplies the state width,
+    zero state, field split and nodal interpolation, the batched local
+    solves, trace construction, the sampling of case callables at element
+    points, the source, the trace lift (rhs) and the norms. A trace is one
     (mesh.n_faces, n_face) array of the nodal values of every face, read
     through mesh.etof. Each physics names its fields, supplies
     element_matrix(elements) and update_trace(state, trace_out, t), ends
@@ -202,20 +227,17 @@ class LocalOperators:
         otherwise) in the layout of assemble_inverses, with the rows in
         the order of lifted followed by the other columns (_order).
 
-        Per-element inverses whose bytes exceed physical memory raise
-        OperatorSizeError before the first element_matrix call."""
+        Steady per-element operators (not shared, dt None) keep only the
+        len(lifted) rows a pass reads, so a_inv has shape
+        (n_el, len(lifted), width). A steady solve has one level, at t = 0,
+        so its source is solved during assembly, while each chunk's whole
+        inverses are in hand, and kept for solve_source. Every other set
+        keeps whole inverses and solves the source of each level then.
+
+        Per-element inverses whose kept bytes, 8 * n_el * rows * width,
+        exceed physical memory raise OperatorSizeError before the first
+        element_matrix call."""
         self.shared = shared
-        n = 1 if shared else self.mesh.n_el
-        # per-element inverses that cannot fit are refused before any is
-        # built; one shared inverse is never refused
-        if not shared:
-            need = 8 * n * self.state_width**2
-            have = mesh_module.physical_memory()
-            if need > have:
-                raise OperatorSizeError(
-                    f"per-element local operators of {n} elements need "
-                    f"{need} bytes of inverses (a_inv), more than the "
-                    f"{have} bytes of physical memory")
         # element 0's row of each side, in etof column order
         rows = self.face_w[self.mesh.etof[0]]
         axis = self.mesh.face_axis
@@ -225,8 +247,27 @@ class LocalOperators:
         self._lift, self.lifted = self._lift_matrix(rows)
         rest = np.delete(np.arange(self.state_width), self.lifted)
         self._order = np.concatenate([self.lifted, rest])
+        n = 1 if shared else self.mesh.n_el
+        # a steady solve has one level, so per-element steady inverses keep
+        # only the rows a pass reads, and the source is solved here
+        steady = not shared and self.dt is None
+        keep = len(self.lifted) if steady else self.state_width
+        # per-element inverses that cannot fit are refused before any is
+        # built; one shared inverse is never refused
+        if not shared:
+            need = 8 * n * keep * self.state_width
+            have = mesh_module.physical_memory()
+            if need > have:
+                raise OperatorSizeError(
+                    f"per-element local operators of {n} elements need "
+                    f"{need} bytes of inverses (a_inv), more than the "
+                    f"{have} bytes of physical memory")
+        self._source_solution = self.source(0.0) if steady else None
         self.a_inv = assemble_inverses(self.element_matrix, n,
-                                       self.state_width, self._order)
+                                       self.state_width, self._order, keep,
+                                       self._source_solution)
+        if steady:
+            self._source_solution.flags.writeable = False
         if self.face_w is None:
             self._skeleton_s = self._skeleton_factor(rows)
 
@@ -331,7 +372,9 @@ class LocalOperators:
         element, and the result is A^-1 rhs. With base, rhs holds the
         lifted columns alone (rhs's result, in the order of lifted), and
         the result is base + A^-1[:, lifted] rhs: each element reads only
-        the leading len(lifted) rows of its a_inv.
+        the leading len(lifted) rows of its a_inv. Steady per-element
+        operators keep only those rows, so without base they raise
+        ValueError.
 
         On the pool of _executor, when there is one, elements go in
         ASSEMBLY_CHUNK blocks, each written to its own rows of out; its
@@ -340,6 +383,11 @@ class LocalOperators:
         result is the same for any blocks and whichever thread runs them.
         """
         if base is None:
+            if self._source_solution is not None:
+                raise ValueError(
+                    "steady per-element operators keep only the lifted rows "
+                    "of their inverses: solve_cells needs a base, and the "
+                    "source's solution comes from solve_source")
             rhs = rhs[:, self._order]
         if out is None:
             out = np.empty((len(rhs), self.state_width))
@@ -367,6 +415,24 @@ class LocalOperators:
         else:
             list(pool.map(run, chunks))
         return out
+
+    def solve_source(self, t=0.0, state_prev=None):
+        """The local solution A^-1 source(t, state_prev) of every element,
+        to which each pass of a solve at time t adds the solution of its
+        lift (solve_cells with base).
+
+        Steady per-element operators solved it during assembly, the one
+        level of a steady solve being at t = 0, and return that array
+        (read-only) on every call; any other t raises ValueError. Every
+        other operator set solves it here.
+        """
+        if self._source_solution is None:
+            return self.solve_cells(self.source(t, state_prev))
+        if t != 0:
+            raise ValueError(
+                "steady per-element operators solved their source at t = 0 "
+                f"during assembly, not at t = {t}")
+        return self._source_solution
 
     def _executor(self, n_chunks):
         """The thread pool for n_chunks blocks of per-element solves, or
@@ -422,7 +488,7 @@ class LocalOperators:
         side, on the lifted columns alone: one (n_el, len(lifted)) array,
         written into out when given, whose column j belongs to state column
         lifted[j]. Every other column of the lift is zero. A local solve
-        adds the source's own solution (solve_cells with base).
+        adds the source's own solution (solve_source, as solve_cells' base).
 
         The lift is one gather and one product: each element's face
         values are taken through mesh.etof, side by side in etof column

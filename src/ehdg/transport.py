@@ -58,14 +58,43 @@ class TransportOperators(LocalOperators):
     The factorized local matrices are held as explicit inverses formed by
     row-pivoted LU (numpy.linalg.inv), stacked for batched application. When
     the problem declares a constant velocity on a uniform mesh, a single
-    operator is shared by all elements.
+    operator is shared by all elements. Otherwise a steady problem keeps
+    only the lifted rows of each element's inverse and solves its source
+    during assembly (LocalOperators._assemble). The face velocity sample
+    and the other mesh-sized temporaries of the face rules are freed
+    before assembly starts.
     """
 
     def __init__(self, mesh, basis, problem, dt=None):
         super().__init__(mesh, basis, problem, dt)
-        etof, every = mesh.etof, np.arange(mesh.n_faces)
+        # the mesh-sized temporaries of the face rules (the face velocity
+        # sample, the signs of beta.n) end with _face_rules, before assembly
+        self._face_rules(problem)
+        if problem.inflow is None and len(self.inflow_faces):
+            raise AssemblyError("problem has inflow faces but no inflow data")
 
-        # beta . e_a at the quadrature points of every face, a its axis
+        shared = bool(problem.constant_velocity)
+        # element 0's operator serves every element only if beta.n does
+        if shared and np.any(
+                self.bn != self.bn[mesh.etof[0, 2 * mesh.face_axis]]):
+            raise AssemblyError("constant_velocity is declared, but beta.n "
+                                "is not the same on every face")
+        # the |beta.n| face weights of the trace lift and the skeleton norm;
+        # the one field takes the lift whole
+        self.face_w = (mesh.face_jac[mesh.face_axis][:, None]
+                       * basis.face_quad_w * np.abs(self.bn))
+        self.lift_coef = {key: ((0, 1.0),) for key in self._sides}
+        self.load = (problem.forcing, (0,))
+        self._inflow_cache = {}
+        self._assemble(shared)
+
+    def _face_rules(self, problem):
+        """Set bn (beta . e_a at the quadrature points of every face, a its
+        axis), the inflow faces, the outflow mask and the two trace rules of
+        update_trace: the faces that copy an element's face nodes
+        (_copies) and the mixed-sign faces (_mixed)."""
+        mesh = self.mesh
+        etof, every = mesh.etof, np.arange(mesh.n_faces)
         v = self._sample_faces(problem.velocity, (), every)
         self.bn = v[every, :, mesh.face_axis]
         sgn = np.sign(self.bn)
@@ -79,20 +108,6 @@ class TransportOperators(LocalOperators):
         self.inflow_faces = fid[into]
         self.outflow = np.zeros(mesh.n_faces, dtype=bool)
         self.outflow[fid[~into]] = True
-        if problem.inflow is None and len(self.inflow_faces):
-            raise AssemblyError("problem has inflow faces but no inflow data")
-
-        shared = bool(problem.constant_velocity)
-        # element 0's operator serves every element only if beta.n does
-        if shared and np.any(self.bn != self.bn[etof[0, 2 * mesh.face_axis]]):
-            raise AssemblyError("constant_velocity is declared, but beta.n "
-                                "is not the same on every face")
-        # the |beta.n| face weights of the trace lift and the skeleton norm;
-        # the one field takes the lift whole
-        self.face_w = (mesh.face_jac[mesh.face_axis][:, None]
-                       * basis.face_quad_w * np.abs(self.bn))
-        self.lift_coef = {key: ((0, 1.0),) for key in self._sides}
-        self.load = (problem.forcing, (0,))
 
         # the faces that copy an element's face nodes, per element side
         # (etof column) as (face ids, elements, side): outflow faces, and
@@ -113,8 +128,6 @@ class TransportOperators(LocalOperators):
         side = 2 * axis[sel]
         self._mixed = (fid[sel], self._node_index(minus[sel], side + 1),
                        self._node_index(plus[sel], side), inner[sel])
-        self._inflow_cache = {}
-        self._assemble(shared)
 
     def _sample_faces(self, fn, args, faces):
         """fn(points, *args) at the quadrature points of the given faces,

@@ -6,6 +6,7 @@ of local matrices. Results must not depend on either budget, bit for bit,
 and the temporaries of set-up must not grow with the mesh.
 """
 
+import copy
 import dataclasses
 import tracemalloc
 
@@ -223,17 +224,25 @@ class TestAssemblyChunks:
     @pytest.mark.parametrize("per_chunk", [1, 2, 5])
     def test_inverses_do_not_depend_on_the_chunk(self, monkeypatch,
                                                  per_element_ops, per_chunk):
+        # steady transport keeps only the lifted rows and solves its source
+        # during assembly: both are compared
         ops = per_element_ops
         width, n_el = ops.state_width, ops.mesh.n_el
+        keep = ops.a_inv.shape[1]
         assert not ops.shared and ops.a_inv.shape[0] == n_el
         condensed = assemble_inverses(
             lambda els: condensed_matrices(ops, els), n_el, width)
         monkeypatch.setattr(operators, "ASSEMBLY_BYTES",
                             per_chunk * 8 * width * width)
         assert assembly_chunk(width) == per_chunk
+        solved = None if ops.dt is not None else ops.source()
         assert np.array_equal(
-            assemble_inverses(ops.element_matrix, n_el, width, ops._order),
+            assemble_inverses(ops.element_matrix, n_el, width, ops._order,
+                              keep, solved),
             ops.a_inv)
+        if solved is not None:
+            assert keep < width
+            assert np.array_equal(solved, ops.solve_source())
         assert np.array_equal(
             assemble_inverses(lambda els: condensed_matrices(ops, els),
                               n_el, width),
@@ -280,6 +289,81 @@ class TestInverseMemoryGuard:
         monkeypatch.setattr(mesh_module, "physical_memory", lambda: mesh_need)
         ops = build_case(catalog("transport3d-gaussian"), nel, p, 0.01)[0]
         assert ops.shared and ops.a_inv.nbytes > mesh_need
+
+    def test_guard_admits_exactly_the_kept_rows(self, monkeypatch):
+        # steady 3D p=2: 26 of each inverse's 27 rows are kept, so the
+        # guard counts 8 * n_el * 26 * 27 bytes, not 8 * n_el * 27**2
+        n_el, width, rows = 8, 27, 26
+        kept = 8 * n_el * rows * width
+        built = []
+        element_matrix = TransportOperators.element_matrix
+
+        def recorded(self, elements):
+            built.append(elements)
+            return element_matrix(self, elements)
+
+        monkeypatch.setattr(TransportOperators, "element_matrix", recorded)
+        build = lambda: build_case(catalog("transport3d-steady"), 2, 2)[0]
+        monkeypatch.setattr(mesh_module, "physical_memory", lambda: kept - 1)
+        with pytest.raises(OperatorSizeError,
+                           match=f"need {kept} bytes of inverses"):
+            build()
+        assert not built
+        monkeypatch.setattr(mesh_module, "physical_memory", lambda: kept)
+        ops = build()
+        assert ops.a_inv.shape == (n_el, rows, width) and built
+
+
+class TestSteadyLiftedRows:
+    """Steady per-element operators keep only the lifted rows of their
+    inverses, and solve the source of their one level during assembly."""
+
+    @pytest.mark.parametrize("ident, nel, p", [
+        ("transport3d-steady", 3, 4), ("transport2d-smooth", 4, 2),
+        ("transport2d-discontinuous", 3, 3)])
+    def test_a_inv_holds_only_the_lifted_rows(self, ident, nel, p):
+        ops = build_case(catalog(ident), nel, p)[0]
+        n_el, width, rows = ops.mesh.n_el, ops.state_width, len(ops.lifted)
+        assert not ops.shared and ops.dt is None and rows < width
+        assert ops.a_inv.shape == (n_el, rows, width)
+        assert ops.a_inv.nbytes == 8 * n_el * rows * width
+
+    @pytest.mark.parametrize("ident, nel, p, pooled", [
+        ("transport3d-steady", 3, 4, False),
+        ("transport2d-smooth", 17, 2, False),
+        ("transport2d-smooth", 17, 2, True),
+    ])
+    def test_source_solution_is_a_solve_on_whole_inverses(
+            self, monkeypatch, ident, nel, p, pooled):
+        # the same operators with whole inverses solve the same source to
+        # the same bits, on the serial path and on the pooled one
+        monkeypatch.setattr(operators, "POOL_MIN_WIDTH",
+                            1 if pooled else 10**9)
+        monkeypatch.setattr(operators, "usable_cpus",
+                            lambda: 2 if pooled else 1)
+        ops = build_case(catalog(ident), nel, p)[0]
+        n_el, width = ops.mesh.n_el, ops.state_width
+        whole = copy.copy(ops)
+        whole.a_inv = assemble_inverses(ops.element_matrix, n_el, width,
+                                        ops._order)
+        whole._source_solution = None
+        assert np.array_equal(whole.a_inv[:, : len(ops.lifted)], ops.a_inv)
+        source = ops.source()
+        assert np.any(source != 0)
+        assert np.array_equal(ops.solve_source(), whole.solve_cells(source))
+        assert (whole._pool is not None) == pooled
+
+    def test_whole_solves_and_other_times_are_refused(self):
+        ops = build_case(catalog("transport2d-smooth"), 2, 2)[0]
+        with pytest.raises(ValueError, match="keep only the lifted rows of "
+                           "their inverses: solve_cells needs a base"):
+            ops.solve_cells(ops.source())
+        with pytest.raises(ValueError, match="solved their source at t = 0 "
+                           "during assembly, not at t = 0.5"):
+            ops.solve_source(0.5)
+        solution = ops.solve_source(0.0)
+        assert solution is ops.solve_source()
+        assert not solution.flags.writeable
 
 
 def run_small(case):
@@ -346,6 +430,19 @@ class TestSetupMemory:
             lambda: build_case(catalog("transport3d-steady"), 8, 4))
         assert held >= ops.a_inv.nbytes
         assert excess <= 5 * ASSEMBLY_BYTES
+
+    def test_steady_build_frees_the_face_velocity_sample(self, monkeypatch):
+        # with small budgets, what steady set-up allocates beyond what it
+        # keeps is less than the face velocity sample (dim values per face
+        # quadrature point), which transport frees before assembly
+        monkeypatch.setattr(operators, "ASSEMBLY_BYTES", 2**16)
+        monkeypatch.setattr(operators, "SAMPLE_POINTS", 2**10)
+        (ops, _state0), held, excess = self.traced(
+            lambda: build_case(catalog("transport3d-steady"), 12, 2))
+        mesh = ops.mesh
+        velocity = 8 * mesh.n_faces * ops.basis.n_fq * mesh.dim
+        assert held >= ops.a_inv.nbytes
+        assert excess < velocity
 
     def test_source(self):
         ops, _state0 = build_case(catalog("transport3d-steady"), 8, 4)

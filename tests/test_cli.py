@@ -434,6 +434,18 @@ def test_verify_transport_passes(capsys):
     assert "FAIL" not in out
 
 
+@pytest.mark.parametrize("dt", ["1e200", "1e10"])
+def test_verify_passes_a_solution_far_below_its_data(capsys, dt):
+    # a huge step leaves the Gaussian a solution of round-off size (zero at
+    # dt=1e200), far below its initial state: the iterate's gap, at the
+    # iteration's tolerance, is measured against the data's scale there
+    rc = main(["verify", "case=transport3d-gaussian", "nel=1", "p=1",
+               f"dt={dt}"])
+    out = capsys.readouterr().out
+    assert "PASS  iterate-vs-direct" in out
+    assert rc == 0 and "FAIL" not in out
+
+
 def test_verify_shallow_passes(capsys):
     rc = main([
         "verify", "case=shallow-standing-wave", "nel=4", "p=1", "dt=1e-3",

@@ -586,10 +586,11 @@ def test_source_is_reused_not_modified(rng):
 # base + A^-1[:, lifted] rhs with base = A^-1 source solved once per level.
 
 
-def lifted_cell(form, p):
+def lifted_cell(form, p, forcing=None):
     """A cell whose right-hand side is the trace lift alone (no load, a
-    zero previous state): (ops, reference), the reference the lift's
-    direct form as a callable of the trace."""
+    zero previous state) unless a transport forcing is given: (ops,
+    reference), the reference the lift's direct form as a callable of the
+    trace."""
     if form.startswith("shallow"):
         beta = 0.5 if form == "shallow-per-element" else 0.0
         problem = ShallowProblem(phi_mean=2.0, coriolis_f0=1.0,
@@ -602,7 +603,7 @@ def lifted_cell(form, p):
                   "transport3d-shared": (3, "transport3d-gaussian"),
                   "transport3d": (3, "transport3d-steady")}[form]
     case = catalog(ident)
-    problem = dataclasses.replace(case.problem, forcing=None)
+    problem = dataclasses.replace(case.problem, forcing=forcing)
     ops = TransportOperators(build_mesh(dim, 2, case.bounds),
                              TensorBasis(dim, p), problem)
     return ops, lambda tr: reference_transport_rhs(ops, tr)
@@ -633,11 +634,21 @@ def test_lift_reaches_only_the_lifted_columns(form, shared, lifted, width,
                                   "shallow", "shallow-per-element"])
 def test_lifted_pass_matches_a_whole_solve(form, rng):
     # one pass from a random trace and a random source, against
-    # np.linalg.solve of each element's whole right-hand side
-    ops, reference = lifted_cell(form, 3)
+    # np.linalg.solve of each element's whole right-hand side. Steady
+    # per-element operators (transport2d) solve no source but their own,
+    # solved during assembly: theirs is a forcing's load, which the
+    # reference includes
+    own = form == "transport2d"
+    forcing = lambda pts, t=0.0: np.sin(3.0 * pts[:, 0]) + pts[:, 1] ** 2
+    ops, reference = lifted_cell(form, 3, forcing if own else None)
     trace = random_trace(ops, rng)
-    source = rng.standard_normal((ops.mesh.n_el, ops.state_width))
-    got = ops.solve_cells(ops.rhs(trace), base=ops.solve_cells(source))
+    if own:
+        assert np.any(ops.source() != 0)
+        source, base = ops.zero_state(), ops.solve_source()
+    else:
+        source = rng.standard_normal((ops.mesh.n_el, ops.state_width))
+        base = ops.solve_cells(source)
+    got = ops.solve_cells(ops.rhs(trace), base=base)
     A = ops.element_matrix(np.arange(1 if ops.shared else ops.mesh.n_el))
     want = np.linalg.solve(A, (source + reference(trace))[:, :, None])[..., 0]
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
@@ -666,17 +677,22 @@ PASS_CELLS = [
 
 @pytest.mark.parametrize("ident, dt, steps", PASS_CELLS)
 def test_pass_call_counts(ident, dt, steps):
-    # the counts the benchmark tracer checks: one lift per pass, and one
-    # local solve and trace rebuild per pass plus one per level
+    # the counts the benchmark tracer checks: one lift per pass, one trace
+    # rebuild per pass plus one per level, and one local solve per pass
+    # plus one per level for the source. Steady per-element operators
+    # solved that source during assembly, so they solve once per pass
     ops, state0 = build_case(catalog(ident), 2, 2, dt)
-    assert ops.shared == (ident != "transport2d-smooth")
-    calls = counted_calls(ops, ("rhs", "solve_cells", "update_trace"))
+    steady = ident == "transport2d-smooth"
+    assert ops.shared == (not steady)
+    calls = counted_calls(ops, ("rhs", "solve_source", "solve_cells",
+                                "update_trace"))
     _state, _trace, logs = solve(
         ops, IterationConfig(stopping="successive-difference"), state0, steps)
     assert len(logs) == steps and all(log.converged for log in logs)
     passes = sum(log.iterations for log in logs)
     assert passes > steps
-    assert calls == {"rhs": passes, "solve_cells": passes + steps,
+    assert calls == {"rhs": passes, "solve_source": steps,
+                     "solve_cells": passes + (0 if steady else steps),
                      "update_trace": passes + steps}
 
 
