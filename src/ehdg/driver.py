@@ -29,6 +29,11 @@ STOPPING_MODES = (ERROR_DIFFERENCE, SUCCESSIVE_DIFFERENCE, TRACE_RESIDUAL)
 # the default cap is 10 * n_el passes, but never below this: a cold-start
 # steady solve needs 30-73 passes on meshes of 1-27 elements
 MIN_ITERATION_CAP = 200
+# a level whose successive difference has grown this many passes in a row
+# diverges: ConvergenceFailure. Shallow water at nel=2 p=2 dt=0.1 grows for
+# 169 passes in a row up to the cap; on no cell of table 1 or 2 does the
+# successive difference grow even once
+GROWTH_PASSES = 10
 
 
 class ConvergenceFailure(Exception):
@@ -115,11 +120,20 @@ def _check_finite(k, err, succ, exact_known):
         raise ConvergenceFailure(f"pass {k}: error vs exact is {err}")
 
 
-def iterate_to_fixed_point(ops, config, u0=None, t=0.0, state_prev=None):
+def iterate_to_fixed_point(ops, config, u0=None, t=0.0, state_prev=None,
+                           out=None):
     """Run passes until the stopping test is satisfied.
 
     Returns (u, trace, log). The iteration count is the number of element
     solve passes performed, counting the pass whose stopping check fired.
+
+    The iterate is a copy of u0 (zero when None) that every pass
+    overwrites. With out, the passes write into out instead: the start
+    state is u0 copied into out, or out's own values when u0 is None or
+    out itself. u0 and state_prev may both be out, as in a march (solve),
+    because they are read only before the first pass: by
+    ops.initial_trace, by the initial coordinates inside ops.pass_norms
+    and by ops.solve_source.
 
     The error-difference test compares the errors of two computed iterates,
     so it cannot fire before the second pass; no error is assigned to the
@@ -135,7 +149,9 @@ def iterate_to_fixed_point(ops, config, u0=None, t=0.0, state_prev=None):
     lifts the trace onto the lifted columns alone (ops.rhs) and adds the
     local solution of that lift to the source's (ops.solve_cells with
     base). A non-finite error or successive difference raises
-    ConvergenceFailure at once.
+    ConvergenceFailure at once, and so does a successive difference that
+    has grown GROWTH_PASSES passes in a row without the stopping test
+    firing.
     """
     exact_known = ops.problem.exact is not None
     if config.stopping == ERROR_DIFFERENCE and not exact_known:
@@ -144,7 +160,12 @@ def iterate_to_fixed_point(ops, config, u0=None, t=0.0, state_prev=None):
             "use successive-difference or trace-residual"
         )
     mesh = ops.mesh
-    u = ops.zero_state() if u0 is None else np.array(u0)
+    if out is None:
+        u = ops.zero_state() if u0 is None else np.array(u0)
+    else:
+        u = out
+        if u0 is not None and u0 is not out:
+            u[...] = u0
     trace = ops.initial_trace(u, t)
     trace_next = ops.new_trace()
 
@@ -155,7 +176,8 @@ def iterate_to_fixed_point(ops, config, u0=None, t=0.0, state_prev=None):
     # measured up to a third slower
     lift = None
     log = ConvergenceLog(stopping=config.stopping, tol=config.tol)
-    e_prev = float("nan")
+    e_prev = succ_prev = float("nan")
+    growth = 0
 
     cap = config.iteration_cap(mesh)
     for k in range(1, cap + 1):
@@ -182,6 +204,12 @@ def iterate_to_fixed_point(ops, config, u0=None, t=0.0, state_prev=None):
         if crit < config.tol:
             log.converged = True
             break
+        growth = growth + 1 if succ > succ_prev else 0
+        succ_prev = succ
+        if growth == GROWTH_PASSES:
+            raise ConvergenceFailure(
+                f"pass {k}: the successive difference grew {growth} passes "
+                f"in a row, to {succ:.3e}; the iteration diverges")
     return u, trace, log
 
 
@@ -200,6 +228,13 @@ def solve(ops, config, state0=None, steps=1):
     (m = 0, 1, ...) is warm-started at the state of the level before it,
     state0 for the first, and solved at t = m * dt + dt.
 
+    A march holds one state: state0 is copied once (and never written),
+    and every pass of every level writes into that copy. A level reads
+    its start state, the state of the level before it, only before its
+    first pass (iterate_to_fixed_point with out), so no level allocates a
+    state of its own, and the level before's trace is freed before the
+    next level starts.
+
     Returns (state, trace, logs): the last level's state and trace and one
     ConvergenceLog per level run. The march stops after the first level
     that does not converge; nothing is raised at the pass cap, so the
@@ -211,11 +246,14 @@ def solve(ops, config, state0=None, steps=1):
         state, trace, log = iterate_to_fixed_point(ops, config, u0=state0)
         return state, trace, [log]
     check_steps(steps)
-    state, logs = state0, []
+    state, logs = (None if state0 is None else np.array(state0)), []
     for m in range(steps):
+        # the level before's trace is not read again: freed before this
+        # level allocates its own two
+        trace = None
         state, trace, log = iterate_to_fixed_point(
-            ops, config, u0=state, t=m * ops.dt + ops.dt, state_prev=state
-        )
+            ops, config, u0=state, t=m * ops.dt + ops.dt, state_prev=state,
+            out=state)
         logs.append(log)
         if not log.converged:
             break

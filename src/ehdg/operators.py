@@ -1,6 +1,7 @@
 """The operator contract of the fixed-point driver (LocalOperators, which
-each physics module subclasses), the chunked assembly of local inverses and
-the blocked sampling of case callables, with the budgets on their temporaries.
+each physics module subclasses), the chunked assembly of local inverses, the
+blocked sampling of case callables and the element blocks of the per-level
+work and the lift, with the budgets on their temporaries.
 """
 
 from __future__ import annotations
@@ -45,6 +46,17 @@ def assembly_chunk(width):
     return max(1, min(ASSEMBLY_CHUNK, ASSEMBLY_BYTES // (8 * width * width)))
 
 
+def element_blocks(n_el):
+    """The (start, stop) ranges of ASSEMBLY_CHUNK consecutive elements, the
+    last one short, that cover elements 0 .. n_el - 1 in order: the blocks
+    of the per-level work and of the lift, whose temporaries then do not
+    grow with the mesh. A fixed element count, so that a block's products,
+    whose bits depend on their row count, are the same whatever the
+    sampling budget."""
+    return [(s, min(s + ASSEMBLY_CHUNK, n_el))
+            for s in range(0, n_el, ASSEMBLY_CHUNK)]
+
+
 def assemble_inverses(matrices, n_el, width, order=None, keep=None,
                       rhs=None):
     """Explicit inverses of the width x width local matrices
@@ -81,9 +93,6 @@ def assemble_inverses(matrices, n_el, width, order=None, keep=None,
     keep = width if keep is None else keep
     a_inv = np.empty((n_el, keep, width))
     chunk = assembly_chunk(width)
-    # reordered whole, as solve_cells reorders it: each element's vector
-    # then has the same strides in both, and BLAS the same summation order
-    ordered = None if rhs is None else rhs[:, order]
     for start in range(0, n_el, chunk):
         stop = min(start + chunk, n_el)
         A = matrices(np.arange(start, stop))
@@ -105,8 +114,11 @@ def assemble_inverses(matrices, n_el, width, order=None, keep=None,
         if not np.all(np.isfinite(rows)):
             raise AssemblyError("non-finite local operator inverse")
         if rhs is not None:
-            np.matmul(ordered[start:stop, None], rows,
-                      out=rhs[start:stop, None])
+            # reordered per chunk into contiguous rows, as solve_cells
+            # reorders it per block: each element's vector then has the
+            # same strides in both, and BLAS the same summation order
+            ordered = np.take(rhs[start:stop], order, axis=1)
+            np.matmul(ordered[:, None], rows, out=rhs[start:stop, None])
         if keep < width:
             a_inv[start:stop] = rows[:, :keep]
     return a_inv
@@ -376,44 +388,51 @@ class LocalOperators:
         operators keep only those rows, so without base they raise
         ValueError.
 
-        On the pool of _executor, when there is one, elements go in
-        ASSEMBLY_CHUNK blocks, each written to its own rows of out; its
-        threads run the numpy kernels only. Without a pool they go in one
-        block. Each element's product is computed on its own, so the
-        result is the same for any blocks and whichever thread runs them.
+        Elements go in blocks of element_blocks, each written to its own
+        rows of out. A whole right-hand side is reordered into the row
+        order of a_inv one block at a time, so no mesh-sized copy of it
+        is made, and out may then be rhs itself: a block's rows are copied
+        before they are overwritten. A pass (with base) goes in one block
+        unless the pool of _executor runs the blocks; its threads run the
+        numpy kernels only. A per-element product is computed for each
+        element on its own, so its result is the same for any blocks and
+        whichever thread runs them; a shared product is one GEMM per block.
         """
-        if base is None:
-            if self._source_solution is not None:
-                raise ValueError(
-                    "steady per-element operators keep only the lifted rows "
-                    "of their inverses: solve_cells needs a base, and the "
-                    "source's solution comes from solve_source")
-            rhs = rhs[:, self._order]
+        if base is None and self._source_solution is not None:
+            raise ValueError(
+                "steady per-element operators keep only the lifted rows "
+                "of their inverses: solve_cells needs a base, and the "
+                "source's solution comes from solve_source")
+        n_el = len(rhs)
         if out is None:
-            out = np.empty((len(rhs), self.state_width))
+            out = np.empty((n_el, self.state_width))
         k = rhs.shape[1]
-        if self.shared:
-            np.matmul(rhs, self.a_inv[0, :k], out=out)
-            if base is not None:
-                out += base
-            return out
-        n_el = self.mesh.n_el
-        chunks = [(s, min(s + ASSEMBLY_CHUNK, n_el))
-                  for s in range(0, n_el, ASSEMBLY_CHUNK)]
+        blocks = element_blocks(n_el)
+        pool = None if self.shared else self._executor(len(blocks))
+        if base is not None and pool is None:
+            blocks = [(0, n_el)]
 
-        def run(chunk):
-            s, e = chunk
-            # (1, k) @ (k, width) per element: a sum of a_inv's leading rows
-            np.matmul(rhs[s:e, None], self.a_inv[s:e, :k],
-                      out=out[s:e, None])
+        def run(block):
+            s, e = block
+            r = rhs[s:e]
+            if base is None:
+                # contiguous rows, in the order of a_inv's rows
+                r = np.take(r, self._order, axis=1)
+            if self.shared:
+                np.matmul(r, self.a_inv[0, :k], out=out[s:e])
+            else:
+                # (1, k) @ (k, width) per element: a sum of a_inv's
+                # leading rows
+                np.matmul(r[:, None], self.a_inv[s:e, :k],
+                          out=out[s:e, None])
             if base is not None:
                 out[s:e] += base[s:e]
 
-        pool = self._executor(len(chunks))
         if pool is None:
-            run((0, n_el))
+            for block in blocks:
+                run(block)
         else:
-            list(pool.map(run, chunks))
+            list(pool.map(run, blocks))
         return out
 
     def solve_source(self, t=0.0, state_prev=None):
@@ -424,10 +443,12 @@ class LocalOperators:
         Steady per-element operators solved it during assembly, the one
         level of a steady solve being at t = 0, and return that array
         (read-only) on every call; any other t raises ValueError. Every
-        other operator set solves it here.
+        other operator set solves it here, in place of the source, so a
+        level holds one array for both.
         """
         if self._source_solution is None:
-            return self.solve_cells(self.source(t, state_prev))
+            source = self.source(t, state_prev)
+            return self.solve_cells(source, out=source)
         if t != 0:
             raise ValueError(
                 "steady per-element operators solved their source at t = 0 "
@@ -466,21 +487,41 @@ class LocalOperators:
         """Trace-independent part of every local right-hand side, fixed for
         a whole solve at one time level: the load of each load field at
         time t plus, for a time step, each field's backward-Euler term
-        energy[i] * mass . state_prev_i / dt."""
+        energy[i] * mass . state_prev_i / dt.
+
+        The result is the one mesh-sized array made. It is filled one
+        element block (element_blocks) at a time: the block's rows are
+        zeroed, the load is sampled on the block's elements alone, and each
+        block's products are added straight into its rows, so the
+        temporaries do not grow with the mesh."""
         if self.dt is not None and state_prev is None:
             raise ValueError("a time step needs the previous state")
-        out = self.zero_state()
-        parts = self.split(out)
+        # zeroed block by block rather than by np.zeros: the first touch of
+        # a page is then a write, where reading fresh zero pages before
+        # writing them faults each page twice
+        out = np.empty((self.mesh.n_el, self.state_width))
         fn, load_fields = self.load
-        if fn is not None:
-            vals = self.sample(fn, t).reshape(len(out), -1, len(load_fields))
-            for j, i in enumerate(load_fields):
-                part = parts[i]
-                part += vals[:, :, j] @ self.load_vec.T
-        if self.dt is not None:
-            for e, part, prev in zip(self.energy, parts,
-                                     self.split(state_prev)):
-                part += e * (prev @ self.mass_phys.T) / self.dt
+        n_f = len(self.fields)
+        energy = np.asarray(self.energy)[:, None]
+        for s, e in element_blocks(len(out)):
+            out[s:e] = 0.0
+            if fn is not None:
+                parts = self.split(out[s:e])
+                vals = self.sample(fn, t, elements=np.arange(s, e))
+                vals = vals.reshape(e - s, -1, len(load_fields))
+                for j, i in enumerate(load_fields):
+                    part = parts[i]
+                    part += vals[:, :, j] @ self.load_vec.T
+                # freed before the next block's sample
+                del vals
+            if self.dt is not None:
+                # every field's mass product in one: a state row is its
+                # fields' nodal values in turn
+                prev = state_prev[s:e].reshape(-1, self.n_p)
+                term = (prev @ self.mass_phys.T).reshape(e - s, n_f, -1)
+                term *= energy
+                term /= self.dt
+                out[s:e] += term.reshape(e - s, -1)
         return out
 
     def rhs(self, trace, out=None):
@@ -490,20 +531,28 @@ class LocalOperators:
         lifted[j]. Every other column of the lift is zero. A local solve
         adds the source's own solution (solve_source, as solve_cells' base).
 
-        The lift is one gather and one product: each element's face
-        values are taken through mesh.etof, side by side in etof column
-        order, and multiplied by the stacked lift matrix (_lift). The face
-        values are the nodal trace when the weights are folded in, and
-        otherwise the trace at the face quadrature points times face_w,
-        formed once per face.
+        The lift is a gather and a product per element block
+        (element_blocks): each element's face values are taken through
+        mesh.etof, side by side in etof column order, into one block-sized
+        buffer, and multiplied by the stacked lift matrix (_lift) straight
+        into the block's rows. The face values are the nodal trace when the
+        weights are folded in, and otherwise the trace at the face
+        quadrature points times face_w, formed once per face.
         """
         faces = trace
         if self.face_w is not None:
             faces = trace @ self.basis.face_eval.T
             faces *= self.face_w
-        gathered = np.take(faces, self.mesh.etof, axis=0)
-        return np.matmul(gathered.reshape(len(gathered), -1), self._lift,
-                         out=out)
+        etof = self.mesh.etof
+        if out is None:
+            out = np.empty((len(etof), self._lift.shape[1]))
+        blocks = element_blocks(len(etof))
+        gathered = np.empty((blocks[0][1],) + etof.shape[1:] + faces.shape[1:])
+        for s, e in blocks:
+            g = gathered[: e - s]
+            np.take(faces, etof[s:e], axis=0, out=g, mode="clip")
+            np.matmul(g.reshape(e - s, -1), self._lift, out=out[s:e])
+        return out
 
     # -- norms: the energy norm, sum_i energy[i] ||field_i||^2 --------------
     #
@@ -537,25 +586,37 @@ class LocalOperators:
         leaves out, without the factor jac. A field's squared error is then
         ||c - uc||^2 + perp (_error_square).
 
-        The exact solution ue is sampled at the volume quadrature points
-        and mapped once by _sample_q: its first n_p columns give uc, the
-        rest the coordinates of ue - projection, whose squares give perp
-        directly rather than as a difference of squares. ue is not kept.
+        One element block (element_blocks) at a time, the exact solution
+        ue is sampled at the block's volume quadrature points and mapped
+        once by _sample_q: the first n_p columns of the product go
+        straight into the block's rows of uc, and the sums of squares of
+        the rest, the coordinates of ue - projection, are added to perp
+        without a copy; perp is so formed directly rather than as a
+        difference of squares. Only uc is mesh-sized; ue and the product
+        are not kept beyond their block.
         """
         if self.problem.exact is None:
             return None
-        n_p, exact = self.n_p, []
+        n_el, n_p, n_f = self.mesh.n_el, self.n_p, len(self.fields)
+        uc = [np.empty((n_el, n_p)) for _ in range(n_f)]
+        perp = [0.0] * n_f
         # an exact solution that is not finite (the standing wave's
         # cos(omega t) once omega t overflows, say) gives nan coordinates,
         # and the first pass's error is then nan (the driver's failure)
         with np.errstate(invalid="ignore", over="ignore"):
-            ue = self.sample(self.problem.exact, t)
-            ue = ue.reshape(self.mesh.n_el, -1, len(self.fields))
-            for i in range(len(self.fields)):
-                y = ue[:, :, i] @ self._sample_q
-                rest = y[:, n_p:]
-                exact.append((y[:, :n_p].copy(), np.vdot(rest, rest)))
-        return exact
+            for s, e in element_blocks(n_el):
+                ue = self.sample(self.problem.exact, t,
+                                 elements=np.arange(s, e))
+                ue = ue.reshape(e - s, -1, n_f)
+                for i in range(n_f):
+                    y = ue[:, :, i] @ self._sample_q
+                    uc[i][s:e] = y[:, :n_p]
+                    perp[i] += np.einsum("ij,ij->", y[:, n_p:], y[:, n_p:])
+                    # freed before the next product
+                    del y
+                # freed before the next block's sample
+                del ue
+        return list(zip(uc, perp))
 
     @staticmethod
     def _error_square(c, field_exact, out=None):

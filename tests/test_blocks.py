@@ -1,9 +1,13 @@
-"""Set-up work in fixed-size blocks.
+"""Set-up and per-level work in fixed-size blocks.
 
 Case callables are evaluated in blocks of at most SAMPLE_POINTS points, and
 local inverses are built and inverted in chunks of at most ASSEMBLY_BYTES
 of local matrices. Results must not depend on either budget, bit for bit,
-and the temporaries of set-up must not grow with the mesh.
+and the temporaries of set-up must not grow with the mesh. The per-level
+work (the source, its local solve, the exact solution's coordinates) and
+the lift go through element blocks of ASSEMBLY_CHUNK elements: they match
+whole-mesh references to round-off, their temporaries do not grow with the
+mesh, and a march holds one state however many levels it runs.
 """
 
 import copy
@@ -444,24 +448,251 @@ class TestSetupMemory:
         assert held >= ops.a_inv.nbytes
         assert excess < velocity
 
-    def test_source(self):
-        ops, _state0 = build_case(catalog("transport3d-steady"), 8, 4)
+    def test_source(self, monkeypatch):
+        monkeypatch.setattr(operators, "SAMPLE_POINTS", 2**10)
+        ops, _state0 = build_case(catalog("transport3d-steady"), 12, 2)
+        assert ops.mesh.n_el > 6 * ASSEMBLY_CHUNK
         source, held, excess = self.traced(lambda: ops.source(0.0))
         assert held >= source.nbytes
-        # the forcing at every quadrature point and the load made from it
-        # are mesh-sized; the callable's own temporaries are not
-        n_el, basis = ops.mesh.n_el, ops.basis
-        own = 8 * n_el * (basis.n_q + basis.n_p)
-        assert excess <= own + 16 * 8 * SAMPLE_POINTS
+        # one element block's forcing sample and the load made from it;
+        # the points of a call and the callable's temporaries
+        basis = ops.basis
+        own = 8 * ASSEMBLY_CHUNK * (basis.n_q + basis.n_p)
+        assert excess <= own + call_bytes()
 
-    def test_exact_coordinates(self):
+    def test_exact_coordinates(self, monkeypatch):
+        monkeypatch.setattr(operators, "SAMPLE_POINTS", 2**10)
         ops, _state0 = build_case(catalog("transport3d-gaussian"), 12, 4, 0.01)
+        assert ops.mesh.n_el > 6 * ASSEMBLY_CHUNK
         exact, held, excess = self.traced(lambda: ops._exact_coordinates(0.3))
         assert held >= sum(uc.nbytes for uc, _perp in exact)
-        # the exact solution at every quadrature point, its product with
-        # _sample_q and the two copies np.vdot takes of the product's last
-        # n_q - n_p columns are mesh-sized; the points of a block and the
-        # callable's temporaries are not
-        n_el, n_q, n_p = ops.mesh.n_el, ops.basis.n_q, ops.basis.n_p
-        own = 8 * n_el * (2 * n_q + 2 * (n_q - n_p))
-        assert excess <= own + 16 * 8 * SAMPLE_POINTS
+        # one element block's exact sample and its product with
+        # _sample_q, whose last n_q - n_p columns are summed in place; the
+        # points of a call and the callable's temporaries
+        n_q, n_f = ops.basis.n_q, len(ops.fields)
+        own = 8 * ASSEMBLY_CHUNK * n_q * (n_f + 1)
+        assert excess <= own + call_bytes()
+
+
+def call_bytes():
+    """What one call of a case callable may allocate: its points and its
+    own temporaries, within 16 values per point."""
+    return 16 * 8 * operators.SAMPLE_POINTS
+
+
+# small allocations beside the bounded arrays: index arrays, array headers
+SLACK = 2**16
+
+
+def windy_shallow(nel, p, per_element):
+    """Shallow water with a wind load on the unit square, at dt = 1e-3:
+    on the beta plane (per-element inverses) or on the f plane (one shared
+    inverse)."""
+    def wind(pts, t):
+        x, y = pts[:, 0], pts[:, 1]
+        return np.stack([np.sin(3 * y + t), x * np.cos(2 * x)], axis=1)
+
+    mesh = build_mesh(2, nel, [(0, 1), (0, 1)])
+    problem = ShallowProblem(phi_mean=1.0, coriolis_f0=1.0,
+                             coriolis_beta=0.5 if per_element else 0.0,
+                             y_mid=0.5, wind=wind)
+    return ShallowOperators(mesh, TensorBasis(2, p), problem, dt=1e-3)
+
+
+# operator sets of more than three element blocks each: (name, build)
+LEVEL_CELLS = {
+    "gaussian-shared": lambda: build_case(
+        catalog("transport3d-gaussian"), 10, 2, 0.01)[0],
+    "smooth-per-element": lambda: build_case(
+        catalog("transport2d-smooth"), 32, 2, 0.05)[0],
+    "steady-per-element": lambda: build_case(
+        catalog("transport3d-steady"), 10, 2)[0],
+    "wave-shared": lambda: build_case(
+        catalog("shallow-standing-wave"), 32, 2, 1e-3)[0],
+    "wind-shared": lambda: windy_shallow(32, 2, False),
+    "wind-per-element": lambda: windy_shallow(32, 2, True),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(LEVEL_CELLS))
+def level_ops(request):
+    ops = LEVEL_CELLS[request.param]()
+    assert ops.mesh.n_el > 3 * ASSEMBLY_CHUNK
+    return ops
+
+
+def level_state(ops, seed=0):
+    """A random state and trace, the same on every call."""
+    rng = np.random.default_rng(seed)
+    state = rng.standard_normal((ops.mesh.n_el, ops.state_width))
+    trace = rng.standard_normal(ops.new_trace().shape)
+    return state, trace
+
+
+def assert_close(got, want, rel=1e-14):
+    """Every entry within rel times the reference's largest magnitude."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    scale = np.max(np.abs(want))
+    assert scale > 0
+    assert np.max(np.abs(got - want)) <= rel * scale
+
+
+class TestBlockedLevelWork:
+    """The blocked per-level work and lift against whole-mesh references,
+    built here the way one whole-array call forms them."""
+
+    def whole_source(self, ops, t, state_prev):
+        out = ops.zero_state()
+        parts = ops.split(out)
+        fn, load_fields = ops.load
+        if fn is not None:
+            vals = ops.sample(fn, t).reshape(len(out), -1, len(load_fields))
+            for j, i in enumerate(load_fields):
+                part = parts[i]
+                part += vals[:, :, j] @ ops.load_vec.T
+        if ops.dt is not None:
+            for e, part, prev in zip(ops.energy, parts, ops.split(state_prev)):
+                part += e * (prev @ ops.mass_phys.T) / ops.dt
+        return out
+
+    def whole_solve(self, ops, a_inv, rhs):
+        ordered = rhs[:, ops._order]
+        if ops.shared:
+            return ordered @ a_inv[0]
+        return np.matmul(ordered[:, None], a_inv)[:, 0]
+
+    def test_exact_coordinates(self, level_ops):
+        ops = level_ops
+        t, n_p = 0.37 * (ops.dt or 1.0), ops.n_p
+        if ops.problem.exact is None:
+            assert ops._exact_coordinates(t) is None
+            return
+        ue = ops.sample(ops.problem.exact, t)
+        ue = ue.reshape(ops.mesh.n_el, -1, len(ops.fields))
+        got = ops._exact_coordinates(t)
+        assert len(got) == len(ops.fields)
+        for i, (uc, perp) in enumerate(got):
+            y = ue[:, :, i] @ ops._sample_q
+            rest = y[:, n_p:]
+            assert_close(uc, y[:, :n_p])
+            assert_close(perp, np.vdot(rest, rest))
+
+    def test_source(self, level_ops):
+        ops = level_ops
+        state_prev, _trace = level_state(ops)
+        if ops.dt is None:
+            state_prev = None
+        t = 0.0 if ops.dt is None else 2 * ops.dt
+        assert_close(ops.source(t, state_prev),
+                     self.whole_source(ops, t, state_prev))
+
+    def test_source_solution(self, level_ops):
+        ops = level_ops
+        state_prev, _trace = level_state(ops)
+        if ops.dt is None:
+            # steady per-element operators solved it during assembly; the
+            # reference solves it on whole inverses
+            a_inv = assemble_inverses(ops.element_matrix, ops.mesh.n_el,
+                                      ops.state_width, ops._order)
+            want = self.whole_solve(ops, a_inv, self.whole_source(ops, 0.0,
+                                                                  None))
+            assert_close(ops.solve_source(), want)
+            return
+        t = 2 * ops.dt
+        source = self.whole_source(ops, t, state_prev)
+        assert_close(ops.solve_cells(source),
+                     self.whole_solve(ops, ops.a_inv, source))
+        assert_close(ops.solve_source(t, state_prev),
+                     self.whole_solve(ops, ops.a_inv, source))
+
+    def test_lift(self, level_ops):
+        ops = level_ops
+        _state, trace = level_state(ops)
+        faces = trace
+        if ops.face_w is not None:
+            faces = trace @ ops.basis.face_eval.T * ops.face_w
+        gathered = np.take(faces, ops.mesh.etof, axis=0)
+        want = gathered.reshape(ops.mesh.n_el, -1) @ ops._lift
+        assert_close(ops.rhs(trace), want)
+        out = np.full_like(want, np.nan)
+        assert ops.rhs(trace, out=out) is out
+        assert np.array_equal(out, ops.rhs(trace))
+
+
+class TestLevelMemory:
+    """Traced allocations of the per-level work, the lift and a march:
+    what each allocates beyond what it returns is bounded by one element
+    block, not by the mesh."""
+
+    traced = TestSetupMemory.traced
+
+    @pytest.fixture(autouse=True)
+    def small_calls(self, monkeypatch):
+        monkeypatch.setattr(operators, "SAMPLE_POINTS", 2**10)
+        # serial local solves, so that one block is in flight at a time
+        monkeypatch.setattr(operators, "usable_cpus", lambda: 1)
+
+    @pytest.mark.parametrize("per_element", [False, True])
+    def test_source_with_a_time_step(self, per_element):
+        ops = windy_shallow(48, 2, per_element)
+        assert ops.mesh.n_el > 8 * ASSEMBLY_CHUNK
+        state_prev, _trace = level_state(ops)
+        source, held, excess = self.traced(
+            lambda: ops.source(0.01, state_prev))
+        assert held >= source.nbytes
+        # one block's wind sample (two values per point) and its load
+        # product, then the block's backward-Euler mass product, one
+        # state row per element
+        n_q, n_p = ops.basis.n_q, ops.n_p
+        own = 8 * ASSEMBLY_CHUNK * (2 * n_q + 3 * n_p)
+        assert excess <= own + call_bytes() + SLACK
+
+    @pytest.mark.parametrize("per_element", [False, True])
+    def test_whole_solve(self, per_element):
+        ops = windy_shallow(48, 2, per_element)
+        assert ops.shared != per_element
+        source = ops.source(0.01, level_state(ops)[0])
+        solved, held, excess = self.traced(lambda: ops.solve_cells(source))
+        assert held >= solved.nbytes
+        # one block of the right-hand side in the row order of a_inv
+        assert excess <= 8 * ASSEMBLY_CHUNK * ops.state_width + SLACK
+
+    @pytest.mark.parametrize("ident, nel, dt", [
+        ("transport3d-gaussian", 12, 0.01),     # folded weights
+        ("transport3d-steady", 12, None),       # per-face weights
+        ("shallow-standing-wave", 48, 1e-3),
+    ])
+    def test_lift(self, ident, nel, dt):
+        ops = build_case(catalog(ident), nel, 2, dt)[0]
+        assert ops.mesh.n_el > 6 * ASSEMBLY_CHUNK
+        _state, trace = level_state(ops)
+        lift, held, excess = self.traced(lambda: ops.rhs(trace))
+        assert held >= lift.nbytes
+        # one block's gathered face values; per-face weights also form
+        # the weighted trace at the face quadrature points, once per face
+        # like the trace itself
+        sides, n_face = ops.mesh.etof.shape[1], ops.basis.n_face
+        own = 8 * ASSEMBLY_CHUNK * sides * max(n_face, ops.basis.n_fq)
+        if ops.face_w is not None:
+            own += 8 * ops.mesh.n_faces * ops.basis.n_fq
+        assert excess <= own + SLACK
+
+    def test_march_holds_one_state(self):
+        ops, state0 = build_case(catalog("shallow-standing-wave"), 48, 2, 1e-3)
+        assert ops.mesh.n_el > 8 * ASSEMBLY_CHUNK
+        start = state0.copy()
+        config = IterationConfig()
+        peaks = {}
+        for steps in (1, 6):
+            (state, trace, logs), held, excess = self.traced(
+                lambda: solve(ops, config, state0, steps))
+            assert len(logs) == steps and logs[-1].converged
+            assert state is not state0
+            peaks[steps] = held + excess
+        assert np.array_equal(state0, start)
+        # a level's largest block temporary: its exact sample and the
+        # product with _sample_q
+        n_q, n_f = ops.basis.n_q, len(ops.fields)
+        block = 8 * ASSEMBLY_CHUNK * n_q * (n_f + 1)
+        assert peaks[6] <= peaks[1] + block

@@ -144,6 +144,18 @@ def test_solve_iteration_cap_exit_2(tmp_path, capsys):
     assert "did not converge" in capsys.readouterr().err
 
 
+def test_solve_diverging_level_exit_2(tmp_path, capsys):
+    # an expanding pass map stops on its growing successive difference,
+    # long before the 200-pass cap
+    rc = main(["solve", "case=shallow-standing-wave", "nel=2", "p=2",
+               "dt=0.1", "steps=1", f"outdir={tmp_path}"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("non-convergence: pass 41: the successive "
+                          "difference grew 10 passes in a row")
+    assert err.rstrip().endswith("the iteration diverges")
+
+
 def test_solve_transient_writes_steps_csv(tmp_path):
     rc = main([
         "solve", "case=shallow-standing-wave", "nel=4", "p=1",

@@ -9,6 +9,7 @@ import pytest
 from ehdg.basis import TensorBasis
 from ehdg.driver import (
     ERROR_DIFFERENCE,
+    GROWTH_PASSES,
     STOPPING_MODES,
     SUCCESSIVE_DIFFERENCE,
     TRACE_RESIDUAL,
@@ -216,6 +217,23 @@ class TestTransient:
         assert np.array_equal(s, s1)
         assert all(np.array_equal(a, b) for a, b in zip(trace, t1))
 
+    def test_level_writes_into_out(self):
+        # a level may write into a given array, which may also be its start
+        # and previous state, as in a march: the same iterate either way
+        ops, state = shallow_case()
+        config = IterationConfig()
+        ref, ref_trace, _log = iterate_to_fixed_point(
+            ops, config, u0=state, t=ops.dt, state_prev=state)
+        out = np.full_like(state, np.nan)
+        got, _t, _log = iterate_to_fixed_point(
+            ops, config, u0=state, t=ops.dt, state_prev=state, out=out)
+        assert got is out and np.array_equal(got, ref)
+        march = state.copy()
+        got, trace, _log = iterate_to_fixed_point(
+            ops, config, u0=march, t=ops.dt, state_prev=march, out=march)
+        assert got is march and np.array_equal(got, ref)
+        assert all(np.array_equal(a, b) for a, b in zip(trace, ref_trace))
+
     def test_step_warm_start_uses_previous_state(self):
         # with exact initial data and a tiny step the warm start leaves
         # almost nothing to correct, so the pass count stays at the floor
@@ -249,6 +267,48 @@ class TestTransient:
         assert np.array_equal(state, ref)
         assert all(np.array_equal(a, b)
                    for a, b in zip(trace, ref_trace))
+
+
+class TestDivergence:
+    """A level whose successive difference has grown GROWTH_PASSES passes
+    in a row fails fast instead of running on to the pass cap."""
+
+    @staticmethod
+    def scripted(successive, max_iters):
+        """Run a level whose norms log the given successive differences
+        (under a stopping test that never fires); returns its log."""
+        ops, mesh, basis = smooth_ops(2, 1)
+        seq = iter(successive)
+        ops.pass_norms = lambda t, state: lambda s_new: (
+            1.0, next(seq), 1.0)
+        config = IterationConfig(stopping=SUCCESSIVE_DIFFERENCE, tol=1e-300,
+                                 max_iters=max_iters)
+        return iterate_to_fixed_point(ops, config)[2]
+
+    def test_growth_short_of_the_count_runs_on(self):
+        grows = [0.5 * 1.1**j for j in range(1, GROWTH_PASSES)]
+        log = self.scripted([1.0, 0.5, *grows, 0.1, 0.2, 0.05], 14)
+        assert log.iterations == 14 and not log.converged
+
+    def test_growth_for_the_count_raises_at_that_pass(self):
+        grows = [0.5 * 1.1**j for j in range(1, GROWTH_PASSES + 1)]
+        with pytest.raises(ConvergenceFailure,
+                           match=rf"pass {GROWTH_PASSES + 2}: the successive "
+                                 rf"difference grew {GROWTH_PASSES} passes in "
+                                 r"a row, to 1\.297e\+00; the iteration "
+                                 "diverges"):
+            self.scripted([1.0, 0.5, *grows, 0.1], 40)
+
+    def test_expanding_pass_map_fails_fast(self):
+        # shallow water at dt = 0.1 on a 2 x 2 mesh at p = 2: the successive
+        # difference grows from pass 31 on, and without the growth stop the
+        # level ran to its 200-pass cap at an error of 3.1e58
+        ops, state = build_case(catalog("shallow-standing-wave"), 2, 2, 0.1)
+        assert GROWTH_PASSES == 10
+        with pytest.raises(ConvergenceFailure,
+                           match="pass 41: the successive difference grew 10 "
+                                 "passes in a row"):
+            solve(ops, IterationConfig(), state, 1)
 
 
 # The reduced cells of the four benchmark workloads, as its correctness gate
