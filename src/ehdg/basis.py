@@ -136,8 +136,6 @@ class TensorBasis:
                               onto the face polynomial space
       face_node_ids[(a,s)]  : volume node indices lying on the face, in face
                               ordering (traces of nodal data can be read off)
-      eval_1d, grad_1d      : (p + 2, p + 1) 1D basis values and derivatives
-                              at the 1D Gauss points
       end_1d[s]             : (1, p + 1) 1D basis values at xi = -1 (s = 0)
                               and xi = +1 (s = 1)
     """
@@ -162,7 +160,6 @@ class TensorBasis:
 
         E = lagrange_eval(self.nodes_1d, xg)
         Ed = E @ differentiation_matrix(self.nodes_1d)
-        self.eval_1d, self.grad_1d = E, Ed
         self.end_1d = (
             lagrange_eval(self.nodes_1d, [-1.0]),
             lagrange_eval(self.nodes_1d, [1.0]),

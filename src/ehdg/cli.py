@@ -214,12 +214,15 @@ def write_field_dump(path, cfg, mesh, basis, named_fields):
             fh.write(" ".join(cells) + "\n")
 
 
-def _write_steps_csv(path, dt, counts, errors):
+def _write_steps_csv(path, logs):
+    """One row per time level: the time it was solved at, its passes and
+    the error of its last iterate."""
     with open(path, "w") as fh:
         fh.write("step,time,iterations,error_vs_exact\n")
-        for m, (c, e) in enumerate(zip(counts, errors), start=1):
-            cell = "" if e is None or math.isnan(e) else FMT % e
-            fh.write(f"{m},{FMT % (m * dt)},{c},{cell}\n")
+        for m, log in enumerate(logs, start=1):
+            e = log.errors[-1]
+            cell = "" if math.isnan(e) else FMT % e
+            fh.write(f"{m},{FMT % log.t},{log.iterations},{cell}\n")
 
 
 def _time_levels(cfg, case):
@@ -248,11 +251,11 @@ def cmd_solve(cfg):
     dt, steps = _time_levels(cfg, case)
     ops, state0 = build_case(case, _nel(cfg), cfg.p, dt)
     state, _trace, logs = solve(ops, iteration_config(cfg), state0, steps)
-    # the error of each returned state, as the solve's norms took it
-    errors = [log.errors[-1] for log in logs]
+    # the error of the returned state, as the solve's norms took it
+    error = logs[-1].errors[-1]
     counts = [log.iterations for log in logs]
     if ops.dt is not None:
-        _write_steps_csv(_out(cfg, "steps.csv"), ops.dt, counts, errors)
+        _write_steps_csv(_out(cfg, "steps.csv"), logs)
     with open(_out(cfg, "convergence.csv"), "w") as fh:
         logs[-1].write_csv(fh)
     fields = list(zip(ops.fields, ops.split(state)))
@@ -265,8 +268,8 @@ def cmd_solve(cfg):
                    f"{min(counts)}..{max(counts)}")
         err_label = "final error"
         failure = f"step {len(logs)} did not converge within the iteration cap"
-    if not math.isnan(errors[-1]):
-        summary += f", {err_label} {errors[-1]:.3e}"
+    if not math.isnan(error):
+        summary += f", {err_label} {error:.3e}"
     print(f"{cfg.case}: nel={ops.mesh.nel} p={ops.basis.p} -> {summary}")
     if not logs[-1].converged:
         print(failure, file=sys.stderr)

@@ -68,6 +68,7 @@ class IterationConfig:
 class ConvergenceLog:
     stopping: str
     tol: float
+    t: float = 0.0                                  # the level's solve time
     iterations: int = 0
     converged: bool = False
     errors: list = field(default_factory=list)      # vs exact, nan if unknown
@@ -76,11 +77,10 @@ class ConvergenceLog:
 
     def write_csv(self, stream):
         stream.write("iteration,error_vs_exact,successive_diff,skeleton_norm\n")
-        for k in range(len(self.errors)):
-            cells = [str(k + 1)]
-            for seq in (self.errors, self.successive, self.skeleton):
-                v = seq[k]
-                cells.append("" if v is None or (isinstance(v, float) and math.isnan(v)) else "%.17g" % v)
+        rows = zip(self.errors, self.successive, self.skeleton)
+        for k, values in enumerate(rows, start=1):
+            cells = [str(k)] + ["" if math.isnan(v) else "%.17g" % v
+                                for v in values]
             stream.write(",".join(cells) + "\n")
 
 
@@ -125,7 +125,8 @@ def iterate_to_fixed_point(ops, config, u0=None, t=0.0, state_prev=None,
     """Run passes until the stopping test is satisfied.
 
     Returns (u, trace, log). The iteration count is the number of element
-    solve passes performed, counting the pass whose stopping check fired.
+    solve passes performed, counting the pass whose stopping check fired,
+    and log.t is t.
 
     The iterate is a copy of u0 (zero when None) that every pass
     overwrites. With out, the passes write into out instead: the start
@@ -175,7 +176,7 @@ def iterate_to_fixed_point(ops, config, u0=None, t=0.0, state_prev=None,
     # in each pass, passes of 2D p=4 nel=64 transport at two BLAS threads
     # measured up to a third slower
     lift = None
-    log = ConvergenceLog(stopping=config.stopping, tol=config.tol)
+    log = ConvergenceLog(stopping=config.stopping, tol=config.tol, t=t)
     e_prev = succ_prev = float("nan")
     growth = 0
 

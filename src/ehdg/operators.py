@@ -1,7 +1,7 @@
 """The operator contract of the fixed-point driver (LocalOperators, which
-each physics module subclasses), the chunked assembly of local inverses, the
-blocked sampling of case callables and the element blocks of the per-level
-work and the lift, with the budgets on their temporaries.
+each physics module subclasses), the chunked assembly of local inverses and
+the element blocks of the sampling of case callables, the per-level work and
+the lift, with the budgets on their temporaries.
 """
 
 from __future__ import annotations
@@ -13,8 +13,9 @@ import numpy as np
 
 from . import mesh as mesh_module
 
-# elements per block of the pooled batched local solve, and the most
-# elements one assembly chunk takes
+# elements (or faces) per block of the sampling, the per-level work, the
+# lift and the pooled batched local solve, and the most elements one
+# assembly chunk takes
 ASSEMBLY_CHUNK = 256
 # narrowest local operators whose batched solve runs on the thread pool:
 # from width 75 up the pool won or tied in every timed sweep, at 64 and
@@ -23,8 +24,6 @@ POOL_MIN_WIDTH = 65
 # most bytes of local matrices one assembly chunk builds and inverts: 67
 # elements at 125 x 125 (3D p=4), a full ASSEMBLY_CHUNK at 25 x 25 (2D p=4)
 ASSEMBLY_BYTES = 8 * 2**20
-# most points one call of a case callable receives (evaluate_blocked)
-SAMPLE_POINTS = 2**14
 
 
 class AssemblyError(Exception):
@@ -47,12 +46,10 @@ def assembly_chunk(width):
 
 
 def element_blocks(n_el):
-    """The (start, stop) ranges of ASSEMBLY_CHUNK consecutive elements, the
-    last one short, that cover elements 0 .. n_el - 1 in order: the blocks
-    of the per-level work and of the lift, whose temporaries then do not
-    grow with the mesh. A fixed element count, so that a block's products,
-    whose bits depend on their row count, are the same whatever the
-    sampling budget."""
+    """The (start, stop) ranges of ASSEMBLY_CHUNK consecutive elements (or
+    faces), the last one short, that cover items 0 .. n_el - 1 in order:
+    the blocks of the sampling of case callables, the per-level work and
+    the lift, whose temporaries then do not grow with the mesh."""
     return [(s, min(s + ASSEMBLY_CHUNK, n_el))
             for s in range(0, n_el, ASSEMBLY_CHUNK)]
 
@@ -132,17 +129,14 @@ def evaluate_blocked(fn, args, points, n, per):
     fn receives them as one (N, dim) array X with contiguous columns: the
     transpose of the flattened block, made contiguous first if it is not.
     Every X[:, a] is then a contiguous vector; fn must not assume C order.
-    fn sees at most SAMPLE_POINTS points per call (one item's per points
-    when that is more), so its temporaries do not grow with the mesh; fn
-    must be pointwise for the blocks to add up to one whole-array call.
-    The values go into one array of shape (n, per) plus the trailing shape
-    of fn's values.
+    fn is called once per block of element_blocks(n), so its temporaries do
+    not grow with the mesh, and once on no items when n is 0, so the result
+    still has fn's value shape; fn must be pointwise for the blocks to add
+    up to one whole-array call. The values go into one array of shape
+    (n, per) plus the trailing shape of fn's values.
     """
-    step = max(1, SAMPLE_POINTS // per)
     out = None
-    # one empty call when n is 0, so the result still has fn's value shape
-    for lo in range(0, max(n, 1), step):
-        hi = min(lo + step, n)
+    for lo, hi in element_blocks(n) or [(0, 0)]:
         X = np.ascontiguousarray(points(lo, hi))
         vals = np.asarray(fn(X.reshape(len(X), -1).T, *args))
         vals = vals.reshape(hi - lo, per, *vals.shape[1:])
@@ -361,7 +355,8 @@ class LocalOperators:
         """fn(points, *args) at the volume quadrature points (the nodes with
         nodes=True) of every element, or of the given elements. The result
         has shape (n_elements, n_points) plus the trailing shape of fn's
-        values. fn is called on element blocks (evaluate_blocked)."""
+        values. fn is called once per element block of the selection
+        (evaluate_blocked)."""
         mesh, basis = self.mesh, self.basis
         centers = mesh.centers if elements is None else mesh.centers[elements]
         ref = basis.ref_nodes if nodes else basis.quad_ref

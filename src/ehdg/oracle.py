@@ -358,8 +358,8 @@ def verify_cell(case, nel, p, dt, config):
                      TensorBasis(case.dim, p))
     ops, state0 = build_case(case, nel, p, dt)
     rules = _PHYSICS[type(ops)]
-    t = 0.0 if ops.dt is None else ops.dt
     s_it, tr_it, [log] = solve(ops, config, state0)
+    t = log.t
     s_dir, tr_dir, _sys = direct_solve(ops, state0, t)
     data = ops.diff_norm(ops.solve_source(t, state0), 0.0)
     if state0 is not None:

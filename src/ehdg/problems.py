@@ -34,7 +34,6 @@ class ProblemCase:
     problem: object
     dt_default: float | None = None
     n_steps_default: int | None = None
-    description: str = ""
 
 
 def _smooth2d():
@@ -57,7 +56,6 @@ def _smooth2d():
     return ProblemCase(
         identifier="transport2d-smooth", dim=2, kind="transport",
         bounds=((0.0, 1.0), (0.0, 1.0)), problem=problem,
-        description="steady rotating-velocity transport, smooth solution",
     )
 
 
@@ -77,7 +75,6 @@ def _discontinuous2d():
     return ProblemCase(
         identifier="transport2d-discontinuous", dim=2, kind="transport",
         bounds=((0.0, 2.0), (0.0, 2.0)), problem=problem,
-        description="steady transport with discontinuous inflow data",
     )
 
 
@@ -102,7 +99,6 @@ def _steady3d():
     return ProblemCase(
         identifier="transport3d-steady", dim=3, kind="transport",
         bounds=((0.0, 1.0), (0.0, 1.0), (0.0, 1.0)), problem=problem,
-        description="steady 3D transport, smooth manufactured solution",
     )
 
 
@@ -122,7 +118,6 @@ def _standing_wave():
         identifier="shallow-standing-wave", dim=2, kind="shallow",
         bounds=((0.0, 1.0), (0.0, 1.0)), problem=problem,
         dt_default=1e-6, n_steps_default=100,
-        description="linear standing wave in a closed square basin",
     )
 
 
@@ -147,7 +142,6 @@ def _gaussian3d():
         identifier="transport3d-gaussian", dim=3, kind="transport",
         bounds=((0.0, 1.0), (0.0, 1.0), (0.0, 1.0)), problem=problem,
         dt_default=0.01, n_steps_default=240,
-        description="transient Gaussian advected along the cube diagonal",
     )
 
 

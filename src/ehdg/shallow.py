@@ -37,8 +37,8 @@ class ShallowProblem:
     tau/rho; exact maps (pts, t) -> (N, 3) as (phi, u, v). pts is an
     (N, 2) array with contiguous columns; a callable must not assume C
     order. Both must be pointwise, each value depending on its own point
-    alone: the operators evaluate them in blocks of at most SAMPLE_POINTS
-    points."""
+    alone: the operators evaluate them once per block of at most
+    ASSEMBLY_CHUNK elements."""
 
     phi_mean: float
     coriolis_f0: float = 0.0

@@ -36,11 +36,11 @@ class TransportProblem:
     (N, d); forcing/inflow/exact map (points, t) -> (N,). The points are an
     (N, d) array with contiguous columns; a callable must not assume C
     order. They must be pointwise, each value depending on its own point
-    alone: the operators evaluate them in blocks of at most SAMPLE_POINTS
-    points. forcing None means zero. div_velocity None declares the field
-    divergence-free; otherwise it maps (N, d) -> (N,). constant_velocity
-    enables sharing one local operator across all elements of a uniform
-    mesh.
+    alone: the operators evaluate them once per block of at most
+    ASSEMBLY_CHUNK elements or faces. forcing None means zero.
+    div_velocity None declares the field divergence-free; otherwise it
+    maps (N, d) -> (N,). constant_velocity enables sharing one local
+    operator across all elements of a uniform mesh.
     """
 
     dim: int
@@ -131,7 +131,8 @@ class TransportOperators(LocalOperators):
 
     def _sample_faces(self, fn, args, faces):
         """fn(points, *args) at the quadrature points of the given faces,
-        evaluated in blocks (evaluate_blocked) of axis-major points."""
+        evaluated once per block of faces (evaluate_blocked) on axis-major
+        points."""
         mesh, basis = self.mesh, self.basis
         return evaluate_blocked(
             fn, args,

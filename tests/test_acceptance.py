@@ -24,7 +24,6 @@ from ehdg.driver import (
     fit_exponential_rate,
     iterate_to_fixed_point,
     solve,
-    transport_error_eval,
     volume_l2,
 )
 from ehdg.mesh import build_mesh
@@ -296,11 +295,11 @@ def gaussian_march():
     mesh = build_mesh(3, 8, case.bounds)
     basis = TensorBasis(3, 4)
     ops = TransportOperators(mesh, basis, case.problem, dt=dt)
-    state = ops.interpolate_exact(0.0)
+    state = ops.interpolate(ops.problem.exact, 0.0)
     state, _tr, logs = solve(ops, IterationConfig(), state, n_steps)
     assert logs[-1].converged
     counts = [log.iterations for log in logs]
-    err = transport_error_eval(ops, n_steps * dt)(state)
+    err = ops.error_eval(n_steps * dt)(state)
 
     steady = catalog("transport3d-steady")
     smesh = build_mesh(3, 8, steady.bounds)
@@ -308,7 +307,7 @@ def gaussian_march():
     sops = TransportOperators(smesh, sbasis, steady.problem)
     u, _tr, [log] = solve(sops, IterationConfig())
     assert log.converged
-    floor = transport_error_eval(sops, 0.0)(u)
+    floor = sops.error_eval(0.0)(u)
     return counts, err, floor
 
 

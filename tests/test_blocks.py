@@ -1,13 +1,14 @@
 """Set-up and per-level work in fixed-size blocks.
 
-Case callables are evaluated in blocks of at most SAMPLE_POINTS points, and
-local inverses are built and inverted in chunks of at most ASSEMBLY_BYTES
-of local matrices. Results must not depend on either budget, bit for bit,
-and the temporaries of set-up must not grow with the mesh. The per-level
-work (the source, its local solve, the exact solution's coordinates) and
-the lift go through element blocks of ASSEMBLY_CHUNK elements: they match
-whole-mesh references to round-off, their temporaries do not grow with the
-mesh, and a march holds one state however many levels it runs.
+Local inverses are built and inverted in chunks of at most ASSEMBLY_BYTES
+of local matrices, and their bits must not depend on the chunk. Everything
+else goes through element blocks of ASSEMBLY_CHUNK elements (or faces):
+case callables are called once per block, with values equal to one
+whole-array call bit for bit, and the per-level work (the source, its local
+solve, the exact solution's coordinates) and the lift match whole-mesh
+references to round-off. The temporaries of set-up and of a level do not
+grow with the mesh, and a march holds one state however many levels it
+runs.
 """
 
 import copy
@@ -19,13 +20,13 @@ import pytest
 
 import ehdg.mesh as mesh_module
 import ehdg.operators as operators
+import ehdg.transport as transport
 from ehdg.basis import TensorBasis
 from ehdg.driver import IterationConfig, solve
 from ehdg.mesh import build_mesh
 from ehdg.operators import (
     ASSEMBLY_BYTES,
     ASSEMBLY_CHUNK,
-    SAMPLE_POINTS,
     OperatorSizeError,
     assemble_inverses,
     assembly_chunk,
@@ -75,23 +76,24 @@ SAMPLED = [
 
 
 class TestSample:
-    # 1 point: one element per block; 100 points: several elements per
-    # block and a short last block
-    @pytest.mark.parametrize("budget", [1, 100])
+    # one element per block; four elements per block, the last block short
+    # on 27 elements and on the five selected
+    @pytest.mark.parametrize("per_block", [1, 4])
     @pytest.mark.parametrize("ident,attr,args", SAMPLED)
     @pytest.mark.parametrize("nodes", [False, True])
     @pytest.mark.parametrize("elements", [None, [5, 0, 7, 3, 6]])
-    def test_blocks_equal_one_whole_call(self, monkeypatch, case_ops, budget,
-                                         ident, attr, args, nodes, elements):
+    def test_blocks_equal_one_whole_call(self, monkeypatch, case_ops,
+                                         per_block, ident, attr, args, nodes,
+                                         elements):
         ops = case_ops[ident]
         fn = getattr(ops.problem, attr)
         expect = direct_sample(ops, fn, *args, nodes=nodes, elements=elements)
-        monkeypatch.setattr(operators, "SAMPLE_POINTS", budget)
+        monkeypatch.setattr(operators, "ASSEMBLY_CHUNK", per_block)
         got = ops.sample(fn, *args, nodes=nodes, elements=elements)
         assert got.shape == expect.shape
         assert np.array_equal(got, expect)
 
-    def test_calls_stay_within_the_budget(self, monkeypatch, case_ops):
+    def test_one_call_per_element_block(self, monkeypatch, case_ops):
         ops = case_ops["transport3d-steady"]
         seen = []
 
@@ -99,16 +101,19 @@ class TestSample:
             seen.append(len(pts))
             return ops.problem.exact(pts, t)
 
-        n_q = ops.basis.n_q
-        monkeypatch.setattr(operators, "SAMPLE_POINTS", 3 * n_q + 1)
+        n_q, n_el = ops.basis.n_q, ops.mesh.n_el
         ops.sample(exact, 0.0)
-        # three elements per block, the last block short
-        assert seen == [3 * n_q] * 9
+        # the whole mesh is less than one default block
+        assert n_el < ASSEMBLY_CHUNK and seen == [n_el * n_q]
         seen.clear()
-        monkeypatch.setattr(operators, "SAMPLE_POINTS", 1)
+        monkeypatch.setattr(operators, "ASSEMBLY_CHUNK", 4)
         ops.sample(exact, 0.0)
-        # a budget below one element's points still takes one element
-        assert seen == [n_q] * ops.mesh.n_el
+        # four elements per block, the last block short
+        assert seen == [4 * n_q] * 6 + [3 * n_q]
+        seen.clear()
+        monkeypatch.setattr(operators, "ASSEMBLY_CHUNK", 1)
+        ops.sample(exact, 0.0)
+        assert seen == [n_q] * n_el
 
     def test_empty_selection(self, case_ops):
         ops = case_ops["shallow-standing-wave"]
@@ -128,10 +133,10 @@ FACE_SAMPLED = [
 
 
 class TestSampleFaces:
-    @pytest.mark.parametrize("budget", [1, 100])
+    @pytest.mark.parametrize("per_block", [1, 4])
     @pytest.mark.parametrize("ident,attr,args", FACE_SAMPLED)
-    def test_blocks_equal_one_whole_call(self, monkeypatch, case_ops, budget,
-                                         ident, attr, args):
+    def test_blocks_equal_one_whole_call(self, monkeypatch, case_ops,
+                                         per_block, ident, attr, args):
         ops = case_ops[ident]
         mesh, basis = ops.mesh, ops.basis
         faces = (np.arange(mesh.n_faces) if attr == "velocity"
@@ -142,7 +147,7 @@ class TestSampleFaces:
         pts = mesh.face_quad_points(basis, faces)
         vals = np.asarray(fn(pts.reshape(-1, mesh.dim), *args))
         expect = vals.reshape(len(faces), basis.n_fq, *vals.shape[1:])
-        monkeypatch.setattr(operators, "SAMPLE_POINTS", budget)
+        monkeypatch.setattr(operators, "ASSEMBLY_CHUNK", per_block)
         got = ops._sample_faces(fn, args, faces)
         assert got.shape == expect.shape
         assert np.array_equal(got, expect)
@@ -182,9 +187,10 @@ class TestPointLayout:
              mesh.face_quad_points(basis, faces).reshape(-1, mesh.dim)),
         ]
 
-    @pytest.mark.parametrize("budget", [100, SAMPLE_POINTS])
-    def test_callables_get_contiguous_columns(self, monkeypatch, ops, budget):
-        monkeypatch.setattr(operators, "SAMPLE_POINTS", budget)
+    @pytest.mark.parametrize("per_block", [3, ASSEMBLY_CHUNK])
+    def test_callables_get_contiguous_columns(self, monkeypatch, ops,
+                                              per_block):
+        monkeypatch.setattr(operators, "ASSEMBLY_CHUNK", per_block)
         for name, run, expect in self.paths(ops):
             seen = []
 
@@ -195,8 +201,8 @@ class TestPointLayout:
                 return pts[:, 0]
 
             run(record)
-            # several blocks under the small budget
-            assert len(seen) >= (2 if budget < SAMPLE_POINTS else 1), name
+            # several blocks of the small size, one of the default
+            assert len(seen) >= (2 if per_block < ASSEMBLY_CHUNK else 1), name
             assert np.array_equal(np.concatenate(seen), expect), name
 
 
@@ -380,17 +386,35 @@ def run_small(case):
 
 @pytest.mark.parametrize("ident", case_identifiers())
 def test_case_runs_within_the_budget(monkeypatch, ident):
-    """Every callable of the case, through set-up and a short run, sees at
-    most SAMPLE_POINTS points per call, and the run is bit-identical to
-    one with the default budget."""
-    case = catalog(ident)
-    _ops, state, trace, logs = run_small(case)
+    """Every callable of the case, through set-up and a short run, is
+    called by evaluate_blocked on at most ASSEMBLY_CHUNK elements or faces,
+    and on a full block at least once."""
+    per_block = 4
+    monkeypatch.setattr(operators, "ASSEMBLY_CHUNK", per_block)
+    # the points per element or face of the evaluate_blocked call running
+    running = []
 
+    def tracking(evaluate):
+        def wrapped(fn, args, points, n, per):
+            running.append(per)
+            try:
+                return evaluate(fn, args, points, n, per)
+            finally:
+                running.pop()
+        return wrapped
+
+    for module in (operators, transport):
+        monkeypatch.setattr(module, "evaluate_blocked",
+                            tracking(module.evaluate_blocked))
+    case = catalog(ident)
     seen = {}
 
     def recording(name, fn):
         def wrapped(pts, *args):
-            seen.setdefault(name, []).append(len(pts))
+            assert running, f"{name} called outside evaluate_blocked"
+            items, rest = divmod(len(pts), running[-1])
+            assert not rest, name
+            seen.setdefault(name, []).append(items)
             return fn(pts, *args)
         return wrapped
 
@@ -399,25 +423,21 @@ def test_case_runs_within_the_budget(monkeypatch, ident):
                if getattr(case.problem, attr, None) is not None}
     small = dataclasses.replace(
         case, problem=dataclasses.replace(case.problem, **wrapped))
-    monkeypatch.setattr(operators, "SAMPLE_POINTS", 100)
-    _ops, state_b, trace_b, logs_b = run_small(small)
+    run_small(small)
 
     assert set(seen) == set(wrapped)
-    assert max(max(calls) for calls in seen.values()) <= 100
-    assert np.array_equal(state_b, state)
-    for a, b in zip(trace_b, trace):
-        assert np.array_equal(a, b)
-    for lb, l in zip(logs_b, logs, strict=True):
-        for got, want in ((lb.errors, l.errors), (lb.successive, l.successive),
-                          (lb.skeleton, l.skeleton)):
-            assert np.array_equal(got, want, equal_nan=True)
+    assert max(max(calls) for calls in seen.values()) == per_block
+    assert all(1 <= items <= per_block
+               for calls in seen.values() for items in calls), seen
 
 
 class TestSetupMemory:
     """Traced allocations: what set-up allocates beyond what it keeps is
     bounded by the budgets, not by the mesh. A 256-element chunk of 3D p=4
     matrices alone is 32 MiB, and sampling the forcing at all 110592
-    quadrature points of this mesh at once takes about 9 MiB."""
+    quadrature points of this mesh at once takes about 9 MiB. The tests
+    that bound a sample shrink the element blocks to 16 elements, so that
+    a block is far below the mesh."""
 
     def traced(self, fn):
         """(result, bytes held after fn, peak bytes beyond that)."""
@@ -440,16 +460,22 @@ class TestSetupMemory:
         # keeps is less than the face velocity sample (dim values per face
         # quadrature point), which transport frees before assembly
         monkeypatch.setattr(operators, "ASSEMBLY_BYTES", 2**16)
-        monkeypatch.setattr(operators, "SAMPLE_POINTS", 2**10)
+        monkeypatch.setattr(operators, "ASSEMBLY_CHUNK", 16)
         (ops, _state0), held, excess = self.traced(
             lambda: build_case(catalog("transport3d-steady"), 12, 2))
         mesh = ops.mesh
         velocity = 8 * mesh.n_faces * ops.basis.n_fq * mesh.dim
         assert held >= ops.a_inv.nbytes
         assert excess < velocity
+        # nor is the sample kept: beyond the inverses, the face data (bn
+        # and the per-face face_w) and the source's solution, what set-up
+        # holds is less than the sample
+        kept = (ops.a_inv.nbytes + ops.bn.nbytes + ops.face_w.nbytes
+                + ops.solve_source().nbytes)
+        assert held - kept < velocity
 
     def test_source(self, monkeypatch):
-        monkeypatch.setattr(operators, "SAMPLE_POINTS", 2**10)
+        monkeypatch.setattr(operators, "ASSEMBLY_CHUNK", 16)
         ops, _state0 = build_case(catalog("transport3d-steady"), 12, 2)
         assert ops.mesh.n_el > 6 * ASSEMBLY_CHUNK
         source, held, excess = self.traced(lambda: ops.source(0.0))
@@ -457,11 +483,11 @@ class TestSetupMemory:
         # one element block's forcing sample and the load made from it;
         # the points of a call and the callable's temporaries
         basis = ops.basis
-        own = 8 * ASSEMBLY_CHUNK * (basis.n_q + basis.n_p)
-        assert excess <= own + call_bytes()
+        own = 8 * operators.ASSEMBLY_CHUNK * (basis.n_q + basis.n_p)
+        assert excess <= own + call_bytes(basis.n_q)
 
     def test_exact_coordinates(self, monkeypatch):
-        monkeypatch.setattr(operators, "SAMPLE_POINTS", 2**10)
+        monkeypatch.setattr(operators, "ASSEMBLY_CHUNK", 16)
         ops, _state0 = build_case(catalog("transport3d-gaussian"), 12, 4, 0.01)
         assert ops.mesh.n_el > 6 * ASSEMBLY_CHUNK
         exact, held, excess = self.traced(lambda: ops._exact_coordinates(0.3))
@@ -470,14 +496,15 @@ class TestSetupMemory:
         # _sample_q, whose last n_q - n_p columns are summed in place; the
         # points of a call and the callable's temporaries
         n_q, n_f = ops.basis.n_q, len(ops.fields)
-        own = 8 * ASSEMBLY_CHUNK * n_q * (n_f + 1)
-        assert excess <= own + call_bytes()
+        own = 8 * operators.ASSEMBLY_CHUNK * n_q * (n_f + 1)
+        assert excess <= own + call_bytes(n_q)
 
 
-def call_bytes():
-    """What one call of a case callable may allocate: its points and its
-    own temporaries, within 16 values per point."""
-    return 16 * 8 * operators.SAMPLE_POINTS
+def call_bytes(per):
+    """What one call of a case callable on one element block of per points
+    each may allocate: its points and its own temporaries, within 16
+    values per point."""
+    return 16 * 8 * operators.ASSEMBLY_CHUNK * per
 
 
 # small allocations beside the bounded arrays: index arrays, array headers
@@ -628,13 +655,14 @@ class TestLevelMemory:
     traced = TestSetupMemory.traced
 
     @pytest.fixture(autouse=True)
-    def small_calls(self, monkeypatch):
-        monkeypatch.setattr(operators, "SAMPLE_POINTS", 2**10)
+    def serial_solves(self, monkeypatch):
         # serial local solves, so that one block is in flight at a time
         monkeypatch.setattr(operators, "usable_cpus", lambda: 1)
 
     @pytest.mark.parametrize("per_element", [False, True])
-    def test_source_with_a_time_step(self, per_element):
+    def test_source_with_a_time_step(self, monkeypatch, per_element):
+        # blocks of 64 elements, far below the mesh, bound the wind sample
+        monkeypatch.setattr(operators, "ASSEMBLY_CHUNK", 64)
         ops = windy_shallow(48, 2, per_element)
         assert ops.mesh.n_el > 8 * ASSEMBLY_CHUNK
         state_prev, _trace = level_state(ops)
@@ -645,8 +673,8 @@ class TestLevelMemory:
         # product, then the block's backward-Euler mass product, one
         # state row per element
         n_q, n_p = ops.basis.n_q, ops.n_p
-        own = 8 * ASSEMBLY_CHUNK * (2 * n_q + 3 * n_p)
-        assert excess <= own + call_bytes() + SLACK
+        own = 8 * operators.ASSEMBLY_CHUNK * (2 * n_q + 3 * n_p)
+        assert excess <= own + call_bytes(n_q) + SLACK
 
     @pytest.mark.parametrize("per_element", [False, True])
     def test_whole_solve(self, per_element):

@@ -171,6 +171,32 @@ def test_solve_transient_writes_steps_csv(tmp_path):
     assert abs(float(last[1]) - 3e-3) < 1e-15
 
 
+def test_steps_csv_times_are_the_solve_times(tmp_path, monkeypatch):
+    # each row's time is the one its level was solved at, as the exact
+    # solution saw it: at dt=1e-4, levels 7, 14, ... are solved at
+    # 6 dt + dt, which is one ulp away from 7 * dt
+    from ehdg.problems import catalog
+
+    problem = catalog("transport3d-gaussian").problem
+    exact, times = problem.exact, []
+
+    def recording(pts, t=0.0):
+        times.append(t)
+        return exact(pts, t)
+
+    monkeypatch.setattr(problem, "exact", recording)
+    rc = main(["solve", "case=transport3d-gaussian", "nel=1", "p=1",
+               "dt=1e-4", "steps=50", f"outdir={tmp_path}"])
+    assert rc == 0
+    steps = tmp_path / "transport3d-gaussian-p1-nel1-steps.csv"
+    rows = steps.read_text().splitlines()[1:]
+    written = [float(row.split(",")[1]) for row in rows]
+    # the initial state is interpolated at t = 0, then each level's norms
+    # sample the exact solution at its own time
+    assert sorted(set(times)) == [0.0] + written
+    assert 7e-4 not in written
+
+
 @pytest.mark.parametrize("case, nel", [("transport3d-gaussian", 2),
                                        ("shallow-standing-wave", 4)])
 def test_solve_transient_stops_at_failed_step(tmp_path, capsys, case, nel):

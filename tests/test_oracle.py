@@ -109,7 +109,7 @@ class TestTransientEquivalence:
         dt = case.dt_default
         ops = operators(case, 4, 1, dt)
         mesh, basis = ops.mesh, ops.basis
-        state0 = ops.interpolate_exact(0.0)
+        state0 = ops.interpolate(ops.problem.exact, 0.0)
         u_dir, trace_dir, _system = direct_solve(ops, state0, dt)
         u_it, trace_it, [log] = solve(ops, TIGHT, state0)
         assert log.converged
@@ -160,7 +160,7 @@ class TestProbedSystem:
         elif cell == "transient3d":
             case = catalog("transport3d-gaussian")
             ops = operators(case, 2, 2, dt=1e-2)
-            state_prev, t = ops.interpolate_exact(0.0), 1e-2
+            state_prev, t = ops.interpolate(ops.problem.exact, 0.0), 1e-2
         else:
             case = catalog("shallow-standing-wave")
             ops = operators(case, 3, 2, dt=1e-3)

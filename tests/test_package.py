@@ -133,9 +133,9 @@ def test_no_module_reads_the_environment():
 
 
 def test_readme_memory_budgets_are_the_operators_budgets():
-    # the budget bullets of README's Memory section name exactly the byte
-    # and point budgets of ehdg.operators, with their values, so a budget
-    # that is deleted or changed in the code cannot stay documented
+    # the budget bullets of README's Memory section name exactly the byte,
+    # block and point budgets of ehdg.operators, with their values, so a
+    # budget that is deleted or changed in the code cannot stay documented
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     with open(os.path.join(root, "README.md")) as fh:
         memory = fh.read().split("\n## Memory\n", 1)[1].split("\n## ", 1)[0]
@@ -146,7 +146,7 @@ def test_readme_memory_budgets_are_the_operators_budgets():
             r"^- `(\w+)` \((\d+)( MiB)?\)", memory, flags=re.M)}
     budgets = {
         name: value for name, value in vars(ehdg.operators).items()
-        if re.fullmatch(r"[A-Z_]+_(BYTES|POINTS)", name)}
+        if re.fullmatch(r"[A-Z_]+_(BYTES|CHUNK|POINTS)", name)}
     assert budgets
     assert documented == budgets
 

@@ -221,7 +221,7 @@ def norm_cell(physics, dim, p, transient):
                         dt=0.05 if transient else None)
     t, prev = 0.0, None
     if transient:
-        prev = ops.interpolate_exact(0.0)
+        prev = ops.interpolate(ops.problem.exact, 0.0)
         t = 0.05
     refs = (reference_transport_error(ops, t),
             lambda u: volume_l2(ops.mesh, ops.basis, u),
