@@ -144,9 +144,10 @@ def iterate_to_fixed_point(ops, config, u0=None, t=0.0, state_prev=None,
 
     An error-difference test without an exact solution raises ValueError
     before any work. Work that does not change within the solve is done
-    once before the first pass: the exact solution's coordinates (inside
-    the norms) and the local solution of the trace-independent part of
-    the right-hand side (ops.solve_source). Each pass
+    once before the first pass: the boundary data (ops.initial_trace, in
+    both traces), the exact solution's coordinates (inside the norms) and
+    the local solution of the trace-independent part of the right-hand
+    side (ops.solve_source). Each pass
     lifts the trace onto the lifted columns alone (ops.rhs) and adds the
     local solution of that lift to the source's (ops.solve_cells with
     base). A non-finite error or successive difference raises
@@ -167,8 +168,9 @@ def iterate_to_fixed_point(ops, config, u0=None, t=0.0, state_prev=None,
         u = out
         if u0 is not None and u0 is not out:
             u[...] = u0
+    # both traces hold the level's boundary data, which no pass writes
     trace = ops.initial_trace(u, t)
-    trace_next = ops.new_trace()
+    trace_next = trace.copy()
 
     norms = ops.pass_norms(t, u)
     base = ops.solve_source(t, state_prev)
@@ -184,7 +186,7 @@ def iterate_to_fixed_point(ops, config, u0=None, t=0.0, state_prev=None,
     for k in range(1, cap + 1):
         lift = ops.rhs(trace, out=lift)
         ops.solve_cells(lift, out=u, base=base)
-        ops.update_trace(u, trace_next, t)
+        ops.update_trace(u, trace_next)
 
         e_k, succ, skel = norms(u)
         _check_finite(k, e_k, succ, exact_known)

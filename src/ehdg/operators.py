@@ -162,16 +162,19 @@ class LocalOperators:
     during assembly (_assemble). The base class supplies the state width,
     zero state, field split and nodal interpolation, the batched local
     solves, trace construction, the sampling of case callables at element
-    points, the source, the trace lift (rhs) and the norms. A trace is one
-    (mesh.n_faces, n_face) array of the nodal values of every face, read
-    through mesh.etof. Each physics names its fields, supplies
-    element_matrix(elements) and update_trace(state, trace_out, t), ends
-    its __init__ with _assemble(shared), and gives as data:
+    and face points, the source, the boundary data, the trace lift (rhs)
+    and the norms. A trace is one (mesh.n_faces, n_face) array of the
+    nodal values of every face, read through mesh.etof. Each physics names
+    its fields, supplies element_matrix(elements) and
+    update_trace(state, trace_out), which writes every face but those of
+    boundary, ends its __init__ with _assemble(shared), and gives as data:
 
       energy       per-field weights of the backward-Euler time term, in
                    field order; they define the energy norm;
       load         (fn, load_fields): load field j takes the load of value
                    j of fn(points, t); fn None loads nothing;
+      boundary     (fn, faces): the faces that take the L2 projection of
+                   fn(points, t) (boundary_trace), once per time level;
       face_w       face weights at the face quadrature points: one
                    (mesh.n_faces, n_fq) array, each face's row shared by
                    both of its element sides;
@@ -372,6 +375,18 @@ class LocalOperators:
 
         return evaluate_blocked(fn, args, points, len(centers), len(ref))
 
+    def _sample_faces(self, fn, args, faces):
+        """fn(points, *args) at the quadrature points of the given faces,
+        evaluated once per block of faces (evaluate_blocked) on axis-major
+        points."""
+        mesh, basis = self.mesh, self.basis
+        return evaluate_blocked(
+            fn, args,
+            lambda lo, hi: np.moveaxis(
+                mesh.face_quad_points(basis, faces[lo:hi]), -1, 0),
+            len(faces), basis.n_fq,
+        )
+
     def solve_cells(self, rhs, out=None, base=None):
         """Batched local solves A^-1 r of every element.
 
@@ -473,9 +488,20 @@ class LocalOperators:
     def new_trace(self):
         return np.zeros((self.mesh.n_faces, self.basis.n_face))
 
+    def boundary_trace(self, trace, t=0.0):
+        """Write the L2 projection of the boundary data at time t onto the
+        faces of boundary. No face quadrature points are kept."""
+        fn, faces = self.boundary
+        if len(faces):
+            g = self._sample_faces(fn, (t,), faces)
+            trace[faces] = g @ self.basis.face_proj.T
+
     def initial_trace(self, state, t=0.0):
+        """The trace of a level at time t: the boundary data, and every
+        other face rebuilt from state."""
         tr = self.new_trace()
-        self.update_trace(state, tr, t)
+        self.boundary_trace(tr, t)
+        self.update_trace(state, tr)
         return tr
 
     def source(self, t=0.0, state_prev=None):

@@ -9,9 +9,10 @@ interior face the conservation condition
 function, where u(uhat) denotes the element-local solves driven by the
 trace. The matrix is built by probing unit trace vectors through the local
 solves, one column batch per face, and solved densely. Boundary faces are
-eliminated: inflow data enters the right-hand side, and the outflow and
-wall trace rules are folded into the local matrices (condensed_matrices:
-ops.element_matrix plus a face correction). The operators are those the
+eliminated: the boundary data (ops.boundary_trace, transport's inflow)
+enters the right-hand side, and the outflow and wall trace rules are
+folded into the local matrices (condensed_matrices: ops.element_matrix
+plus a face correction). The operators are those the
 fixed-point driver runs on; the oracle keeps their outflow and wall trace
 entries zero whenever it calls ops.rhs, so those faces lift nothing.
 
@@ -147,8 +148,6 @@ class _Transport:
         hi = np.take(u, ops._node_index(plus[dead], side))
         trace[fid[dead]] = 0.5 * (lo + hi)
 
-    boundary_data = TransportOperators.inflow_trace
-
     def extra_checks(ops, state0, state):
         return []
 
@@ -203,9 +202,6 @@ class _Shallow:
         phi = np.take(state, ops._node_index(els, side))
         vel = np.take(state, ops._node_index(els, side, 1 + side // 2))
         trace[fid] = phi + ops.root_phi * osign * vel
-
-    def boundary_data(ops, trace, t):
-        pass
 
     def extra_checks(ops, state0, state):
         # scaled by the integral of |phi0|, not by |mass0|: a zero-mean
@@ -299,7 +295,7 @@ def assemble_trace_system(ops, state_prev=None, t=0.0):
                               mesh.n_el, ops.state_width)
 
     trace0 = ops.new_trace()
-    rules.boundary_data(ops, trace0, t)
+    ops.boundary_trace(trace0, t)
     state0 = condensed_solve(ops, a_inv, trace0, ops.source(t, state_prev))
     r0 = jump_moments(ops, state0, trace0)
 
@@ -331,14 +327,13 @@ def assemble_trace_system(ops, state_prev=None, t=0.0):
 def direct_solve(ops, state_prev=None, t=0.0):
     """Returns (state, trace, system) from the dense skeleton solve of the
     condensed trace system of ops (see assemble_trace_system)."""
-    rules = _PHYSICS[type(ops)]
     system = assemble_trace_system(ops, state_prev, t)
     trace = ops.new_trace()
-    rules.boundary_data(ops, trace, t)
+    ops.boundary_trace(trace, t)
     system.index.scatter(np.linalg.solve(system.matrix, system.rhs), trace)
     state = condensed_solve(ops, system.a_inv, trace,
                             ops.source(t, state_prev))
-    rules.closure(ops, state, trace)
+    _PHYSICS[type(ops)].closure(ops, state, trace)
     return state, trace, system
 
 

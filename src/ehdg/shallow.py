@@ -150,8 +150,10 @@ class ShallowOperators(LocalOperators):
             n = (-1.0, 1.0)[s]
             self.lift_coef[(a, s)] = ((0, self.root_phi),
                                       (1 + a, -(phi_mean * n)))
-        # the wind stress loads the two momentum rows
+        # the wind stress loads the two momentum rows; walls take no data
+        # (no faces: an index array, as () would index every face)
         self.load = (problem.wind, (1, 2))
+        self.boundary = (None, np.array([], dtype=int))
 
         # the face nodes the trace rule reads, as indices into a flattened
         # state: phi and the normal velocity (field 1 + a on sides 2a + s)
@@ -192,7 +194,7 @@ class ShallowOperators(LocalOperators):
 
     # -- per-iteration pieces -------------------------------------------------
 
-    def update_trace(self, state, trace_out, t=0.0):
+    def update_trace(self, state, trace_out):
         """phihat = {phi} + sqrt(PHI){theta.n} inside, one-sided on walls.
 
         Every quantity involved is already a face polynomial, so nodal reads

@@ -25,7 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .mesh import INFLOW, classify_boundary_face
-from .operators import AssemblyError, LocalOperators, evaluate_blocked
+from .operators import AssemblyError, LocalOperators
 
 
 @dataclass
@@ -60,15 +60,14 @@ class TransportOperators(LocalOperators):
     the problem declares a constant velocity on a uniform mesh, a single
     operator is shared by all elements. Otherwise a steady problem keeps
     only the lifted rows of each element's inverse and solves its source
-    during assembly (LocalOperators._assemble). The face velocity sample
-    and the other mesh-sized temporaries of the face rules are freed
-    before assembly starts.
+    during assembly (LocalOperators._assemble). The mesh-sized
+    temporaries of the face rules are freed before assembly starts.
     """
 
     def __init__(self, mesh, basis, problem, dt=None):
         super().__init__(mesh, basis, problem, dt)
-        # the mesh-sized temporaries of the face rules (the face velocity
-        # sample, the signs of beta.n) end with _face_rules, before assembly
+        # the mesh-sized temporaries of the face rules (the signs of
+        # beta.n) end with _face_rules, before assembly
         self._face_rules(problem)
         if problem.inflow is None and len(self.inflow_faces):
             raise AssemblyError("problem has inflow faces but no inflow data")
@@ -85,18 +84,21 @@ class TransportOperators(LocalOperators):
                        * basis.face_quad_w * np.abs(self.bn))
         self.lift_coef = {key: ((0, 1.0),) for key in self._sides}
         self.load = (problem.forcing, (0,))
-        self._inflow_cache = {}
+        self.boundary = (problem.inflow, self.inflow_faces)
         self._assemble(shared)
 
     def _face_rules(self, problem):
         """Set bn (beta . e_a at the quadrature points of every face, a its
         axis), the inflow faces, the outflow mask and the two trace rules of
         update_trace: the faces that copy an element's face nodes
-        (_copies) and the mixed-sign faces (_mixed)."""
-        mesh = self.mesh
-        etof, every = mesh.etof, np.arange(mesh.n_faces)
-        v = self._sample_faces(problem.velocity, (), every)
-        self.bn = v[every, :, mesh.face_axis]
+        (_copies) and the mixed-sign faces (_mixed). bn is sampled on the
+        faces of one axis a at a time, as beta . e_a alone."""
+        mesh, etof = self.mesh, self.mesh.etof
+        self.bn = np.empty((mesh.n_faces, self.basis.n_fq))
+        for a in range(mesh.dim):
+            faces = np.flatnonzero(mesh.face_axis == a)
+            self.bn[faces] = self._sample_faces(
+                lambda X: problem.velocity(X)[:, a], (), faces)
         sgn = np.sign(self.bn)
 
         # the inflow faces, and per face whether it is an outflow boundary
@@ -128,18 +130,6 @@ class TransportOperators(LocalOperators):
         side = 2 * axis[sel]
         self._mixed = (fid[sel], self._node_index(minus[sel], side + 1),
                        self._node_index(plus[sel], side), inner[sel])
-
-    def _sample_faces(self, fn, args, faces):
-        """fn(points, *args) at the quadrature points of the given faces,
-        evaluated once per block of faces (evaluate_blocked) on axis-major
-        points."""
-        mesh, basis = self.mesh, self.basis
-        return evaluate_blocked(
-            fn, args,
-            lambda lo, hi: np.moveaxis(
-                mesh.face_quad_points(basis, faces[lo:hi]), -1, 0),
-            len(faces), basis.n_fq,
-        )
 
     # -- assembly -----------------------------------------------------------
 
@@ -177,24 +167,7 @@ class TransportOperators(LocalOperators):
 
     # -- per-iteration pieces ------------------------------------------------
 
-    def inflow_trace(self, trace, t=0.0):
-        """Write the L2 projection of the inflow data onto inflow faces.
-
-        The projection is cached per time value: every pass of a solve
-        rebuilds the trace at the same t. The inflow faces' quadrature
-        points are formed only on a cache miss and not kept.
-        """
-        fid = self.inflow_faces
-        if not len(fid):
-            return
-        proj = self._inflow_cache.get(t)
-        if proj is None:
-            g = self._sample_faces(self.problem.inflow, (t,), fid)
-            proj = g @ self.basis.face_proj.T
-            self._inflow_cache = {t: proj}
-        trace[fid] = proj
-
-    def update_trace(self, u, trace_out, t=0.0):
+    def update_trace(self, u, trace_out):
         """Rebuild the skeleton trace from element solutions.
 
         An interior face on which beta.n has one sign at every face
@@ -203,8 +176,8 @@ class TransportOperators(LocalOperators):
         value is then a face polynomial, and the other GLL basis functions
         vanish on the face. Only mixed-sign interior faces form the upwind
         average pointwise at the face quadrature points and project it
-        onto the face space. Inflow faces take the boundary data
-        projection.
+        onto the face space. Inflow faces (boundary) are not written: they
+        hold the level's inflow data (boundary_trace).
         """
         basis = self.basis
         fid, minus, plus, s = self._mixed
@@ -212,7 +185,6 @@ class TransportOperators(LocalOperators):
         up = np.take(u, plus) @ basis.face_eval.T
         uh = 0.5 * ((um + up) + s * (um - up))
         trace_out[fid] = uh @ basis.face_proj.T
-        self.inflow_trace(trace_out, t)
         for fid, els, key in self._copies:
             trace_out[fid] = u[els, basis.face_node_ids[key]]
 

@@ -20,7 +20,6 @@ import pytest
 
 import ehdg.mesh as mesh_module
 import ehdg.operators as operators
-import ehdg.transport as transport
 from ehdg.basis import TensorBasis
 from ehdg.driver import IterationConfig, solve
 from ehdg.mesh import build_mesh
@@ -403,9 +402,8 @@ def test_case_runs_within_the_budget(monkeypatch, ident):
                 running.pop()
         return wrapped
 
-    for module in (operators, transport):
-        monkeypatch.setattr(module, "evaluate_blocked",
-                            tracking(module.evaluate_blocked))
+    monkeypatch.setattr(operators, "evaluate_blocked",
+                        tracking(operators.evaluate_blocked))
     case = catalog(ident)
     seen = {}
 
@@ -458,7 +456,7 @@ class TestSetupMemory:
     def test_steady_build_frees_the_face_velocity_sample(self, monkeypatch):
         # with small budgets, what steady set-up allocates beyond what it
         # keeps is less than the face velocity sample (dim values per face
-        # quadrature point), which transport frees before assembly
+        # quadrature point), which transport never forms
         monkeypatch.setattr(operators, "ASSEMBLY_BYTES", 2**16)
         monkeypatch.setattr(operators, "ASSEMBLY_CHUNK", 16)
         (ops, _state0), held, excess = self.traced(
@@ -473,6 +471,20 @@ class TestSetupMemory:
         kept = (ops.a_inv.nbytes + ops.bn.nbytes + ops.face_w.nbytes
                 + ops.solve_source().nbytes)
         assert held - kept < velocity
+
+    def test_face_rules_sample_no_whole_velocity(self, monkeypatch):
+        # beta.n is sampled one face axis at a time, as beta . e_a alone:
+        # what the face rules allocate beyond what they keep is less than
+        # a sample of every velocity component at every face
+        monkeypatch.setattr(operators, "ASSEMBLY_CHUNK", 16)
+        monkeypatch.setattr(TransportOperators, "_assemble",
+                            lambda self, shared: None)
+        case = catalog("transport3d-steady")
+        mesh = build_mesh(case.dim, 12, case.bounds)
+        basis = TensorBasis(case.dim, 2)
+        _ops, _held, excess = self.traced(
+            lambda: TransportOperators(mesh, basis, case.problem))
+        assert excess < 8 * mesh.n_faces * basis.n_fq * mesh.dim
 
     def test_source(self, monkeypatch):
         monkeypatch.setattr(operators, "ASSEMBLY_CHUNK", 16)

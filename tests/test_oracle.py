@@ -136,8 +136,7 @@ def _residual(ops, system, vec, state_prev, t):
     trace vec, through ops.rhs: the map whose Jacobian the prober writes
     down."""
     trace = ops.new_trace()
-    if isinstance(ops, TransportOperators):
-        ops.inflow_trace(trace, t)
+    ops.boundary_trace(trace, t)
     system.index.scatter(vec, trace)
     state = condensed_solve(ops, system.a_inv, trace,
                             ops.source(t, state_prev))

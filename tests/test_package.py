@@ -79,6 +79,19 @@ def test_each_physics_writes_only_its_own_rules():
     for ident in ("transport2d-smooth", "shallow-standing-wave"):
         ops, _state0 = build_case(catalog(ident), 2, 1)
         assert "load" in vars(ops), ident
+        assert "boundary" in vars(ops), ident
+
+
+def test_no_per_pass_method_takes_a_time():
+    # the pass map is the same at every pass of a level: the time enters
+    # through the level's source and boundary data alone
+    from ehdg.shallow import ShallowOperators
+    from ehdg.transport import TransportOperators
+
+    for cls in (TransportOperators, ShallowOperators):
+        for name in ("rhs", "solve_cells", "update_trace"):
+            params = inspect.signature(getattr(cls, name)).parameters
+            assert "t" not in params, (cls.__name__, name, list(params))
 
 
 def test_the_operator_contract_is_its_own_module():

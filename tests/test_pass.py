@@ -27,7 +27,7 @@ from ehdg.driver import (
 )
 from ehdg.mesh import build_mesh
 from ehdg.oracle import full_rhs
-from ehdg.problems import build_case, catalog
+from ehdg.problems import build_case, case_identifiers, catalog
 from ehdg.shallow import ShallowOperators, ShallowProblem
 from ehdg.transport import TransportOperators
 
@@ -131,7 +131,7 @@ def reference_update_trace(ops, u, trace_out, t=0.0):
         s = np.sign(ops.bn[fid])
         uh = 0.5 * ((um + up) + s * (um - up))
         trace_out[fid] = uh @ basis.face_proj.T
-    ops.inflow_trace(trace_out, t)
+    ops.boundary_trace(trace_out, t)
     for a in range(mesh.dim):
         for side in (0, 1):
             fid, els, _sign = plane_faces(mesh, a, side)
@@ -388,8 +388,7 @@ def test_face_node_update_trace_matches_reference(dim, p, rng):
     case = "transport2d-smooth" if dim == 2 else "transport3d-gaussian"
     ops = transport_ops(dim, p, 8, case=case)
     u = rng.standard_normal((ops.mesh.n_el, ops.basis.n_p))
-    got, want = ops.new_trace(), ops.new_trace()
-    ops.update_trace(u, got, 0.3)
+    got, want = ops.initial_trace(u, 0.3), ops.new_trace()
     reference_update_trace(ops, u, want, 0.3)
     assert_round_off(got, want, np.abs(u).max())
 
@@ -399,8 +398,7 @@ def test_face_node_update_trace_matches_reference(dim, p, rng):
 def test_face_node_update_trace_small_3d_meshes(nel, p, rng):
     ops = transport_ops(3, p, nel, case="transport3d-gaussian")
     u = rng.standard_normal((ops.mesh.n_el, ops.basis.n_p))
-    got, want = ops.new_trace(), ops.new_trace()
-    ops.update_trace(u, got, 0.3)
+    got, want = ops.initial_trace(u, 0.3), ops.new_trace()
     reference_update_trace(ops, u, want, 0.3)
     assert_round_off(got, want, np.abs(u).max())
 
@@ -433,8 +431,7 @@ def test_update_trace_on_one_signed_and_mixed_faces(p, power, rng):
     ops = sheared_transport(3, p, power)
     assert len(ops._mixed[0])
     u = rng.standard_normal((ops.mesh.n_el, ops.basis.n_p))
-    got, want = ops.new_trace(), ops.new_trace()
-    ops.update_trace(u, got, 0.0)
+    got, want = ops.initial_trace(u, 0.0), ops.new_trace()
     reference_update_trace(ops, u, want, 0.0)
     assert_round_off(got, want, np.abs(u).max())
     # a one-signed face is its upwind element's face polynomial, copied
@@ -724,6 +721,66 @@ def test_every_pass_of_a_level_solves_into_one_state(ident, dt, steps):
     assert levels[-1][1][0] is state
     if state0 is not None:
         assert np.array_equal(state0, initial)
+
+
+# -- the trace rule is linear; the boundary data belongs to the level ---------------
+
+
+@pytest.mark.parametrize("ident", case_identifiers())
+def test_update_trace_is_linear(ident, rng):
+    # the pass map's trace rule reads the state alone: T(2u - 3v) is
+    # 2 T(u) - 3 T(v), and a zero state gives a zero trace
+    ops, _state0 = build_case(catalog(ident), 2, 2)
+
+    def rule(state):
+        trace = ops.new_trace()
+        ops.update_trace(state, trace)
+        return trace
+
+    u, v = (rng.standard_normal(ops.zero_state().shape) for _ in range(2))
+    gap = np.abs(rule(2 * u - 3 * v) - (2 * rule(u) - 3 * rule(v))).max()
+    assert gap <= 1e-14 * np.abs(rule(u)).max()
+    assert not np.any(rule(ops.zero_state()))
+
+
+@pytest.mark.parametrize("ident", case_identifiers())
+def test_update_trace_leaves_the_boundary_faces(ident, rng):
+    ops, _state0 = build_case(catalog(ident), 2, 2)
+    _fn, faces = ops.boundary
+    trace = np.full(ops.new_trace().shape, np.nan)
+    ops.update_trace(rng.standard_normal(ops.zero_state().shape), trace)
+    written = np.ones(len(trace), dtype=bool)
+    written[faces] = False
+    assert np.all(np.isnan(trace[faces]))
+    assert np.all(np.isfinite(trace[written]))
+
+
+def test_boundary_faces_hold_the_level_data_through_its_passes():
+    # both traces of a level take the boundary data once, at the level's
+    # t, and every pass's rebuild leaves it there
+    ops, state0 = build_case(catalog("transport3d-gaussian"), 2, 2, 1e-2)
+    _fn, faces = ops.boundary
+    assert len(faces)
+    t = 0.37
+    want = ops.new_trace()
+    ops.boundary_trace(want, t)
+    assert np.any(want[faces])
+    seen = []
+    update_trace = ops.update_trace
+
+    def recording(state, trace_out):
+        update_trace(state, trace_out)
+        seen.append((trace_out, trace_out[faces].copy()))
+
+    ops.update_trace = recording
+    _u, trace, log = iterate_to_fixed_point(
+        ops, IterationConfig(stopping="successive-difference"), u0=state0,
+        t=t, state_prev=state0)
+    assert log.iterations > 2
+    assert len({id(buffer) for buffer, _vals in seen[1:]}) == 2
+    for _buffer, vals in seen:
+        assert np.array_equal(vals, want[faces])
+    assert np.array_equal(trace[faces], want[faces])
 
 
 # -- once per time level ----------------------------------------------------------------

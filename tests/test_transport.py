@@ -471,7 +471,7 @@ class TestUpwindTrace:
         basis = TensorBasis(2, 2)
         ops = TransportOperators(mesh, basis, rotating_problem(inflow=g))
         tr = ops.new_trace()
-        ops.inflow_trace(tr)
+        ops.boundary_trace(tr)
         fid, els, _sign = plane_faces(mesh, 0, 0)
         nid = basis.face_node_ids[(0, 0)]
         X = mesh.centers[els][:, None, :] + mesh.half * basis.ref_nodes[nid][None]
