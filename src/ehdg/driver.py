@@ -109,6 +109,20 @@ def transport_skeleton_norm(ops, u):
     return ops.skeleton_norm(u)
 
 
+@dataclass
+class LevelWorkspace:
+    """The buffers a level writes besides its state: the two traces, the
+    lift, the local solution of the source (base) and the norms
+    (LocalOperators.pass_norms). Each is None until the first level that
+    uses the workspace allocates it, and every later level rewrites it,
+    so one workspace serves every level of a march (solve)."""
+
+    traces: Optional[tuple] = None
+    lift: Optional[np.ndarray] = None
+    base: Optional[np.ndarray] = None
+    norms: Optional[object] = None
+
+
 def _check_finite(k, err, succ, exact_known):
     """Fail fast: a non-finite iterate never passes a stopping test, so it
     would otherwise run on to the pass cap."""
@@ -121,7 +135,7 @@ def _check_finite(k, err, succ, exact_known):
 
 
 def iterate_to_fixed_point(ops, config, u0=None, t=0.0, state_prev=None,
-                           out=None):
+                           out=None, workspace=None):
     """Run passes until the stopping test is satisfied.
 
     Returns (u, trace, log). The iteration count is the number of element
@@ -135,6 +149,13 @@ def iterate_to_fixed_point(ops, config, u0=None, t=0.0, state_prev=None,
     because they are read only before the first pass: by
     ops.initial_trace, by the initial coordinates inside ops.pass_norms
     and by ops.solve_source.
+
+    The level writes its traces, lift, base and norms into workspace
+    (a LevelWorkspace), and into a fresh one when None. A workspace whose
+    norms an earlier level filled must have been handed that level's
+    final state as the start state: its coordinates of that state are
+    this level's start (ops.pass_norms with out), so they are not
+    computed again.
 
     The error-difference test compares the errors of two computed iterates,
     so it cannot fire before the second pass; no error is assigned to the
@@ -168,16 +189,22 @@ def iterate_to_fixed_point(ops, config, u0=None, t=0.0, state_prev=None,
         u = out
         if u0 is not None and u0 is not out:
             u[...] = u0
+    ws = LevelWorkspace() if workspace is None else workspace
+    trace, trace_next = ws.traces or (None, None)
     # both traces hold the level's boundary data, which no pass writes
-    trace = ops.initial_trace(u, t)
-    trace_next = trace.copy()
+    trace = ops.initial_trace(u, t, out=trace)
+    if trace_next is None:
+        trace_next = trace.copy()
+    else:
+        trace_next[...] = trace
+    ws.traces = (trace, trace_next)
 
-    norms = ops.pass_norms(t, u)
-    base = ops.solve_source(t, state_prev)
+    norms = ws.norms = ops.pass_norms(t, u, out=ws.norms)
+    base = ws.base = ops.solve_source(t, state_prev, out=ws.base)
     # one lift buffer serves every pass: with a lift allocated and freed
     # in each pass, passes of 2D p=4 nel=64 transport at two BLAS threads
     # measured up to a third slower
-    lift = None
+    lift = ws.lift
     log = ConvergenceLog(stopping=config.stopping, tol=config.tol, t=t)
     e_prev = succ_prev = float("nan")
     growth = 0
@@ -213,6 +240,7 @@ def iterate_to_fixed_point(ops, config, u0=None, t=0.0, state_prev=None,
             raise ConvergenceFailure(
                 f"pass {k}: the successive difference grew {growth} passes "
                 f"in a row, to {succ:.3e}; the iteration diverges")
+    ws.lift = lift
     return u, trace, log
 
 
@@ -235,8 +263,10 @@ def solve(ops, config, state0=None, steps=1):
     and every pass of every level writes into that copy. A level reads
     its start state, the state of the level before it, only before its
     first pass (iterate_to_fixed_point with out), so no level allocates a
-    state of its own, and the level before's trace is freed before the
-    next level starts.
+    state of its own. The march also holds one LevelWorkspace, which
+    every level writes, so from the second level on no level allocates
+    its traces, lift, base or norms either, and each starts from the
+    coordinates of the level before's last pass.
 
     Returns (state, trace, logs): the last level's state and trace and one
     ConvergenceLog per level run. The march stops after the first level
@@ -250,13 +280,11 @@ def solve(ops, config, state0=None, steps=1):
         return state, trace, [log]
     check_steps(steps)
     state, logs = (None if state0 is None else np.array(state0)), []
+    workspace = LevelWorkspace()
     for m in range(steps):
-        # the level before's trace is not read again: freed before this
-        # level allocates its own two
-        trace = None
         state, trace, log = iterate_to_fixed_point(
             ops, config, u0=state, t=m * ops.dt + ops.dt, state_prev=state,
-            out=state)
+            out=state, workspace=workspace)
         logs.append(log)
         if not log.converged:
             break

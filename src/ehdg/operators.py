@@ -221,8 +221,9 @@ class LocalOperators:
 
     def _assemble(self, shared):
         """Set shared, the lifted columns, a_inv, the trace lift of rhs
-        (_lift) and, for folded weights, the skeleton norm's factor
-        (_skeleton_factor).
+        (_lift), for folded weights the skeleton norm's factor
+        (_skeleton_factor), and for a shared set with a time step the
+        folded backward-Euler term C of solve_source (_fold_time_term).
 
         The weights fold when every face of each axis carries the same
         face_w row: element 0's rows then go into _lift and the factor,
@@ -277,8 +278,25 @@ class LocalOperators:
                                        self._source_solution)
         if steady:
             self._source_solution.flags.writeable = False
+        self._previous_solve = (self._fold_time_term()
+                                if shared and self.dt is not None else None)
         if self.face_w is None:
             self._skeleton_s = self._skeleton_factor(rows)
+        # per-face weights: the weighted trace at the face quadrature
+        # points, written by every rhs call (built on its first)
+        self._weighted = None
+
+    def _fold_time_term(self):
+        """C, with state_prev @ C the local solution of the backward-Euler
+        term of the source (source) under the one shared inverse: the
+        block-diagonal map of state_prev to that term, each field's block
+        energy[i] * mass_phys.T / dt, times a_inv[0] in its row order."""
+        width, n = self.state_width, self.n_p
+        term = np.zeros((width, width))
+        for i, e in enumerate(self.energy):
+            term[i * n:(i + 1) * n, i * n:(i + 1) * n] = (
+                e * self.mass_phys.T / self.dt)
+        return term[:, self._order] @ self.a_inv[0]
 
     def _skeleton_factor(self, rows):
         """S with S.T @ S = K, the skeleton norm's Gram matrix under folded
@@ -445,25 +463,45 @@ class LocalOperators:
             list(pool.map(run, blocks))
         return out
 
-    def solve_source(self, t=0.0, state_prev=None):
+    def solve_source(self, t=0.0, state_prev=None, out=None):
         """The local solution A^-1 source(t, state_prev) of every element,
         to which each pass of a solve at time t adds the solution of its
-        lift (solve_cells with base).
+        lift (solve_cells with base), written into out when given.
 
         Steady per-element operators solved it during assembly, the one
         level of a steady solve being at t = 0, and return that array
-        (read-only) on every call; any other t raises ValueError. Every
-        other operator set solves it here, in place of the source, so a
-        level holds one array for both.
+        (read-only) on every call, whatever out is; any other t raises
+        ValueError. Other per-element sets solve the source here, in place
+        of the source (solve_cells), so a level holds one array for both.
+        A shared set folds its backward-Euler term into C (_assemble):
+        the solution is state_prev @ C, one GEMM (zero for a steady set),
+        plus the load solved one element block at a time, and solve_cells
+        is not called.
         """
-        if self._source_solution is None:
-            source = self.source(t, state_prev)
+        if self._source_solution is not None:
+            if t != 0:
+                raise ValueError(
+                    "steady per-element operators solved their source at "
+                    f"t = 0 during assembly, not at t = {t}")
+            return self._source_solution
+        if not self.shared:
+            source = self.source(t, state_prev, out=out)
             return self.solve_cells(source, out=source)
-        if t != 0:
-            raise ValueError(
-                "steady per-element operators solved their source at t = 0 "
-                f"during assembly, not at t = {t}")
-        return self._source_solution
+        self._check_previous(state_prev)
+        if out is None:
+            out = np.empty((self.mesh.n_el, self.state_width))
+        if self.dt is None:
+            out[...] = 0.0
+        else:
+            np.matmul(state_prev, self._previous_solve, out=out)
+        if self.load[0] is not None:
+            rows = np.empty((ASSEMBLY_CHUNK, self.state_width))
+            for s, e in element_blocks(len(out)):
+                load = rows[: e - s]
+                load[...] = 0.0
+                self._add_load(load, s, e, t)
+                out[s:e] += np.take(load, self._order, axis=1) @ self.a_inv[0]
+        return out
 
     def _executor(self, n_chunks):
         """The thread pool for n_chunks blocks of per-element solves, or
@@ -496,45 +534,53 @@ class LocalOperators:
             g = self._sample_faces(fn, (t,), faces)
             trace[faces] = g @ self.basis.face_proj.T
 
-    def initial_trace(self, state, t=0.0):
-        """The trace of a level at time t: the boundary data, and every
-        other face rebuilt from state."""
-        tr = self.new_trace()
+    def initial_trace(self, state, t=0.0, out=None):
+        """The trace of a level at time t, written into out when given: the
+        boundary data, and every other face rebuilt from state."""
+        tr = self.new_trace() if out is None else out
         self.boundary_trace(tr, t)
         self.update_trace(state, tr)
         return tr
 
-    def source(self, t=0.0, state_prev=None):
+    def _check_previous(self, state_prev):
+        if self.dt is not None and state_prev is None:
+            raise ValueError("a time step needs the previous state")
+
+    def _add_load(self, rows, s, e, t):
+        """Add the load at time t of elements s .. e - 1 to their rows,
+        sampled on those elements alone."""
+        fn, load_fields = self.load
+        if fn is None:
+            return
+        parts = self.split(rows)
+        vals = self.sample(fn, t, elements=np.arange(s, e))
+        vals = vals.reshape(e - s, -1, len(load_fields))
+        for j, i in enumerate(load_fields):
+            part = parts[i]
+            part += vals[:, :, j] @ self.load_vec.T
+
+    def source(self, t=0.0, state_prev=None, out=None):
         """Trace-independent part of every local right-hand side, fixed for
         a whole solve at one time level: the load of each load field at
         time t plus, for a time step, each field's backward-Euler term
-        energy[i] * mass . state_prev_i / dt.
+        energy[i] * mass . state_prev_i / dt. Written into out when given.
 
-        The result is the one mesh-sized array made. It is filled one
-        element block (element_blocks) at a time: the block's rows are
-        zeroed, the load is sampled on the block's elements alone, and each
-        block's products are added straight into its rows, so the
-        temporaries do not grow with the mesh."""
-        if self.dt is not None and state_prev is None:
-            raise ValueError("a time step needs the previous state")
+        The result is the one mesh-sized array. It is filled one element
+        block (element_blocks) at a time: the block's rows are zeroed, the
+        load is sampled on the block's elements alone, and each block's
+        products are added straight into its rows, so the temporaries do
+        not grow with the mesh."""
+        self._check_previous(state_prev)
         # zeroed block by block rather than by np.zeros: the first touch of
         # a page is then a write, where reading fresh zero pages before
         # writing them faults each page twice
-        out = np.empty((self.mesh.n_el, self.state_width))
-        fn, load_fields = self.load
+        if out is None:
+            out = np.empty((self.mesh.n_el, self.state_width))
         n_f = len(self.fields)
         energy = np.asarray(self.energy)[:, None]
         for s, e in element_blocks(len(out)):
             out[s:e] = 0.0
-            if fn is not None:
-                parts = self.split(out[s:e])
-                vals = self.sample(fn, t, elements=np.arange(s, e))
-                vals = vals.reshape(e - s, -1, len(load_fields))
-                for j, i in enumerate(load_fields):
-                    part = parts[i]
-                    part += vals[:, :, j] @ self.load_vec.T
-                # freed before the next block's sample
-                del vals
+            self._add_load(out[s:e], s, e, t)
             if self.dt is not None:
                 # every field's mass product in one: a state row is its
                 # fields' nodal values in turn
@@ -558,11 +604,15 @@ class LocalOperators:
         buffer, and multiplied by the stacked lift matrix (_lift) straight
         into the block's rows. The face values are the nodal trace when the
         weights are folded in, and otherwise the trace at the face
-        quadrature points times face_w, formed once per face.
+        quadrature points times face_w, formed once per face into one
+        buffer (_weighted) that every call rewrites.
         """
         faces = trace
         if self.face_w is not None:
-            faces = trace @ self.basis.face_eval.T
+            if self._weighted is None:
+                self._weighted = np.empty_like(self.face_w)
+            faces = np.matmul(trace, self.basis.face_eval.T,
+                              out=self._weighted)
             faces *= self.face_w
         etof = self.mesh.etof
         if out is None:
@@ -600,16 +650,19 @@ class LocalOperators:
             squares.append(np.vdot(c, c))
         return self._energy_norm(squares)
 
-    def _exact_coordinates(self, t):
+    def _exact_coordinates(self, t, out=None):
         """The exact solution at time t against the coordinates, or None
         when the problem has none: per field, the coordinates uc of its L2
         projection and perp, the squared norm of what the projection
         leaves out, without the factor jac. A field's squared error is then
-        ||c - uc||^2 + perp (_error_square).
+        ||c - uc||^2 + perp (_error_square). The uc of every field are the
+        views out[i] of one (n_fields, n_el, n_p) array, written into out
+        when given.
 
         One element block (element_blocks) at a time, the exact solution
-        ue is sampled at the block's volume quadrature points and mapped
-        once by _sample_q: the first n_p columns of the product go
+        ue is sampled at the block's volume quadrature points, laid out
+        field-major and contiguous, and mapped by _sample_q in one GEMM
+        for all fields: the first n_p columns of each field's rows go
         straight into the block's rows of uc, and the sums of squares of
         the rest, the coordinates of ue - projection, are added to perp
         without a copy; perp is so formed directly rather than as a
@@ -619,7 +672,7 @@ class LocalOperators:
         if self.problem.exact is None:
             return None
         n_el, n_p, n_f = self.mesh.n_el, self.n_p, len(self.fields)
-        uc = [np.empty((n_el, n_p)) for _ in range(n_f)]
+        uc = np.empty((n_f, n_el, n_p)) if out is None else out
         perp = [0.0] * n_f
         # an exact solution that is not finite (the standing wave's
         # cos(omega t) once omega t overflows, say) gives nan coordinates,
@@ -628,15 +681,19 @@ class LocalOperators:
             for s, e in element_blocks(n_el):
                 ue = self.sample(self.problem.exact, t,
                                  elements=np.arange(s, e))
-                ue = ue.reshape(e - s, -1, n_f)
-                for i in range(n_f):
-                    y = ue[:, :, i] @ self._sample_q
-                    uc[i][s:e] = y[:, :n_p]
-                    perp[i] += np.einsum("ij,ij->", y[:, n_p:], y[:, n_p:])
-                    # freed before the next product
-                    del y
-                # freed before the next block's sample
+                # field-major: a copy unless there is one field
+                ue = np.ascontiguousarray(
+                    np.moveaxis(ue.reshape(e - s, -1, n_f), -1, 0))
+                y = (ue.reshape(-1, ue.shape[-1]) @ self._sample_q).reshape(
+                    n_f, e - s, -1)
+                # freed before the block's sums
                 del ue
+                uc[:, s:e] = y[:, :, :n_p]
+                for i in range(n_f):
+                    perp[i] += np.einsum("ij,ij->", y[i, :, n_p:],
+                                         y[i, :, n_p:])
+                # freed before the next block's sample
+                del y
         return list(zip(uc, perp))
 
     @staticmethod
@@ -688,35 +745,60 @@ class LocalOperators:
                 total += e * np.vdot(vals * w, vals)
         return float(np.sqrt(total))
 
-    def pass_norms(self, t, state):
-        """The per-pass norms of a solve at time t started from state: a
-        callable s_new -> (error, successive difference, skeleton norm) of
-        each new iterate in turn, the error nan without an exact solution.
+    def pass_norms(self, t, state, out=None):
+        """The per-pass norms of a solve at time t started from state
+        (PassNorms): a callable s_new -> (error, successive difference,
+        skeleton norm) of each new iterate in turn, the error nan without
+        an exact solution.
 
-        The exact solution is sampled once (_exact_coordinates). Each pass
-        maps each field of the new iterate to its coordinates once; the
-        error and the successive difference are both taken from them, and
-        they are kept for the next pass, so the previous iterate itself is
-        never read and may have been overwritten. One coordinate buffer
-        per field and one spare rotate.
+        With out, the PassNorms of the level before in the same march,
+        whose last iterate is state: its buffers are rewritten for time t,
+        and its coordinates of that iterate are this level's start, so
+        state is not read. The exact solution is sampled once per call
+        (_exact_coordinates).
         """
-        exact = self._exact_coordinates(t)
-        coords = [self._coordinates(part) for part in self.split(state)]
-        spare = np.empty_like(coords[0])
+        if out is None:
+            uc = None
+            if self.problem.exact is not None:
+                uc = np.empty((len(self.fields), self.mesh.n_el, self.n_p))
+            out = PassNorms(self, [self._coordinates(part)
+                                   for part in self.split(state)], uc)
+        out.exact = self._exact_coordinates(t, out=out.uc)
+        return out
 
-        def norms(s_new):
-            nonlocal spare
-            succ, err = [], []
-            for i, part in enumerate(self.split(s_new)):
-                c, dc = self._coordinates(part, out=spare), coords[i]
-                np.subtract(c, dc, out=dc)
-                succ.append(np.vdot(dc, dc))
-                if exact is not None:
-                    # the expression of error_eval, so the error (and the
-                    # error-difference stopping test) is bit-identical to it
-                    err.append(self._error_square(c, exact[i], out=dc))
-                coords[i], spare = c, dc
-            e = float("nan") if exact is None else self._energy_norm(err)
-            return e, self._energy_norm(succ), self.skeleton_norm(s_new)
 
-        return norms
+class PassNorms:
+    """The norms of each new iterate of a level, against the iterate
+    before it and the exact solution (LocalOperators.pass_norms).
+
+    Each call maps each field of the new iterate to its coordinates once;
+    the error and the successive difference are both taken from them, and
+    they are kept for the next call, so the previous iterate itself is
+    never read and may have been overwritten. One coordinate buffer per
+    field (coords, those of the last iterate) and one spare rotate. exact
+    is the level's list of (uc, perp) per field (_exact_coordinates), its
+    uc the views of the one array uc; both are None without an exact
+    solution.
+    """
+
+    def __init__(self, ops, coords, uc):
+        self.ops = ops
+        self.coords = coords
+        self.spare = np.empty_like(coords[0])
+        self.uc = uc
+        self.exact = None
+
+    def __call__(self, s_new):
+        ops, coords, exact = self.ops, self.coords, self.exact
+        succ, err = [], []
+        for i, part in enumerate(ops.split(s_new)):
+            c, dc = ops._coordinates(part, out=self.spare), coords[i]
+            np.subtract(c, dc, out=dc)
+            succ.append(np.vdot(dc, dc))
+            if exact is not None:
+                # the expression of error_eval, so the error (and the
+                # error-difference stopping test) is bit-identical to it
+                err.append(ops._error_square(c, exact[i], out=dc))
+            coords[i], self.spare = c, dc
+        e = float("nan") if exact is None else ops._energy_norm(err)
+        return e, ops._energy_norm(succ), ops.skeleton_norm(s_new)

@@ -645,6 +645,30 @@ class TestBlockedLevelWork:
         assert_close(ops.solve_source(t, state_prev),
                      self.whole_solve(ops, ops.a_inv, source))
 
+    def test_folded_source_solution(self):
+        # a shared set's solve_source is state_prev @ C plus the solved
+        # load; the reference is the whole source solved by solve_cells
+        shared = []
+        for ident in case_identifiers():
+            nel, p, _dt = small_case(ident)
+            ops = build_case(catalog(ident), nel, p, 1e-2)[0]
+            if ops.shared:
+                shared.append(ops)
+        assert {"transport3d-gaussian", "shallow-standing-wave"} <= {
+            ident for ident in case_identifiers()
+            if any(ops.problem is catalog(ident).problem for ops in shared)}
+        # the f plane with a wind: a shared set with a load
+        windy = windy_shallow(8, 2, False)
+        assert windy.shared and windy.load[0] is not None
+        for ops in shared + [windy]:
+            state_prev, _trace = level_state(ops)
+            t = 2 * ops.dt
+            want = ops.solve_cells(ops.source(t, state_prev))
+            assert_close(ops.solve_source(t, state_prev), want)
+            out = np.full_like(want, np.nan)
+            assert ops.solve_source(t, state_prev, out=out) is out
+            assert_close(out, want)
+
     def test_lift(self, level_ops):
         ops = level_ops
         _state, trace = level_state(ops)
@@ -707,15 +731,15 @@ class TestLevelMemory:
         ops = build_case(catalog(ident), nel, 2, dt)[0]
         assert ops.mesh.n_el > 6 * ASSEMBLY_CHUNK
         _state, trace = level_state(ops)
+        # per-face weights form the weighted trace at the face quadrature
+        # points into a buffer that the first call builds and every later
+        # call rewrites
+        ops.rhs(trace)
         lift, held, excess = self.traced(lambda: ops.rhs(trace))
         assert held >= lift.nbytes
-        # one block's gathered face values; per-face weights also form
-        # the weighted trace at the face quadrature points, once per face
-        # like the trace itself
+        # one block's gathered face values
         sides, n_face = ops.mesh.etof.shape[1], ops.basis.n_face
         own = 8 * ASSEMBLY_CHUNK * sides * max(n_face, ops.basis.n_fq)
-        if ops.face_w is not None:
-            own += 8 * ops.mesh.n_faces * ops.basis.n_fq
         assert excess <= own + SLACK
 
     def test_march_holds_one_state(self):
@@ -736,3 +760,60 @@ class TestLevelMemory:
         n_q, n_f = ops.basis.n_q, len(ops.fields)
         block = 8 * ASSEMBLY_CHUNK * n_q * (n_f + 1)
         assert peaks[6] <= peaks[1] + block
+
+    @pytest.mark.parametrize("ident, nel, dt", [
+        ("shallow-standing-wave", 48, 1e-3),
+        ("transport3d-gaussian", 12, 0.01),
+    ])
+    def test_later_levels_allocate_no_level_buffers(self, monkeypatch, ident,
+                                                    nel, dt):
+        # a march's levels share one LevelWorkspace: from the second level
+        # on, a level's set-up (initial_trace, pass_norms, solve_source)
+        # allocates, beyond what the march already holds, no more than one
+        # of its passes does, plus one element block of its exact sample
+        # and the sample of its boundary data
+        monkeypatch.setattr(operators, "ASSEMBLY_CHUNK", 16)
+        ops, state0 = build_case(catalog(ident), nel, 2, dt)
+        assert ops.mesh.n_el > 8 * operators.ASSEMBLY_CHUNK
+        marks = []  # (what starts, bytes held, peak of the span before)
+
+        def marked(what, fn):
+            def wrapped(*args, **kwargs):
+                held, peak = tracemalloc.get_traced_memory()
+                marks.append((what, held, peak))
+                tracemalloc.reset_peak()
+                return fn(*args, **kwargs)
+            return wrapped
+
+        ops.initial_trace = marked("level", ops.initial_trace)
+        ops.rhs = marked("pass", ops.rhs)
+        tracemalloc.start()
+        try:
+            _state, _trace, logs = solve(ops, IterationConfig(), state0, 4)
+            marks.append(("end", *tracemalloc.get_traced_memory()))
+        finally:
+            tracemalloc.stop()
+        assert len(logs) == 4 and logs[-1].converged
+        # the peak of each span above what was held at its start
+        spans = [(what, peak - held) for (what, held, _), (_, _, peak)
+                 in zip(marks, marks[1:])]
+        levels = [excess for what, excess in spans if what == "level"]
+        # the passes after the first level's, which allocates the lift
+        passes = [excess for what, excess in spans if what == "pass"]
+        assert len(levels) == 4 and len(passes) == sum(
+            log.iterations for log in logs)
+        passes = passes[logs[0].iterations:]
+        # the first level allocates the workspace: at least two traces and
+        # the source's solution
+        state_bytes = 8 * ops.mesh.n_el * ops.state_width
+        buffers = state_bytes + 2 * 8 * ops.mesh.n_faces * ops.basis.n_face
+        assert levels[0] >= buffers
+        # a block of the exact sample, its field-major copy and product,
+        # and the callable's own temporaries; the boundary data's sample
+        # and projection
+        n_q, n_f = ops.basis.n_q, len(ops.fields)
+        block = 8 * operators.ASSEMBLY_CHUNK * n_q * 2 * n_f
+        boundary = 2 * 8 * len(ops.boundary[1]) * ops.basis.n_fq
+        allowance = block + call_bytes(n_q) + boundary + SLACK
+        assert allowance < buffers
+        assert max(levels[1:]) <= max(passes) + allowance, (levels, passes)

@@ -279,7 +279,7 @@ class TestDivergence:
         (under a stopping test that never fires); returns its log."""
         ops, mesh, basis = smooth_ops(2, 1)
         seq = iter(successive)
-        ops.pass_norms = lambda t, state: lambda s_new: (
+        ops.pass_norms = lambda t, state, out=None: lambda s_new: (
             1.0, next(seq), 1.0)
         config = IterationConfig(stopping=SUCCESSIVE_DIFFERENCE, tol=1e-300,
                                  max_iters=max_iters)

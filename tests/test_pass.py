@@ -675,9 +675,10 @@ PASS_CELLS = [
 @pytest.mark.parametrize("ident, dt, steps", PASS_CELLS)
 def test_pass_call_counts(ident, dt, steps):
     # the counts the benchmark tracer checks: one lift per pass, one trace
-    # rebuild per pass plus one per level, and one local solve per pass
-    # plus one per level for the source. Steady per-element operators
-    # solved that source during assembly, so they solve once per pass
+    # rebuild per pass plus one per level, and one local solve per pass.
+    # Steady per-element operators solved the source during assembly, and
+    # shared ones solve it with their folded time term (solve_source), so
+    # neither calls solve_cells for it
     ops, state0 = build_case(catalog(ident), 2, 2, dt)
     steady = ident == "transport2d-smooth"
     assert ops.shared == (not steady)
@@ -689,8 +690,25 @@ def test_pass_call_counts(ident, dt, steps):
     passes = sum(log.iterations for log in logs)
     assert passes > steps
     assert calls == {"rhs": passes, "solve_source": steps,
-                     "solve_cells": passes + (0 if steady else steps),
-                     "update_trace": passes + steps}
+                     "solve_cells": passes, "update_trace": passes + steps}
+
+
+def test_per_element_levels_solve_their_source_with_solve_cells():
+    # a transient per-element set has no folded time term: each level
+    # solves its source with one more solve_cells call
+    wave = catalog("shallow-standing-wave").problem
+    beta_plane = dataclasses.replace(wave, coriolis_f0=1.0,
+                                     coriolis_beta=0.5, y_mid=0.5)
+    ops = ShallowOperators(build_mesh(2, 2, [(0, 1), (0, 1)]),
+                           TensorBasis(2, 2), beta_plane, dt=1e-3)
+    assert not ops.shared
+    calls = counted_calls(ops, ("solve_source", "solve_cells"))
+    _state, _trace, logs = solve(
+        ops, IterationConfig(stopping="successive-difference"),
+        ops.interpolate(wave.exact), 3)
+    passes = sum(log.iterations for log in logs)
+    assert passes > 3
+    assert calls == {"solve_source": 3, "solve_cells": passes + 3}
 
 
 @pytest.mark.parametrize("ident, dt, steps", PASS_CELLS)
@@ -701,16 +719,20 @@ def test_every_pass_of_a_level_solves_into_one_state(ident, dt, steps):
     ops, state0 = build_case(catalog(ident), 2, 2, dt)
     initial = None if state0 is None else state0.copy()
     levels = []  # (base, [out of each pass]) per level
-    solve_cells = ops.solve_cells
+    solve_cells, solve_source = ops.solve_cells, ops.solve_source
+
+    def level_started(*args, **kwargs):
+        base = solve_source(*args, **kwargs)
+        levels.append((base, []))
+        return base
 
     def recording(rhs, out=None, base=None):
         if base is not None:
-            if not levels or levels[-1][0] is not base:
-                levels.append((base, []))
+            assert base is levels[-1][0]
             levels[-1][1].append(out)
         return solve_cells(rhs, out=out, base=base)
 
-    ops.solve_cells = recording
+    ops.solve_cells, ops.solve_source = recording, level_started
     state, _trace, logs = solve(
         ops, IterationConfig(stopping="successive-difference"), state0, steps)
     assert [len(outs) for _base, outs in levels] == [
@@ -867,6 +889,27 @@ def test_solve_exits_2_on_non_finite_pass(tmp_path, monkeypatch, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("non-convergence: pass 1: successive difference")
+
+
+@pytest.mark.parametrize("ident, dt", [
+    ("transport3d-gaussian", 1e-2),         # shared, folded weights
+    ("shallow-standing-wave", 1e-3),        # shared, three fields
+    ("transport2d-smooth", 5e-2),           # per-element, transient
+])
+def test_workspace_march_matches_levels_run_on_their_own(ident, dt):
+    # solve writes every level into one LevelWorkspace and starts each
+    # from the coordinates of the level before's last pass; the same levels
+    # run one by one with fresh buffers give the same bits
+    ops, state0 = build_case(catalog(ident), 3, 2, dt)
+    config = IterationConfig()
+    state, trace, logs = solve(ops, config, state0, 4)
+    assert len(logs) == 4 and logs[-1].converged
+    u = state0
+    for m, log in enumerate(logs):
+        u, tr, fresh = iterate_to_fixed_point(
+            ops, config, u0=u, t=m * ops.dt + ops.dt, state_prev=u)
+        assert fresh == log
+    assert np.array_equal(u, state) and np.array_equal(tr, trace)
 
 
 # -- the benchmark tracer still finds every entry point ------------------------------
