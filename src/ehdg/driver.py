@@ -1,11 +1,12 @@
 """Fixed-point driver: element solves, trace rebuild, stopping tests.
 
-One pass of the iteration has two phases separated by a barrier: first every
-element solves its local system against the current trace buffer into the one
-state array, which no pass reads, then the trace is rebuilt from the fresh
-element solutions into a second buffer and the buffers swap. Element work is
-chunked in a fixed order, so norms and results are identical whether or not
-the local solves run on a thread pool.
+One pass of the iteration is one call, ops.apply_pass, with two phases
+separated by a barrier: first every element solves its local system against
+the current trace buffer into the one state array, which no pass reads, then
+the trace is rebuilt from the fresh element solutions into a second buffer,
+and the driver swaps the buffers. Element work is chunked in a fixed
+order, so norms and results are identical whether or not the local solves
+run on a thread pool.
 
 Stopping modes:
   error-difference      |  ||u_k - u_e|| - ||u_{k-1} - u_e||  | < tol
@@ -112,13 +113,12 @@ def transport_skeleton_norm(ops, u):
 @dataclass
 class LevelWorkspace:
     """The buffers a level writes besides its state: the two traces, the
-    lift, the local solution of the source (base) and the norms
+    local solution of the source (base) and the norms
     (LocalOperators.pass_norms). Each is None until the first level that
     uses the workspace allocates it, and every later level rewrites it,
     so one workspace serves every level of a march (solve)."""
 
     traces: Optional[tuple] = None
-    lift: Optional[np.ndarray] = None
     base: Optional[np.ndarray] = None
     norms: Optional[object] = None
 
@@ -134,6 +134,15 @@ def _check_finite(k, err, succ, exact_known):
         raise ConvergenceFailure(f"pass {k}: error vs exact is {err}")
 
 
+def _check_state(ops, name, state):
+    """Fail fast on a state that is not one row of ops.state_width values
+    per element, before any operator method reads it."""
+    want = (ops.mesh.n_el, ops.state_width)
+    if state is not None and np.shape(state) != want:
+        raise ValueError(f"{name} must have shape {want}, "
+                         f"got {np.shape(state)}")
+
+
 def iterate_to_fixed_point(ops, config, u0=None, t=0.0, state_prev=None,
                            out=None, workspace=None):
     """Run passes until the stopping test is satisfied.
@@ -142,7 +151,7 @@ def iterate_to_fixed_point(ops, config, u0=None, t=0.0, state_prev=None,
     solve passes performed, counting the pass whose stopping check fired,
     and log.t is t.
 
-    The iterate is a copy of u0 (zero when None) that every pass
+    The iterate is a float64 copy of u0 (zero when None) that every pass
     overwrites. With out, the passes write into out instead: the start
     state is u0 copied into out, or out's own values when u0 is None or
     out itself. u0 and state_prev may both be out, as in a march (solve),
@@ -150,7 +159,7 @@ def iterate_to_fixed_point(ops, config, u0=None, t=0.0, state_prev=None,
     ops.initial_trace, by the initial coordinates inside ops.pass_norms
     and by ops.solve_source.
 
-    The level writes its traces, lift, base and norms into workspace
+    The level writes its traces, base and norms into workspace
     (a LevelWorkspace), and into a fresh one when None. A workspace whose
     norms an earlier level filled must have been handed that level's
     final state as the start state: its coordinates of that state are
@@ -164,14 +173,16 @@ def iterate_to_fixed_point(ops, config, u0=None, t=0.0, state_prev=None,
     in at k=1, so they can fire on the first pass.
 
     An error-difference test without an exact solution raises ValueError
-    before any work. Work that does not change within the solve is done
+    before any work, and so do a u0, state_prev or out that is not one
+    row of ops.state_width values per element and an out that is not a
+    float64 array. Work that does not change within the solve is done
     once before the first pass: the boundary data (ops.initial_trace, in
     both traces), the exact solution's coordinates (inside the norms) and
     the local solution of the trace-independent part of the right-hand
-    side (ops.solve_source). Each pass
-    lifts the trace onto the lifted columns alone (ops.rhs) and adds the
-    local solution of that lift to the source's (ops.solve_cells with
-    base). A non-finite error or successive difference raises
+    side (ops.solve_source). Each pass is one ops.apply_pass: the local
+    solves against the current trace, with the source's solution as
+    their base, into the state, and the rebuild of the other trace from
+    it. A non-finite error or successive difference raises
     ConvergenceFailure at once, and so does a successive difference that
     has grown GROWTH_PASSES passes in a row without the stopping test
     firing.
@@ -182,9 +193,15 @@ def iterate_to_fixed_point(ops, config, u0=None, t=0.0, state_prev=None,
             "error-difference stopping needs an exact solution; "
             "use successive-difference or trace-residual"
         )
+    for name, state in (("u0", u0), ("state_prev", state_prev), ("out", out)):
+        _check_state(ops, name, state)
+    if out is not None and not (isinstance(out, np.ndarray)
+                                and out.dtype == np.float64):
+        raise ValueError(f"out is written in place, so it must be a float64 "
+                         f"array, got {getattr(out, 'dtype', type(out))}")
     mesh = ops.mesh
     if out is None:
-        u = ops.zero_state() if u0 is None else np.array(u0)
+        u = ops.zero_state() if u0 is None else np.array(u0, dtype=float)
     else:
         u = out
         if u0 is not None and u0 is not out:
@@ -201,19 +218,13 @@ def iterate_to_fixed_point(ops, config, u0=None, t=0.0, state_prev=None,
 
     norms = ws.norms = ops.pass_norms(t, u, out=ws.norms)
     base = ws.base = ops.solve_source(t, state_prev, out=ws.base)
-    # one lift buffer serves every pass: with a lift allocated and freed
-    # in each pass, passes of 2D p=4 nel=64 transport at two BLAS threads
-    # measured up to a third slower
-    lift = ws.lift
     log = ConvergenceLog(stopping=config.stopping, tol=config.tol, t=t)
     e_prev = succ_prev = float("nan")
     growth = 0
 
     cap = config.iteration_cap(mesh)
     for k in range(1, cap + 1):
-        lift = ops.rhs(trace, out=lift)
-        ops.solve_cells(lift, out=u, base=base)
-        ops.update_trace(u, trace_next)
+        ops.apply_pass(trace, trace_next, u, base)
 
         e_k, succ, skel = norms(u)
         _check_finite(k, e_k, succ, exact_known)
@@ -240,7 +251,6 @@ def iterate_to_fixed_point(ops, config, u0=None, t=0.0, state_prev=None,
             raise ConvergenceFailure(
                 f"pass {k}: the successive difference grew {growth} passes "
                 f"in a row, to {succ:.3e}; the iteration diverges")
-    ws.lift = lift
     return u, trace, log
 
 
@@ -259,13 +269,15 @@ def solve(ops, config, state0=None, steps=1):
     (m = 0, 1, ...) is warm-started at the state of the level before it,
     state0 for the first, and solved at t = m * dt + dt.
 
-    A march holds one state: state0 is copied once (and never written),
+    A state0 that is not one row of ops.state_width values per element
+    raises ValueError before any work. A march holds one state: state0 is
+    copied once, as float64 (and never written),
     and every pass of every level writes into that copy. A level reads
     its start state, the state of the level before it, only before its
     first pass (iterate_to_fixed_point with out), so no level allocates a
     state of its own. The march also holds one LevelWorkspace, which
     every level writes, so from the second level on no level allocates
-    its traces, lift, base or norms either, and each starts from the
+    its traces, base or norms either, and each starts from the
     coordinates of the level before's last pass.
 
     Returns (state, trace, logs): the last level's state and trace and one
@@ -273,13 +285,15 @@ def solve(ops, config, state0=None, steps=1):
     that does not converge; nothing is raised at the pass cap, so the
     caller decides by logs[-1].converged.
     """
+    _check_state(ops, "state0", state0)
     # iterate_to_fixed_point is looked up as a module global at each call,
     # so a wrapped driver.iterate_to_fixed_point sees every level
     if ops.dt is None:
         state, trace, log = iterate_to_fixed_point(ops, config, u0=state0)
         return state, trace, [log]
     check_steps(steps)
-    state, logs = (None if state0 is None else np.array(state0)), []
+    state = None if state0 is None else np.array(state0, dtype=float)
+    logs = []
     workspace = LevelWorkspace()
     for m in range(steps):
         state, trace, log = iterate_to_fixed_point(

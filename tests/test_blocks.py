@@ -742,6 +742,25 @@ class TestLevelMemory:
         own = 8 * ASSEMBLY_CHUNK * sides * max(n_face, ops.basis.n_fq)
         assert excess <= own + SLACK
 
+    def test_boundary_trace(self, monkeypatch):
+        # the boundary data is sampled and projected one block of faces
+        # at a time, straight into the trace
+        monkeypatch.setattr(operators, "ASSEMBLY_CHUNK", 16)
+        ops = build_case(catalog("transport3d-gaussian"), 12, 4, 0.01)[0]
+        fn, faces = ops.boundary
+        assert len(faces) > 8 * operators.ASSEMBLY_CHUNK
+        trace, want = ops.new_trace(), ops.new_trace()
+        want[faces] = (ops._sample_faces(fn, (0.3,), faces)
+                       @ ops.basis.face_proj.T)
+        _none, held, excess = self.traced(
+            lambda: ops.boundary_trace(trace, 0.3))
+        assert_close(trace, want)
+        # one block of faces' sample and its projection, and the points
+        # and temporaries of one call of the inflow callable
+        n_fq, n_face = ops.basis.n_fq, ops.basis.n_face
+        own = 8 * operators.ASSEMBLY_CHUNK * (n_fq + n_face)
+        assert excess <= own + call_bytes(n_fq) + SLACK
+
     def test_march_holds_one_state(self):
         ops, state0 = build_case(catalog("shallow-standing-wave"), 48, 2, 1e-3)
         assert ops.mesh.n_el > 8 * ASSEMBLY_CHUNK
@@ -809,11 +828,12 @@ class TestLevelMemory:
         buffers = state_bytes + 2 * 8 * ops.mesh.n_faces * ops.basis.n_face
         assert levels[0] >= buffers
         # a block of the exact sample, its field-major copy and product,
-        # and the callable's own temporaries; the boundary data's sample
-        # and projection
+        # and the callable's own temporaries; a block of faces of the
+        # boundary data's sample and projection
         n_q, n_f = ops.basis.n_q, len(ops.fields)
         block = 8 * operators.ASSEMBLY_CHUNK * n_q * 2 * n_f
-        boundary = 2 * 8 * len(ops.boundary[1]) * ops.basis.n_fq
+        boundary = 8 * min(operators.ASSEMBLY_CHUNK, len(ops.boundary[1])) * (
+            ops.basis.n_fq + ops.basis.n_face)
         allowance = block + call_bytes(n_q) + boundary + SLACK
         assert allowance < buffers
         assert max(levels[1:]) <= max(passes) + allowance, (levels, passes)

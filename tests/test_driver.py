@@ -2,6 +2,7 @@
 
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -180,6 +181,66 @@ class TestIterateContract:
         # a strictly decreasing error until the discretization floor
         e = log.errors
         assert all(b < a for a, b in zip(e[:5], e[1:6]))
+
+
+class TestStartState:
+    """A malformed start state, previous state or out is refused with a
+    ValueError that names it, before any operator method runs."""
+
+    def ops(self):
+        # 9 elements of 4 state columns
+        ops, _state0 = build_case(catalog("transport2d-smooth"), 3, 1, 0.1)
+
+        def no_work(*_args, **_kwargs):
+            raise AssertionError("level work started before the refusal")
+
+        ops.initial_trace = ops.pass_norms = ops.solve_source = no_work
+        return ops
+
+    @pytest.mark.parametrize("call, name, shape", [
+        ("iterate", "u0", (9, 5)),
+        ("iterate", "u0", (36,)),
+        ("iterate", "u0", (10, 4)),
+        ("iterate", "state_prev", (9, 5)),
+        ("iterate", "state_prev", (10, 4)),
+        ("iterate", "out", (9, 5)),
+        ("iterate", "out", (36,)),
+        ("solve", "state0", (9, 5)),
+        ("solve", "state0", (36,)),
+        ("solve", "state0", (10, 4)),
+    ])
+    def test_wrong_shape_is_named(self, call, name, shape):
+        ops, config = self.ops(), IterationConfig()
+        bad = np.zeros(shape)
+        got = re.escape(str(shape))
+        match = rf"{name} must have shape \(9, 4\), got {got}"
+        with pytest.raises(ValueError, match=match):
+            if call == "solve":
+                solve(ops, config, bad, 2)
+            else:
+                good = np.zeros((9, 4))
+                kwargs = {"u0": good, "state_prev": good, name: bad}
+                iterate_to_fixed_point(ops, config, t=0.1, **kwargs)
+
+    @pytest.mark.parametrize("out", [np.zeros((9, 4), dtype=int),
+                                     np.zeros((9, 4), dtype=np.float32),
+                                     [[0.0] * 4] * 9])
+    def test_out_that_is_not_float64_is_refused(self, out):
+        # out is written in place, so it is not converted
+        with pytest.raises(ValueError, match="out is written in place"):
+            iterate_to_fixed_point(self.ops(), IterationConfig(), t=0.1,
+                                   state_prev=np.zeros((9, 4)), out=out)
+
+    def test_integer_start_state_is_copied_as_float64(self):
+        ops, state0 = build_case(catalog("transport2d-smooth"), 3, 1, 0.1)
+        start = np.round(100 * state0).astype(int)
+        kept = start.copy()
+        state, _trace, logs = solve(ops, IterationConfig(), start, 2)
+        want, _trace, want_logs = solve(ops, IterationConfig(),
+                                        start.astype(float), 2)
+        assert state.dtype == np.float64 and np.array_equal(state, want)
+        assert logs == want_logs
+        assert np.array_equal(start, kept)
 
 
 def shallow_case(dt=1e-3):

@@ -68,8 +68,9 @@ def test_each_physics_writes_only_its_own_rules():
     from ehdg.shallow import ShallowOperators
     from ehdg.transport import TransportOperators
 
-    shared = ("source", "rhs", "pass_norms", "error_eval", "diff_norm",
-              "skeleton_norm", "solve_cells", "split", "interpolate")
+    shared = ("source", "rhs", "apply_pass", "pass_norms", "error_eval",
+              "diff_norm", "skeleton_norm", "solve_cells", "split",
+              "interpolate")
     for physics in (TransportOperators, ShallowOperators):
         assert issubclass(physics, LocalOperators)
         copies = [name for name in shared if name in physics.__dict__]
@@ -89,7 +90,7 @@ def test_no_per_pass_method_takes_a_time():
     from ehdg.transport import TransportOperators
 
     for cls in (TransportOperators, ShallowOperators):
-        for name in ("rhs", "solve_cells", "update_trace"):
+        for name in ("rhs", "solve_cells", "update_trace", "apply_pass"):
             params = inspect.signature(getattr(cls, name)).parameters
             assert "t" not in params, (cls.__name__, name, list(params))
 

@@ -4,7 +4,8 @@ The pass takes its right-hand sides as source(t, state_prev) plus a trace
 lift, rebuilds the trace from face-node reads, and logs the energy norms of
 both physics from orthonormal coordinates it keeps between passes. Each
 piece is checked here against the direct form it replaced, kept in this
-file as a reference.
+file as a reference. The whole pass, apply_pass, is checked as a map of
+the trace: linear, and contracting on every catalog case.
 """
 
 import dataclasses
@@ -803,6 +804,83 @@ def test_boundary_faces_hold_the_level_data_through_its_passes():
     for _buffer, vals in seen:
         assert np.array_equal(vals, want[faces])
     assert np.array_equal(trace[faces], want[faces])
+
+
+# -- the pass map -------------------------------------------------------------------------
+#
+# With a zero base, on a trace whose boundary faces are zero, one pass
+# (apply_pass) is the linear map G of the trace on every other face. Its
+# spectral radius is the asymptotic rate per pass, below 1 by the paper's
+# exponential-convergence theorem.
+
+# a small cell of every catalog case, as (nel, dt)
+PASS_MAP_CELLS = {
+    "shallow-standing-wave": (6, 1e-3),
+    "transport2d-smooth": (6, None),
+    "transport3d-gaussian": (2, 1e-2),
+    "transport3d-steady": (2, None),
+    "transport2d-discontinuous": (4, None),
+}
+# rho(G) for p = 1 .. 4, measured with a dense G at one BLAS thread
+PASS_MAP_RADII = {
+    "shallow-standing-wave": (0.0552, 0.0914, 0.1285, 0.1800),
+    "transport2d-smooth": (0.5157, 0.5355, 0.5856, 0.6171),
+}
+
+
+def pass_map(ident, p):
+    """(ops, apply, free): the operator set of ident's pass-map cell, G as
+    a callable of a trace returning (state, trace_out), and the flat trace
+    indices of every face but the boundary faces."""
+    nel, dt = PASS_MAP_CELLS[ident]
+    ops, _state0 = build_case(catalog(ident), nel, p, dt)
+    base = ops.zero_state()
+
+    def apply(trace):
+        state, trace_out = ops.zero_state(), ops.new_trace()
+        ops.apply_pass(trace, trace_out, state, base)
+        return state, trace_out
+
+    faces = np.ones(ops.mesh.n_faces, dtype=bool)
+    faces[ops.boundary[1]] = False
+    free = np.flatnonzero(np.repeat(faces, ops.basis.n_face))
+    return ops, apply, free
+
+
+def test_pass_map_cells_cover_the_catalog():
+    assert sorted(PASS_MAP_CELLS) == sorted(case_identifiers())
+
+
+@pytest.mark.parametrize("ident", case_identifiers())
+def test_pass_is_linear_in_the_trace(ident, rng):
+    ops, apply, free = pass_map(ident, 2)
+    a, b = ops.new_trace(), ops.new_trace()
+    for trace in (a, b):
+        trace.reshape(-1)[free] = rng.standard_normal(len(free))
+    got = apply(2 * a - 3 * b)
+    for g, x, y in zip(got, apply(a), apply(b)):
+        want = 2 * x - 3 * y
+        assert np.abs(g - want).max() <= 1e-14 * np.abs(want).max()
+    state, trace_out = apply(ops.new_trace())
+    assert not np.any(state) and not np.any(trace_out)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+@pytest.mark.parametrize("ident", case_identifiers())
+def test_pass_map_contracts(ident, p):
+    # the exponential-convergence theorem: rho(G) < 1
+    ops, apply, free = pass_map(ident, p)
+    trace = ops.new_trace()
+    flat = trace.reshape(-1)
+    G = np.empty((len(free), len(free)))
+    for j, i in enumerate(free):
+        flat[i] = 1.0
+        G[:, j] = apply(trace)[1].reshape(-1)[free]
+        flat[i] = 0.0
+    rho = np.abs(np.linalg.eigvals(G)).max()
+    assert rho < 1
+    if ident in PASS_MAP_RADII:
+        assert abs(rho - PASS_MAP_RADII[ident][p - 1]) <= 1e-3
 
 
 # -- once per time level ----------------------------------------------------------------
