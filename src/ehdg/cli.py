@@ -34,6 +34,7 @@ from .problems import (
     catalog,
     convergence_study,
     run_cell,
+    time_levels,
 )
 # perfbench/child.py hooks the operator constructors through these names
 from .shallow import ShallowOperators  # noqa: F401
@@ -225,21 +226,6 @@ def _write_steps_csv(path, logs):
             fh.write(f"{m},{FMT % log.t},{log.iterations},{cell}\n")
 
 
-def _time_levels(cfg, case):
-    """(dt, steps) of a run: the given values, else the case's defaults.
-
-    A steady transport run has dt None and refuses a given steps=.
-    """
-    dt = cfg.dt if cfg.dt is not None else case.dt_default
-    steps = cfg.steps if cfg.steps is not None else case.n_steps_default
-    if dt is not None and steps is None:
-        raise UsageError("transient transport needs steps=")
-    if dt is None and cfg.steps is not None:
-        raise UsageError(f"case {case.identifier} is steady without dt=, "
-                         "so steps= would be ignored")
-    return dt, steps
-
-
 def cmd_solve(cfg):
     case = catalog(cfg.case)
     if cfg.stopping == ERROR_DIFFERENCE and case.problem.exact is None:
@@ -248,7 +234,10 @@ def cmd_solve(cfg):
             f"case {cfg.case} has no exact solution, so stopping="
             f"{ERROR_DIFFERENCE} cannot be used (valid: {', '.join(valid)})"
         )
-    dt, steps = _time_levels(cfg, case)
+    try:
+        dt, steps = time_levels(case, cfg.dt, cfg.steps)
+    except ValueError as err:
+        raise UsageError(str(err)) from None
     ops, state0 = build_case(case, _nel(cfg), cfg.p, dt)
     state, _trace, logs = solve(ops, iteration_config(cfg), state0, steps)
     # the error of the returned state, as the solve's norms took it
@@ -293,14 +282,13 @@ def cmd_study(cfg):
     defaults = _STUDY_DEFAULTS.get(cfg.case, ((4, 8, 16), (1, 2)))
     nels = cfg.nels if cfg.nels is not None else defaults[0]
     ps = cfg.ps if cfg.ps is not None else defaults[1]
-    dt, steps = _time_levels(cfg, case)
     config = iteration_config(cfg)
     try:
-        rows = convergence_study(case, nels, ps, config=config, dt=dt,
-                                 n_steps=steps)
+        rows = convergence_study(case, nels, ps, config=config, dt=cfg.dt,
+                                 n_steps=cfg.steps)
     except ValueError as err:
         # a study's ValueErrors refuse its arguments (a case without an
-        # exact solution, a repeated mesh)
+        # exact solution, a repeated mesh, its time levels)
         raise UsageError(str(err)) from None
     path = os.path.join(cfg.outdir, f"{cfg.case}-study.csv")
     with open(path, "w") as fh:

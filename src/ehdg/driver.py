@@ -53,9 +53,11 @@ class IterationConfig:
         if not (self.tol > 0 and math.isfinite(self.tol)):
             raise ValueError(f"tolerance must be positive and finite, "
                              f"got {self.tol}")
-        if self.max_iters is not None and not (
-                isinstance(self.max_iters, numbers.Integral)
-                and self.max_iters >= 1):
+        # a bool is an Integral, and True would cap every level at one pass
+        if self.max_iters is not None and (
+                isinstance(self.max_iters, bool)
+                or not isinstance(self.max_iters, numbers.Integral)
+                or self.max_iters < 1):
             raise ValueError(f"max_iters must be an integer >= 1, "
                              f"got {self.max_iters!r}")
 
@@ -255,8 +257,11 @@ def iterate_to_fixed_point(ops, config, u0=None, t=0.0, state_prev=None,
 
 
 def check_steps(steps):
-    """Refuse a time-stepping solve without a positive step count."""
-    if steps is None or steps < 1:
+    """The one step-count rule: a time-stepping solve needs an integer
+    count of at least one. None, a bool and any other non-integer (2.5,
+    2.0) raise ValueError."""
+    if (isinstance(steps, bool) or not isinstance(steps, numbers.Integral)
+            or steps < 1):
         raise ValueError("steps must be positive for a time-stepping solve, "
                          f"got {steps}")
 
@@ -264,10 +269,11 @@ def check_steps(steps):
 def solve(ops, config, state0=None, steps=1):
     """Run a case: one steady solve, or `steps` backward-Euler steps.
 
-    With ops.dt None this is one fixed-point solve at t=0 started from
-    state0 (zero when None), and steps is not read. Otherwise level m
-    (m = 0, 1, ...) is warm-started at the state of the level before it,
-    state0 for the first, and solved at t = m * dt + dt.
+    Every run is a march of time levels. With ops.dt None it is one level
+    at t=0 started from state0 (zero when None), and steps is not read.
+    Otherwise steps must pass check_steps, and level m (m = 0, 1, ...) is
+    warm-started at the state of the level before it, state0 for the
+    first, and solved at t = m * dt + dt.
 
     A state0 that is not one row of ops.state_width values per element
     raises ValueError before any work. A march holds one state: state0 is
@@ -286,19 +292,19 @@ def solve(ops, config, state0=None, steps=1):
     caller decides by logs[-1].converged.
     """
     _check_state(ops, "state0", state0)
-    # iterate_to_fixed_point is looked up as a module global at each call,
-    # so a wrapped driver.iterate_to_fixed_point sees every level
-    if ops.dt is None:
-        state, trace, log = iterate_to_fixed_point(ops, config, u0=state0)
-        return state, trace, [log]
-    check_steps(steps)
+    dt = ops.dt
+    if dt is not None:
+        check_steps(steps)
+    times = (0.0,) if dt is None else (m * dt + dt for m in range(steps))
     state = None if state0 is None else np.array(state0, dtype=float)
     logs = []
     workspace = LevelWorkspace()
-    for m in range(steps):
+    # iterate_to_fixed_point is looked up as a module global at each call,
+    # so a wrapped driver.iterate_to_fixed_point sees every level
+    for t in times:
         state, trace, log = iterate_to_fixed_point(
-            ops, config, u0=state, t=m * ops.dt + ops.dt, state_prev=state,
-            out=state, workspace=workspace)
+            ops, config, u0=state, t=t, state_prev=state, out=state,
+            workspace=workspace)
         logs.append(log)
         if not log.converged:
             break

@@ -236,21 +236,32 @@ def build_case(case, nel, p, dt=None):
     return ops, ops.interpolate(case.problem.exact, 0.0)
 
 
+def time_levels(case, dt=None, steps=None):
+    """(dt, steps) of a run of case: the given values, else the case's
+    default step and step count.
+
+    A stepping run (dt not None) needs a step count that passes
+    check_steps; a steady run (dt None) has steps None, and a given steps
+    would be ignored. Each refusal raises ValueError, and nothing is
+    built."""
+    dt = dt if dt is not None else case.dt_default
+    if dt is None and steps is not None:
+        raise ValueError(f"{case.identifier} is steady without a dt, so "
+                         f"steps={steps} would be ignored")
+    if dt is not None:
+        steps = steps if steps is not None else case.n_steps_default
+        check_steps(steps)
+    return dt, steps
+
+
 def run_cell(case, nel, p, config, dt=None, steps=None):
     """Build one cell of a sweep and solve it; returns (ops, logs).
 
-    dt falls back to the case's default step (build_case) and steps to the
-    case's default step count. A steps on a steady cell, or a stepping
-    cell without a positive one, raises ValueError before anything is
-    built; a level that stops at the pass cap raises ConvergenceFailure
-    naming the cell and the level.
+    dt and steps fall back to the case's defaults (time_levels), whose
+    refusals come before anything is built; a level that stops at the
+    pass cap raises ConvergenceFailure naming the cell and the level.
     """
-    steps = steps if steps is not None else case.n_steps_default
-    if dt is not None or case.dt_default is not None:
-        check_steps(steps)
-    elif steps is not None:
-        raise ValueError(f"{case.identifier} is steady without a dt, so "
-                         f"steps={steps} would be ignored")
+    dt, steps = time_levels(case, dt, steps)
     ops, state0 = build_case(case, nel, p, dt)
     _state, _trace, logs = solve(ops, config, state0, steps)
     if not logs[-1].converged:

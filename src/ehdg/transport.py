@@ -25,7 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .mesh import INFLOW, classify_boundary_face
-from .operators import AssemblyError, LocalOperators
+from .operators import AssemblyError, LocalOperators, element_blocks
 
 
 @dataclass
@@ -40,7 +40,9 @@ class TransportProblem:
     ASSEMBLY_CHUNK elements or faces. forcing None means zero.
     div_velocity None declares the field divergence-free; otherwise it
     maps (N, d) -> (N,). constant_velocity enables sharing one local
-    operator across all elements of a uniform mesh.
+    operator across all elements of a uniform mesh; the operators check it
+    against beta.n on every face and against the velocity and divergence
+    at every element's volume quadrature points.
     """
 
     dim: int
@@ -73,11 +75,8 @@ class TransportOperators(LocalOperators):
             raise AssemblyError("problem has inflow faces but no inflow data")
 
         shared = bool(problem.constant_velocity)
-        # element 0's operator serves every element only if beta.n does
-        if shared and np.any(
-                self.bn != self.bn[mesh.etof[0, 2 * mesh.face_axis]]):
-            raise AssemblyError("constant_velocity is declared, but beta.n "
-                                "is not the same on every face")
+        if shared:
+            self._check_constant_velocity(problem)
         # the |beta.n| face weights of the trace lift and the skeleton norm;
         # the one field takes the lift whole
         self.face_w = (mesh.face_jac[mesh.face_axis][:, None]
@@ -86,6 +85,30 @@ class TransportOperators(LocalOperators):
         self.load = (problem.forcing, (0,))
         self.boundary = (problem.inflow, self.inflow_faces)
         self._assemble(shared)
+
+    def _check_constant_velocity(self, problem):
+        """Refuse a declared constant_velocity unless element 0's operator
+        serves every element: beta.n must be the same on every face of
+        each axis, and the velocity and its divergence, which
+        element_matrix reads at the volume quadrature points, the same
+        there in every element as in element 0. The volume fields are
+        sampled one element block (element_blocks) at a time."""
+        mesh = self.mesh
+        if np.any(self.bn != self.bn[mesh.etof[0, 2 * mesh.face_axis]]):
+            raise AssemblyError("constant_velocity is declared, but beta.n "
+                                "is not the same on every face")
+        for name, fn in (("velocity", problem.velocity),
+                         ("div_velocity", problem.div_velocity)):
+            if fn is None:
+                continue
+            first = self.sample(fn, elements=[0])
+            for lo, hi in element_blocks(mesh.n_el):
+                if np.any(self.sample(fn, elements=np.arange(lo, hi))
+                          != first):
+                    raise AssemblyError(
+                        f"constant_velocity is declared, but {name} is not "
+                        "the same at the volume quadrature points of every "
+                        "element")
 
     def _face_rules(self, problem):
         """Set bn (beta . e_a at the quadrature points of every face, a its

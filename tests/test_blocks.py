@@ -523,7 +523,7 @@ def call_bytes(per):
 SLACK = 2**16
 
 
-def windy_shallow(nel, p, per_element):
+def windy_shallow(nel, p, per_element, phi_mean=1.0):
     """Shallow water with a wind load on the unit square, at dt = 1e-3:
     on the beta plane (per-element inverses) or on the f plane (one shared
     inverse)."""
@@ -532,7 +532,7 @@ def windy_shallow(nel, p, per_element):
         return np.stack([np.sin(3 * y + t), x * np.cos(2 * x)], axis=1)
 
     mesh = build_mesh(2, nel, [(0, 1), (0, 1)])
-    problem = ShallowProblem(phi_mean=1.0, coriolis_f0=1.0,
+    problem = ShallowProblem(phi_mean=phi_mean, coriolis_f0=1.0,
                              coriolis_beta=0.5 if per_element else 0.0,
                              y_mid=0.5, wind=wind)
     return ShallowOperators(mesh, TensorBasis(2, p), problem, dt=1e-3)
@@ -657,10 +657,13 @@ class TestBlockedLevelWork:
         assert {"transport3d-gaussian", "shallow-standing-wave"} <= {
             ident for ident in case_identifiers()
             if any(ops.problem is catalog(ident).problem for ops in shared)}
-        # the f plane with a wind: a shared set with a load
-        windy = windy_shallow(8, 2, False)
-        assert windy.shared and windy.load[0] is not None
-        for ops in shared + [windy]:
+        # the f plane with a wind: a shared set with a load. At phi_mean 1
+        # every energy weight is 1, so only the second set sees a fold
+        # that drops them (_fold_time_term)
+        windy = [windy_shallow(8, 2, False, phi) for phi in (1.0, 4.0)]
+        assert all(ops.shared and ops.load[0] is not None for ops in windy)
+        assert len(set(windy[1].energy)) > 1
+        for ops in shared + windy:
             state_prev, _trace = level_state(ops)
             t = 2 * ops.dt
             want = ops.solve_cells(ops.source(t, state_prev))

@@ -4,7 +4,16 @@ import io
 
 import pytest
 
-from ehdg.cli import UsageError, main, parse_config, parse_kv_lines
+from ehdg.cli import (
+    UsageError,
+    cmd_solve,
+    cmd_study,
+    main,
+    parse_config,
+    parse_kv_lines,
+)
+from ehdg.driver import IterationConfig
+from ehdg.problems import catalog, run_cell
 
 
 # -- key=value parsing ---------------------------------------------------------
@@ -396,8 +405,47 @@ def test_study_transient_without_steps_is_usage_error(tmp_path, capsys):
         rc = main([command, "case=transport2d-smooth", *cell, "dt=0.01",
                    f"outdir={tmp_path}"])
         assert rc == 1
-        assert ("usage error: transient transport needs steps="
-                in capsys.readouterr().err)
+        assert ("usage error: steps must be positive for a time-stepping "
+                "solve, got None" in capsys.readouterr().err)
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("dt, steps", [(None, 3), (0.01, None)])
+def test_time_levels_are_refused_as_run_cell_refuses_them(dt, steps,
+                                                          tmp_path, capsys):
+    # one rule, problems.time_levels, decides a run's levels for run_cell,
+    # solve and study, so the usage error is run_cell's ValueError
+    case = catalog("transport2d-smooth")
+    with pytest.raises(ValueError) as refusal:
+        run_cell(case, 4, 1, IterationConfig(), dt, steps)
+    keys = [f"dt={dt}"] if dt is not None else [f"steps={steps}"]
+    for command, cell in _CELL_KEYS.items():
+        rc = main([command, f"case={case.identifier}", *cell, *keys,
+                   f"outdir={tmp_path}"])
+        assert rc == 1
+        assert capsys.readouterr().err == f"usage error: {refusal.value}\n"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("steps", [2.5, 2.0, True])
+@pytest.mark.parametrize("command", sorted(_CELL_KEYS))
+def test_a_step_count_that_is_not_an_integer_is_a_usage_error(
+        command, steps, tmp_path, monkeypatch):
+    # the parser reads integer tokens only; a config built in code reaches
+    # time_levels, which refuses the count before anything is built
+    def built(*args, **kwargs):
+        raise AssertionError("build_case called")
+
+    monkeypatch.setattr("ehdg.cli.build_case", built)
+    monkeypatch.setattr("ehdg.problems.build_case", built)
+    cfg = parse_config(command, overrides=[
+        "case=transport3d-gaussian", *_CELL_KEYS[command],
+        f"outdir={tmp_path}"])
+    cfg.steps = steps
+    run = {"solve": cmd_solve, "study": cmd_study}[command]
+    with pytest.raises(UsageError, match="steps must be positive for a "
+                                         f"time-stepping solve, got {steps}"):
+        run(cfg)
     assert not list(tmp_path.iterdir())
 
 

@@ -16,6 +16,7 @@ from ehdg.driver import (
     TRACE_RESIDUAL,
     ConvergenceFailure,
     IterationConfig,
+    LevelWorkspace,
     fit_exponential_rate,
     iterate_to_fixed_point,
     solve,
@@ -104,7 +105,7 @@ class TestStoppingRules:
             IterationConfig(**bad)
 
     @pytest.mark.parametrize("cap", [2.5, 2.0, float("inf"), float("nan"),
-                                     "3"])
+                                     "3", True])
     def test_config_rejects_a_cap_that_is_not_an_integer(self, cap):
         # range() of the pass loop would refuse it only once a solve starts
         with pytest.raises(ValueError, match="max_iters"):
@@ -242,6 +243,34 @@ class TestStartState:
         assert logs == want_logs
         assert np.array_equal(start, kept)
 
+    def test_steady_run_is_one_level_of_the_march(self, monkeypatch):
+        # a steady run goes through the march: one level at t = 0 with a
+        # LevelWorkspace, and the same bits as that level run on its own
+        ops, _mesh, _basis = smooth_ops()
+        config = IterationConfig()
+        level = iterate_to_fixed_point
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs)
+            return level(*args, **kwargs)
+
+        monkeypatch.setattr("ehdg.driver.iterate_to_fixed_point", spy)
+        for state0 in (None, 0.5 * ops.zero_state() + 0.25):
+            kept = None if state0 is None else state0.copy()
+            state, trace, [log] = solve(ops, config, state0, steps=None)
+            [kwargs] = calls
+            calls.clear()
+            # a copy of a given state0, or the level's own zero start
+            assert kwargs["t"] == 0.0
+            assert kwargs["out"] is (None if state0 is None else state)
+            assert isinstance(kwargs["workspace"], LevelWorkspace)
+            want, want_trace, want_log = level(ops, config, u0=state0)
+            assert np.array_equal(state, want)
+            assert np.array_equal(trace, want_trace) and log == want_log
+            if state0 is not None:
+                assert np.array_equal(state0, kept)
+
 
 def shallow_case(dt=1e-3):
     return build_case(catalog("shallow-standing-wave"), 4, 1, dt)
@@ -257,6 +286,21 @@ class TestTransient:
         assert state.shape == (ops.mesh.n_el, 3 * ops.n_p)
         with pytest.raises(ValueError, match="steps must be positive"):
             solve(ops, IterationConfig(), state, 0)
+
+    @pytest.mark.parametrize("steps", [2.5, 2.0, True, "3"])
+    def test_solve_refuses_a_step_count_that_is_not_an_integer(
+            self, steps, monkeypatch):
+        # range() would refuse 2.5 only at the march, and True would run
+        # one level; check_steps refuses every one before any level
+        def level(*args, **kwargs):
+            raise AssertionError("a level ran")
+
+        ops, state = shallow_case()
+        monkeypatch.setattr("ehdg.driver.iterate_to_fixed_point", level)
+        with pytest.raises(ValueError, match="steps must be positive for a "
+                                             f"time-stepping solve, got "
+                                             f"{re.escape(str(steps))}$"):
+            solve(ops, IterationConfig(), state, steps)
 
     def test_study_raises_on_cap(self):
         with pytest.raises(ConvergenceFailure,

@@ -12,6 +12,7 @@ from ehdg.problems import (
     catalog,
     convergence_study,
     run_cell,
+    time_levels,
 )
 
 FD_H = 1e-6
@@ -195,6 +196,19 @@ class TestConvergenceStudy:
                                              "time-stepping solve, got None"):
             convergence_study(catalog("transport2d-smooth"), [4], [1], dt=0.01)
 
+    @pytest.mark.parametrize("identifier, dt, steps, want", [
+        # a steady case has no time levels
+        ("transport2d-smooth", None, None, (None, None)),
+        # the case's step and step count, each unless given
+        ("transport3d-gaussian", None, None, (0.01, 240)),
+        ("shallow-standing-wave", 1e-3, None, (1e-3, 100)),
+        ("shallow-standing-wave", None, 7, (1e-6, 7)),
+        ("transport2d-smooth", 0.05, 3, (0.05, 3)),
+    ])
+    def test_time_levels_fall_back_to_the_case(self, identifier, dt, steps,
+                                               want):
+        assert time_levels(catalog(identifier), dt, steps) == want
+
     @pytest.mark.parametrize("identifier, dt, steps, message", [
         # a steady cell does not read steps
         ("transport2d-smooth", None, 3, "would be ignored"),
@@ -203,6 +217,11 @@ class TestConvergenceStudy:
          "steps must be positive for a time-stepping solve, got None"),
         ("transport3d-gaussian", None, 0,
          "steps must be positive for a time-stepping solve, got 0"),
+        # a count is an integer: range() would refuse these only after the
+        # build, and True would run one level
+        ("transport3d-gaussian", None, 2.5, r"solve, got 2\.5$"),
+        ("transport3d-gaussian", None, 2.0, r"solve, got 2\.0$"),
+        ("shallow-standing-wave", 1e-3, True, "solve, got True$"),
     ])
     def test_run_cell_refuses_steps_before_building(
             self, identifier, dt, steps, message, monkeypatch):

@@ -659,6 +659,47 @@ class TestValidation:
             TransportOperators(build_mesh(2, 4, [(0, 1), (0, 1)]),
                                TensorBasis(2, 2), prob)
 
+    @pytest.mark.parametrize("divergence", [False, True])
+    def test_declared_constant_velocity_must_hold_in_the_volume(
+            self, monkeypatch, divergence):
+        # beta = (1 + x f (1 - f), 1) with f = 4x - floor(4x): beta.n is 1
+        # on every face of the 4 x 4 mesh, but element_matrix reads beta
+        # and its divergence at the volume quadrature points, where they
+        # differ from element to element; element 0's operator would solve
+        # the wrong system on the others
+        def assembled(self, elements):
+            raise AssertionError("element_matrix called")
+
+        def frac(x):
+            return 4 * x - np.floor(4 * x)
+
+        def beta(pts):
+            x = pts[:, 0]
+            f = frac(x)
+            return np.stack([1 + x * f * (1 - f), np.ones(len(pts))], axis=1)
+
+        def div(pts):
+            x = pts[:, 0]
+            f = frac(x)
+            return f * (1 - f) + 4 * x * (1 - 2 * f)
+
+        def flat(pts):
+            # beta.n as above, with the volume field constant: only the
+            # divergence differs between elements
+            return np.ones((len(pts), 2))
+
+        monkeypatch.setattr(TransportOperators, "element_matrix", assembled)
+        prob = TransportProblem(
+            dim=2, velocity=flat if divergence else beta, div_velocity=div,
+            inflow=lambda pts, t=0.0: np.zeros(len(pts)),
+            constant_velocity=True)
+        name = "div_velocity" if divergence else "velocity"
+        with pytest.raises(AssemblyError, match=f"constant_velocity is "
+                           f"declared, but {name} is not the same at the "
+                           "volume quadrature points"):
+            TransportOperators(build_mesh(2, 4, [(0, 1), (0, 1)]),
+                               TensorBasis(2, 2), prob)
+
     def test_interpolate_exact_requires_exact(self):
         mesh = build_mesh(2, 2, [(0, 1), (0, 1)])
         basis = TensorBasis(2, 1)

@@ -2,6 +2,7 @@
 
     python3 tools/pairs.py --parent DIR --change DIR --workload W --pairs N
                            [--seconds S]
+    python3 tools/pairs.py --parent DIR --change DIR --identity [--workload W]
 
 Each pair runs `python3 perfbench/run.py --workload W --seconds S --trace 0`
 once in each tree, as a fresh process with the tree as its working
@@ -22,17 +23,31 @@ of standard output is one JSON object with the same numbers, every run,
 and the last line and `# manifest` line of both runs of the first pair
 (record). A pair with a failed run counts in failed_pairs, not in the
 verdict, and the exit status is then 1.
+
+With --identity nothing is timed. Each workload of the parent's
+perfbench/workloads.py (or W alone) runs its `ehdg solve` arguments
+(Workload.solve_args) once per tree, each a fresh `python3 -m ehdg.cli`
+process on the tree's src at OPENBLAS_NUM_THREADS=1, writing into a
+temporary directory. The two runs' exit codes, stdout and the sha256 of
+every output file are compared (compare_runs). Per workload it prints
+"identical" or what differs, with the largest relative difference of the
+field dumps; the last line is one JSON object with every hash and the
+parent's stdout. The exit status is 1 when any workload differs or any
+solve fails.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
+import importlib.util
 import json
 import math
 import os
 import statistics
 import subprocess
 import sys
+import tempfile
 
 # a claim needs a win in this share of the pairs: nine of ten
 WIN_SHARE = 0.9
@@ -124,20 +139,148 @@ def end_to_end(tree):
     return {m["name"]: m["better"] for m in spec["end_to_end"]}
 
 
+def load_workloads(tree):
+    """The WORKLOADS of tree's perfbench/workloads.py, by name."""
+    path = os.path.join(tree, "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("_identity_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    # a dataclass resolves its annotations through its module's entry
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module.WORKLOADS
+
+
+def solve_outputs(tree, args):
+    """(exit code, stdout) of `ehdg solve` with args on tree's source: a
+    fresh process at OPENBLAS_NUM_THREADS=1, with tree's src first on the
+    path and the tree as its working directory."""
+    src = os.path.join(tree, "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=src if not path else src + os.pathsep + path)
+    proc = subprocess.run([sys.executable, "-m", "ehdg.cli", *args],
+                          cwd=tree, env=env, capture_output=True, text=True)
+    return proc.returncode, proc.stdout
+
+
+def sha256(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def read_field(path):
+    """The value rows of an `ehdg solve` field dump: every line that is
+    not a '#' comment, without its leading element index."""
+    with open(path) as fh:
+        return [[float(v) for v in line.split()[1:]]
+                for line in fh if not line.startswith("#")]
+
+
+def field_difference(path_a, path_b):
+    """max |a - b| / max |a| over the values of two field dumps; inf when
+    their shapes differ, or when a is zero and b is not."""
+    a, b = read_field(path_a), read_field(path_b)
+    if [len(row) for row in a] != [len(row) for row in b]:
+        return math.inf
+    diff = max((abs(x - y) for ra, rb in zip(a, b) for x, y in zip(ra, rb)),
+               default=0.0)
+    scale = max((abs(x) for row in a for x in row), default=0.0)
+    if diff == 0:
+        return 0.0
+    return diff / scale if scale else math.inf
+
+
+def compare_runs(parent, change):
+    """How two runs of one workload differ; each is (outdir, exit code,
+    stdout). Returns a dict: identical, the two exit codes, whether stdout
+    matches, the sha256 pair of every file in either outdir (None where a
+    side lacks it), the files that differ, and field_difference: the
+    largest field_difference over the differing field dumps
+    (*-field.txt) that both sides wrote, or None when there is none."""
+    (p_dir, p_code, p_out), (c_dir, c_code, c_out) = parent, change
+    names = sorted(set(os.listdir(p_dir)) | set(os.listdir(c_dir)))
+    hashes = {}
+    for name in names:
+        paths = [os.path.join(d, name) for d in (p_dir, c_dir)]
+        hashes[name] = [sha256(f) if os.path.isfile(f) else None
+                        for f in paths]
+    differ = [name for name, (a, b) in hashes.items() if a != b]
+    fields = [field_difference(os.path.join(p_dir, name),
+                               os.path.join(c_dir, name))
+              for name in differ
+              if name.endswith("-field.txt") and None not in hashes[name]]
+    stdout = p_out == c_out
+    return {
+        "identical": p_code == c_code and stdout and not differ,
+        "exit_codes": [p_code, c_code],
+        "stdout_identical": stdout,
+        "files": hashes,
+        "differing_files": differ,
+        "field_difference": max(fields) if fields else None,
+    }
+
+
+def identity(parent, change, names=None):
+    """Run and compare the workloads (all of the parent's when names is
+    None) in both trees; returns the exit status."""
+    workloads = load_workloads(parent)
+    results = {}
+    for name in names or workloads:
+        with tempfile.TemporaryDirectory() as tmp:
+            runs = []
+            for side, tree in (("parent", parent), ("change", change)):
+                outdir = os.path.join(tmp, side)
+                os.mkdir(outdir)
+                args = workloads[name].solve_args(outdir)
+                runs.append((outdir, *solve_outputs(tree, args)))
+            result = results[name] = compare_runs(*runs)
+        result["stdout"] = runs[0][2]
+        if result["exit_codes"] != [0, 0]:
+            line = f"failed (exit codes {result['exit_codes']})"
+        elif result["identical"]:
+            line = "identical"
+        else:
+            what = [] if result["stdout_identical"] else ["stdout"]
+            line = "differs: " + ", ".join(what + result["differing_files"])
+            if result["field_difference"] is not None:
+                line += ("; largest relative field difference "
+                         f"{result['field_difference']:.3g}")
+        print(f"{name}: {line}", flush=True)
+    print(json.dumps({"identity": results}))
+    ok = all(r["identical"] and r["exit_codes"] == [0, 0]
+             for r in results.values())
+    return 0 if ok else 1
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", required=True)
     parser.add_argument("--change", required=True)
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--workload")
+    parser.add_argument("--pairs", type=int)
     parser.add_argument("--seconds", type=float, default=18.0)
+    parser.add_argument("--identity", action="store_true",
+                        help="compare the outputs of the two trees' solves "
+                             "instead of timing them")
     args = parser.parse_args(argv)
-    if args.pairs < 1:
+    if args.identity and args.pairs is not None:
+        parser.error("--identity runs no pairs: drop --pairs")
+    if not args.identity and (args.workload is None or args.pairs is None):
+        parser.error("--workload and --pairs are needed without --identity")
+    if args.pairs is not None and args.pairs < 1:
         parser.error("--pairs must be at least 1")
     try:
         parent, change = sibling_trees(args.parent, args.change)
     except ValueError as err:
         parser.error(str(err))
+    if args.identity:
+        names = None if args.workload is None else [args.workload]
+        if names and names[0] not in load_workloads(parent):
+            parser.error(f"unknown workload {args.workload!r}")
+        return identity(parent, change, names)
     metrics = end_to_end(parent)
     for tree in (parent, change):
         compile_tree(tree)
